@@ -27,6 +27,7 @@ from .thh.v1 import poincare_identity_check, v1_thh_presentation
 
 USAGE_ERROR, MISMATCH = 2, 1
 
+TOWER_TARGETS = {"thm-7.1", "cor-7.2", "thm-7.4", "cor-7.5"}
 MIN_PRIME_RELAXED = {"oracle-hh", "bokstedt", "bokstedt:zp", "bokstedt:zlocal",
                      "bokstedt:ell", "bokstedt:ellmodp"}
 
@@ -171,6 +172,13 @@ def cmd_verify(args) -> int:
         lo, hi = _parse_window(args.window, p)
     except ValueError as err:
         print(str(err), file=sys.stderr)
+        return USAGE_ERROR
+    if args.id in TOWER_TARGETS and args.n < 1:
+        print(f"--n >= 1 required for {args.id}, got {args.n}", file=sys.stderr)
+        return USAGE_ERROR
+    if args.id == "prop-8.6" and hi < 2 * p - 1:
+        print(f"empty window {lo}:{hi}: prop-8.6 starts in degree {2 * p - 1}",
+              file=sys.stderr)
         return USAGE_ERROR
     report = run_verify_target(args.id, p, args.n, lo, hi)
     config = {"command": "verify", "id": args.id, "prime": p, "n": args.n,

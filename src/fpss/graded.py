@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 from .numerics import binom_mod_p, is_prime
 
@@ -222,10 +221,6 @@ class Algebra:
             parts.append(self.mono_str(m) if c == 1 else f"{c}*{self.mono_str(m)}")
         return " + ".join(parts)
 
-    def is_homogeneous(self, a: Element) -> bool:
-        degs = {self.bidegree(m) for m in a}
-        return len(degs) <= 1
-
     # -- bases ----------------------------------------------------------
 
     def basis_in_bidegree(self, s: int, t: int) -> list[Monomial]:
@@ -236,7 +231,7 @@ class Algebra:
         when a bidegree is provably infinite (two unbounded generators with
         proportional bidegrees).
         """
-        return list(_basis_in_bidegree_cached(self, s, t))
+        return _basis_in_bidegree(self, s, t)
 
     def basis_monomials_by_total(self, lo: int, hi: int) -> dict[int, list[Monomial]]:
         """Monomials bucketed by total degree over [lo, hi]; requires every
@@ -270,8 +265,7 @@ class Algebra:
         return out
 
 
-@lru_cache(maxsize=200_000)
-def _basis_in_bidegree_cached(alg: Algebra, s: int, t: int) -> tuple[Monomial, ...]:
+def _basis_in_bidegree(alg: Algebra, s: int, t: int) -> list[Monomial]:
     finite: list[int] = []     # exterior/truncated: small fixed exponent range
     capped: list[int] = []     # poly/divided with a sound degree budget cap
     solved: list[int] = []     # Laurent or otherwise unbounded: solved exactly
@@ -372,7 +366,7 @@ def _basis_in_bidegree_cached(alg: Algebra, s: int, t: int) -> tuple[Monomial, .
 
     rec(0, s, t, [0] * len(alg.gens))
     out.sort(key=alg.key)
-    return tuple(out)
+    return out
 
 
 def tensor(p: int, *factors: Algebra, tags: tuple[str, ...] | None = None

@@ -41,6 +41,10 @@ class Region:
     def shrink(self, r: int) -> "Region":
         return Region(self.lo + 1, self.hi - 1, self.s_lo + r, self.s_hi - r)
 
+    def widen(self, r: int) -> "Region":
+        """The region plus the neighbours a length r differential reaches."""
+        return Region(self.lo - 1, self.hi + 1, self.s_lo - r, self.s_hi + r)
+
     def intersect(self, other: "Region") -> "Region":
         return Region(max(self.lo, other.lo), min(self.hi, other.hi),
                       max(self.s_lo, other.s_lo), min(self.s_hi, other.s_hi))
@@ -51,8 +55,6 @@ class Page(Protocol):
     r: int
     provenance: str
     algebra: Algebra
-
-    def basis_at(self, s: int, t: int) -> tuple[Monomial, ...]: ...
 
     def iter_region(self, region: Region) -> Iterable[Monomial]: ...
 
@@ -68,9 +70,6 @@ class ExplicitPage:
     region: Region | None = None
     provenance: str = "closed-form"
     boundaries: dict[Bidegree, list[Element]] = field(default_factory=dict)
-
-    def basis_at(self, s: int, t: int) -> tuple[Monomial, ...]:
-        return self.table.get((s, t), ())
 
     def iter_region(self, region: Region) -> Iterable[Monomial]:
         for (s, t), monos in self.table.items():
@@ -170,15 +169,40 @@ def _d_power(rule: DerivationRule, alg: Algebra, i: int, e: int) -> Element:
     return alg.scale(alg.mul({lower: 1}, val), e)
 
 
-def rule_value(rule: DiffRule, alg: Algebra, m: Monomial) -> Element:
-    return rule.apply(alg, m)
-
-
 def rule_on_element(rule: DiffRule, alg: Algebra, x: Element) -> Element:
     out: Element = {}
     for m, c in x.items():
         out = alg.add(out, alg.scale(rule.apply(alg, m), c))
     return out
+
+
+_ZERO: Element = {}
+
+
+class _TurnValues:
+    """The rule with each monomial's value computed once per page turn; a
+    value that raises is not kept.  Values are shared, every zero value as
+    the one _ZERO to save memory, so callers must not mutate them."""
+
+    def __init__(self, rule: DiffRule):
+        self.rule, self.name, self.r = rule, rule.name, rule.r
+        self.values: dict[Monomial, Element] = {}
+
+    def apply(self, alg: Algebra, m: Monomial) -> Element:
+        if m not in self.values:
+            self.values[m] = self.rule.apply(alg, m) or _ZERO
+        return self.values[m]
+
+
+def bidegree_table(page: Page, region: Region
+                   ) -> dict[Bidegree, tuple[Monomial, ...]]:
+    """Every bidegree basis of the page in the region, from one iter_region
+    pass, each in canonical order."""
+    alg = page.algebra
+    buckets: dict[Bidegree, list[Monomial]] = {}
+    for m in page.iter_region(region):
+        buckets.setdefault(alg.bidegree(m), []).append(m)
+    return {bd: tuple(sorted(ms, key=alg.key)) for bd, ms in buckets.items()}
 
 
 @dataclass
@@ -237,6 +261,7 @@ def turn_page(page: Page, rule: DiffRule, region: Region,
     """
     alg = page.algebra
     r = rule.r
+    rule = _TurnValues(rule)
     exact = page.provenance == "closed-form"
     if exact:
         work = region
@@ -244,18 +269,14 @@ def turn_page(page: Page, rule: DiffRule, region: Region,
         page_region = getattr(page, "region", None)
         base = region if page_region is None else region.intersect(page_region)
         work = base.shrink(r)
-    bds: set[Bidegree] = set()
-    for m in page.iter_region(work):
-        bds.add(alg.bidegree(m))
+    bases = bidegree_table(page, work.widen(r))
 
     table: dict[Bidegree, tuple[Monomial, ...]] = {}
     boundaries: dict[Bidegree, list[Element]] = {}
-    for s, t in sorted(bds):
-        b1 = page.basis_at(s, t)
-        if not b1:
-            continue
-        b0 = page.basis_at(s + r, t - r + 1)
-        b2 = page.basis_at(s - r, t + r - 1)
+    for s, t in sorted(bd for bd in bases if work.contains(*bd)):
+        b1 = bases[(s, t)]
+        b0 = bases.get((s + r, t - r + 1), ())
+        b2 = bases.get((s - r, t + r - 1), ())
         if dd_check:
             for m in b1:
                 dd = rule_on_element(rule, alg, rule.apply(alg, m))
@@ -316,25 +337,22 @@ def verify_turn(page: Page, rule: DiffRule, after: Page, region: Region,
     """
     alg = page.algebra
     r = rule.r
-    bds: set[Bidegree] = set()
-    for m in page.iter_region(region):
-        bds.add(alg.bidegree(m))
-    for m in after.iter_region(region):
-        bds.add(alg.bidegree(m))
+    rule = _TurnValues(rule)
+    bases = bidegree_table(page, region.widen(r))
+    closed_bases = bidegree_table(after, region)
+    bds = {bd for bd in bases if region.contains(*bd)} | closed_bases.keys()
 
     mismatches: list[BidegreeMismatch] = []
-    checked = 0
     for s, t in sorted(bds):
-        checked += 1
-        b1 = page.basis_at(s, t)
-        closed = after.basis_at(s, t)
+        b1 = bases.get((s, t), ())
+        closed = closed_bases.get((s, t), ())
         if not b1:
             if closed:
                 mismatches.append(BidegreeMismatch(
                     (s, t), len(closed), 0, "next page nonzero on an empty bidegree"))
             continue
-        b0 = page.basis_at(s + r, t - r + 1)
-        b2 = page.basis_at(s - r, t + r - 1)
+        b0 = bases.get((s + r, t - r + 1), ())
+        b2 = bases.get((s - r, t + r - 1), ())
         if dd_check:
             for m in b1:
                 dd = rule_on_element(rule, alg, rule.apply(alg, m))
@@ -386,26 +404,23 @@ def verify_turn(page: Page, rule: DiffRule, after: Page, region: Region,
         if not ok:
             continue
     return PageComparison(label=f"{page.label} -> {after.label}",
-                          bidegrees_checked=checked, mismatches=mismatches)
+                          bidegrees_checked=len(bds), mismatches=mismatches)
 
 
 def compare_pages(computed: Page, closed: Page, region: Region) -> PageComparison:
     """Per-bidegree dimension and span comparison of two monomial pages."""
     if computed.algebra != closed.algebra:
         raise ValueError("pages live over different algebras")
-    alg = computed.algebra
     creg = getattr(computed, "region", None)
     if creg is not None:
         region = region.intersect(creg)
-    bds: set[Bidegree] = set()
-    for m in computed.iter_region(region):
-        bds.add(alg.bidegree(m))
-    for m in closed.iter_region(region):
-        bds.add(alg.bidegree(m))
+    computed_bases = bidegree_table(computed, region)
+    closed_bases = bidegree_table(closed, region)
+    bds = computed_bases.keys() | closed_bases.keys()
     mismatches = []
     for s, t in sorted(bds):
-        a = computed.basis_at(s, t)
-        b = closed.basis_at(s, t)
+        a = computed_bases.get((s, t), ())
+        b = closed_bases.get((s, t), ())
         if len(a) != len(b):
             mismatches.append(BidegreeMismatch((s, t), len(b), len(a), ""))
         elif set(a) != set(b):
@@ -474,12 +489,10 @@ def well_definedness_check(page: ExplicitPage, rule: DiffRule) -> PageComparison
 def dump_page(page: Page, region: Region) -> str:
     """Text dump: one line per bidegree, ordered by total degree then s."""
     alg = page.algebra
-    buckets: dict[Bidegree, list[Monomial]] = {}
-    for m in page.iter_region(region):
-        buckets.setdefault(alg.bidegree(m), []).append(m)
+    bases = bidegree_table(page, region)
     lines = []
-    for (s, t) in sorted(buckets, key=lambda bd: (bd[0] + bd[1], bd[0])):
-        monos = sorted(buckets[(s, t)], key=alg.key)
+    for (s, t) in sorted(bases, key=lambda bd: (bd[0] + bd[1], bd[0])):
+        monos = bases[(s, t)]
         basis = ",".join(alg.mono_str(m) for m in monos)
         lines.append(f"s={s} t={t} dim={len(monos)} basis={basis}")
     return "\n".join(lines)

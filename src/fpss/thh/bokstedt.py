@@ -9,7 +9,7 @@ algebras of height p.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
@@ -70,7 +70,6 @@ class BokstedtPage:
     top: int
     last: bool = False
     provenance: str = "closed-form"
-    _cache: dict = field(default_factory=dict, repr=False)
 
     def _keep(self, m: Monomial) -> bool:
         if not self.last:
@@ -87,18 +86,20 @@ class BokstedtPage:
         return True
 
     def basis_at(self, s: int, t: int) -> tuple[Monomial, ...]:
-        key = (s, t)
-        if key not in self._cache:
-            monos = self.algebra.basis_in_bidegree(s, t)
-            self._cache[key] = tuple(m for m in monos if self._keep(m))
-        return self._cache[key]
+        """One bidegree, enumerated on its own: the oracle for iter_region."""
+        monos = self.algebra.basis_in_bidegree(s, t)
+        return tuple(m for m in monos if self._keep(m))
 
     def iter_region(self, region: Region) -> Iterable[Monomial]:
-        lo = max(region.lo, 0)
-        for total in range(lo, region.hi + 1):
-            s_hi = min(total, region.s_hi, self.top)
-            for s in range(max(region.s_lo, 0), s_hi + 1):
-                yield from self.basis_at(s, total - s)
+        # every generator has positive total degree, so one pass over the
+        # total-degree window enumerates the whole region
+        s_hi = min(region.s_hi, self.top)
+        by_total = self.algebra.basis_monomials_by_total(
+            max(region.lo, 0), region.hi)
+        for monos in by_total.values():
+            for m in monos:
+                if region.s_lo <= self.algebra.sdeg(m) <= s_hi and self._keep(m):
+                    yield m
 
 
 def bokstedt_e2_page(p: int, ring: RingId, top: int) -> BokstedtPage:

@@ -19,7 +19,7 @@ fixed to 1; every verified statement is unit-invariant.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
@@ -102,7 +102,6 @@ class TateForm:
     conv: str                    # "tate" or "hofix"
     summands: tuple[Summand, ...]
     provenance: str = "closed-form"
-    _cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def p(self) -> int:
@@ -119,10 +118,7 @@ class TateForm:
         return _pack(a, c, b, free + c, d0, i0, e)
 
     def basis_at(self, s: int, t: int) -> tuple[Monomial, ...]:
-        key = (s, t)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
+        """One bidegree, enumerated on its own: the oracle for iter_region."""
         p = self.p
         out: list[Monomial] = []
         for sm in self.summands:
@@ -153,9 +149,7 @@ class TateForm:
                         if _pred_ok(sm.pred, p, free):
                             out.append(self._monomial(a, b, d0, i0, e, free, c))
         out.sort(key=self.algebra.key)
-        result = tuple(out)
-        self._cache[key] = result
-        return result
+        return tuple(out)
 
     def iter_region(self, region: Region) -> Iterable[Monomial]:
         p = self.p
@@ -230,17 +224,6 @@ class TateForm:
                                 out.append(self._monomial(a, b, d0, i0, e, free, c))
         out.sort(key=self.algebra.key)
         return out
-
-    def iter_total_window(self, lo: int, hi: int) -> Iterable[Monomial]:
-        for total in range(lo, hi + 1):
-            yield from self.monomials_at_total(total)
-
-    def tate_coords(self, m: Monomial) -> tuple[int, int]:
-        """(pure t exponent, tmu2 exponent) of an ambient monomial."""
-        return m[IT] - m[IM], m[IM]
-
-    def hofix_coords(self, m: Monomial) -> tuple[int, int]:
-        return m[IM] - m[IT], m[IT]
 
 
 # -- closed forms ---------------------------------------------------------

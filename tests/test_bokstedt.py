@@ -1,8 +1,10 @@
+import time
+
 import pytest
 
 from fpss.comodule import RingId
 from fpss.graded import ps_from_monomials
-from fpss.specseq import Region
+from fpss.specseq import Region, bidegree_table
 from fpss.thh.bokstedt import (bokstedt_e2_page, bokstedt_einf_page,
                                bokstedt_run)
 from fpss.thh.hochschild import hh_bruteforce
@@ -65,3 +67,53 @@ def test_einf_kills_suspended_even_classes():
         for g, e in zip(alg.gens, m):
             if g.name.startswith("sbtau"):
                 assert e < P
+
+
+# (prime, ring) -> bidegrees bokstedt_run checks on the window 0:60
+CHECKED_0_60 = {
+    (5, RingId.HZP_MOD): 463,
+    (5, RingId.HZ_LOCAL): 79,
+    (5, RingId.ELL): 21,
+    (5, RingId.ELL_MOD_P): 372,
+    (3, RingId.ELL): 103,
+}
+
+
+@pytest.mark.parametrize("p, ring", list(CHECKED_0_60))
+def test_bidegree_table_matches_per_bidegree_enumeration(p, ring):
+    # the one-pass table verify_turn reads, against the per-bidegree
+    # enumeration of the algebra, over the widened region it reads
+    hi = 60
+    region = Region(0, hi, 0, hi + 1).widen(p - 1)
+    pages = (bokstedt_e2_page(p, ring, hi + 1),
+             bokstedt_einf_page(p, ring, hi + 1))
+    alg = pages[0].algebra
+    # no generator has negative s or t, so 0 <= s <= total holds throughout
+    assert all(g.s >= 0 and g.t >= 0 for g in alg.gens)
+    tables = [bidegree_table(page, region) for page in pages]
+    seen = set()
+    for total in range(max(region.lo, 0), region.hi + 1):
+        for s in range(max(region.s_lo, 0), min(total, region.s_hi) + 1):
+            bd = (s, total - s)
+            monos = alg.basis_in_bidegree(*bd)
+            for page, table in zip(pages, tables):
+                want = tuple(m for m in monos if page._keep(m))
+                assert table.get(bd, ()) == want, (page.label, bd)
+            seen.add(bd)
+    assert all(set(table) <= seen for table in tables)
+
+
+@pytest.mark.parametrize("p, ring", list(CHECKED_0_60))
+def test_bidegrees_checked_on_window(p, ring):
+    assert bokstedt_run(p, ring, 0, 60).bidegrees_checked == CHECKED_0_60[(p, ring)]
+
+
+def test_default_window_coverage_and_time():
+    # the default CLI window 0:125 at p=5
+    want = {RingId.HZP_MOD: 2295, RingId.HZ_LOCAL: 382, RingId.ELL: 83,
+            RingId.ELL_MOD_P: 1883}
+    t0 = time.perf_counter()
+    for ring, n in want.items():
+        cmp_ = bokstedt_run(P, ring, 0, 125)
+        assert cmp_.passed and cmp_.bidegrees_checked == n, ring
+    assert time.perf_counter() - t0 < 10

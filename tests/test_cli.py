@@ -25,6 +25,12 @@ def test_verify_usage_errors(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "verify", "thm-8.8", "--window", "broken")
     assert code == 2
+    for target in ("thm-7.1", "cor-7.2", "thm-7.4", "cor-7.5"):
+        code, out, err = run_cli(capsys, "verify", target, "--n", "0")
+        assert code == 2 and "--n" in err and not out
+    # prop-8.6 starts in degree 2p-1, so 0:5 is empty at p=5
+    code, out, err = run_cli(capsys, "verify", "prop-8.6", "--window", "0:5")
+    assert code == 2 and "empty window" in err and not out
 
 
 def test_verify_relaxed_prime_for_oracle(capsys):

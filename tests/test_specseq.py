@@ -90,6 +90,8 @@ def test_dd_nonzero_detected():
     rule = FamilyRule(2, "bad", lambda a, m: [((m[0], m[1] + 1), 1)])
     with pytest.raises(VerificationError, match="d after d"):
         turn_page(page, rule, Region(0, 4, -10, 10))
+    with pytest.raises(VerificationError, match="d after d"):
+        verify_turn(page, rule, page, Region(0, 4, -10, 10))
 
 
 def test_rule_leaving_page_detected():
@@ -99,6 +101,10 @@ def test_rule_leaving_page_detected():
                       [(alg.mono(y=1), 1)] if m == alg.mono(x=1) else [])
     with pytest.raises(VerificationError, match="outside the page"):
         turn_page(page, rule, REGION)
+    # verification records the stray value as a mismatch instead
+    cmp_ = verify_turn(page, rule, page_of(alg, [], label="E3", r=3), REGION)
+    assert not cmp_.passed
+    assert "outside the page" in cmp_.mismatches[0].detail
 
 
 def test_verify_turn_certifies_closed_form():

@@ -1,7 +1,8 @@
 import pytest
 
 from fpss.numerics import rho, vp
-from fpss.specseq import Region, turn_page, well_definedness_check
+from fpss.specseq import (Region, bidegree_table, turn_page,
+                          well_definedness_check)
 from fpss.thh.tate import (IE1, IL, IM, IT, IU, hofix_form, hofix_instance,
                            instance_region, module_triples,
                            relabeling_agreement, run_instance, tate_form,
@@ -197,3 +198,24 @@ def test_form_at_lookup():
     assert inst.form_at("inf").label.endswith("Einf")
     with pytest.raises(ValueError):
         inst.form_at(1)
+
+
+@pytest.mark.parametrize("maker", [tate_instance, hofix_instance])
+def test_bidegree_tables_match_basis_at(maker):
+    # every lookup verify_turn makes, against the per-bidegree closed form
+    inst = maker(P, 1)
+    region = instance_region(P, 1, -10, 20, inst.stages[0].before.conv)
+    for st in inst.stages:
+        r = st.rule.r
+        before = bidegree_table(st.before, region.widen(r))
+        after = bidegree_table(st.after, region)
+        checked = {bd for bd in before if region.contains(*bd)} | after.keys()
+        # the bidegrees two in-region passes give
+        assert checked == {inst.algebra.bidegree(m)
+                           for form in (st.before, st.after)
+                           for m in form.iter_region(region)}
+        assert checked
+        for s, t in checked:
+            for bd in ((s, t), (s + r, t - r + 1), (s - r, t + r - 1)):
+                assert before.get(bd, ()) == st.before.basis_at(*bd), bd
+            assert after.get((s, t), ()) == st.after.basis_at(s, t), (s, t)
