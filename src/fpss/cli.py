@@ -18,11 +18,10 @@ from .specseq import Region, dump_page
 from .tc import (k_Lp_checks, k_lp_presentation, k_presentation,
                  r_fixed_points, rh_map_check, tc_presentation)
 from .thh.bokstedt import (bokstedt_e2_page, bokstedt_einf_page, bokstedt_run)
-from .thh.circle import (comparison_region, lemma_78_check, lemma_79_check,
-                         s1_hofix_einf, s1_hofix_limits, s1_limits,
-                         s1_tate_einf, blocks_meeting)
+from .thh.circle import (blocks_meeting, comparison_region, lemma_78_check,
+                         lemma_79_check, s1_einf, s1_limits)
 from .thh.hochschild import hh_bruteforce
-from .thh.tate import hofix_instance, instance_region, run_instance, tate_instance
+from .thh.tate import TOWERS, instance_region, run_instance, tower_instance
 from .thh.v1 import poincare_identity_check, v1_thh_presentation
 
 USAGE_ERROR, MISMATCH = 2, 1
@@ -32,10 +31,9 @@ MIN_PRIME_RELAXED = {"oracle-hh", "bokstedt", "bokstedt:zp", "bokstedt:zlocal",
                      "bokstedt:ell", "bokstedt:ellmodp"}
 
 
-def _tower_check(report: Report, maker, p: int, n: int, lo: int, hi: int,
+def _tower_check(report: Report, conv: str, p: int, n: int, lo: int, hi: int,
                  label: str) -> None:
-    inst = maker(p, n)
-    for cmp_ in run_instance(inst, lo, hi):
+    for cmp_ in run_instance(tower_instance(p, n, conv), lo, hi):
         details = [str(m) for m in cmp_.mismatches[:10]]
         report.add(Check(f"{label}:{cmp_.label}", cmp_.passed, details))
 
@@ -77,17 +75,17 @@ def _oracle_check(report: Report, p: int) -> None:
 
 def run_verify_target(target: str, p: int, n: int, lo: int, hi: int) -> Report:
     report = Report()
-    if target in ("prop-6.8",):
-        _tower_check(report, tate_instance, p, 1, lo, hi, target)
+    if target == "prop-6.8":
+        _tower_check(report, "tate", p, 1, lo, hi, target)
     elif target in ("thm-7.1", "cor-7.2"):
-        _tower_check(report, tate_instance, p, n, lo, hi, target)
+        _tower_check(report, "tate", p, n, lo, hi, target)
     elif target in ("thm-7.4", "cor-7.5"):
-        _tower_check(report, hofix_instance, p, n, lo, hi, target)
+        _tower_check(report, "hofix", p, n, lo, hi, target)
     elif target == "thm-7.12":
-        ok, details = s1_limits(p, lo, hi)
-        report.add(Check("thm-7.12:tate-stabilization", ok, details[:10]))
-        ok, details = s1_hofix_limits(p, lo, hi)
-        report.add(Check("thm-7.12:hofix-stabilization", ok, details[:10]))
+        for conv in ("tate", "hofix"):
+            ok, details = s1_limits(p, lo, hi, conv)
+            report.add(Check(f"thm-7.12:{conv}-stabilization", ok,
+                             details[:10]))
     elif target == "lemma-7.8":
         ok, details = lemma_78_check(p, n, lo, hi)
         report.add(Check(f"lemma-7.8:n={n}", ok, details[:10]))
@@ -110,7 +108,7 @@ def run_verify_target(target: str, p: int, n: int, lo: int, hi: int) -> Report:
         mod, problems = k_presentation(p)
         report.add(Check("thm-8.10", not problems,
                          problems[:10] or [f"rank={mod.rank}, euler={mod.euler}"]))
-    elif target in ("cor-k-lp", "k-lp"):
+    elif target == "cor-k-lp":
         ok, details = k_Lp_checks(p)
         report.add(Check("cor-k-lp", ok, details[:10], conditional=True))
     elif target == "primitivity":
@@ -196,20 +194,18 @@ def _instance_page(args, p: int, lo: int, hi: int):
         if page == "inf" or (isinstance(page, int) and page >= p):
             return bokstedt_einf_page(p, ring, hi + 1), region
         return bokstedt_e2_page(p, ring, hi + 1), region
-    if parts[0] in ("tate", "hofix") and parts[1] == "cp" and len(parts) == 3:
+    conv = parts[0]
+    if conv in TOWERS and len(parts) == 3 and parts[1] == "cp":
         n = int(parts[2])
-        maker = tate_instance if parts[0] == "tate" else hofix_instance
-        inst = maker(p, n)
-        region = instance_region(p, n, lo, hi, parts[0])
-        return inst.form_at(page), region
-    if parts[0] in ("tate", "hofix") and parts[1] == "s1":
+        if n < 1:
+            raise ValueError(f"tower height {n} < 1")
+        region = instance_region(p, n, lo, hi, conv)
+        return tower_instance(p, n, conv).form_at(page), region
+    if conv in TOWERS and parts[1:] == ["s1"]:
         if page != "inf":
             raise KeyError("only the final page exists for circle instances")
-        region = comparison_region(p, lo, hi, parts[0])
-        kmax = blocks_meeting(p, region)
-        form = s1_tate_einf(p, kmax) if parts[0] == "tate" else \
-            s1_hofix_einf(p, kmax)
-        return form, region
+        region = comparison_region(p, lo, hi, conv)
+        return s1_einf(p, blocks_meeting(p, region), conv), region
     raise KeyError(args.id)
 
 

@@ -36,6 +36,15 @@ class RingId(Enum):
         raise ValueError(f"unknown ring id {text!r}")
 
 
+# k -> whether the homology of the ring carries the class btau_k
+TAU_SETS = {
+    RingId.HZP_MOD: lambda k: True,
+    RingId.HZ_LOCAL: lambda k: k >= 1,
+    RingId.ELL: lambda k: k >= 2,
+    RingId.ELL_MOD_P: lambda k: k == 0 or k >= 2,
+}
+
+
 def _xi_deg(p: int, k: int) -> int:
     return 2 * (p ** k - 1)
 
@@ -226,15 +235,6 @@ def coassociates(astar: Algebra, m: Monomial) -> bool:
 # -- concrete homology comodules ----------------------------------------
 
 
-def _h_tau_indices(ring: RingId) -> list[int]:
-    return {
-        RingId.HZP_MOD: [0, 1, 2],
-        RingId.HZ_LOCAL: [1, 2],
-        RingId.ELL: [2],
-        RingId.ELL_MOD_P: [0, 2],
-    }[ring]
-
-
 def thh_homology_algebra(p: int, ring: RingId) -> Algebra:
     """Generators of the mod p homology of THH of the given ring, truncated
     to the classes needed by the degree <= 4p^2 checks."""
@@ -242,7 +242,7 @@ def thh_homology_algebra(p: int, ring: RingId) -> Algebra:
         Generator("bxi1", 0, _xi_deg(p, 1), Kind.POLYNOMIAL),
         Generator("bxi2", 0, _xi_deg(p, 2), Kind.POLYNOMIAL),
     ]
-    for k in _h_tau_indices(ring):
+    for k in filter(TAU_SETS[ring], range(3)):
         gens.append(Generator(f"btau{k}", 0, _tau_deg(p, k), Kind.EXTERIOR))
     if ring is RingId.HZP_MOD:
         gens.append(Generator("sbtau0", 0, 2, Kind.POLYNOMIAL))

@@ -62,28 +62,11 @@ class SparseMatrix:
                 for c, v in enumerate(row) if v % p]
         return cls(p, nrows, ncols, tuple(ents))
 
-    @classmethod
-    def from_columns(cls, p: int, nrows: int,
-                     cols: Sequence[dict[int, int]]) -> "SparseMatrix":
-        ents = []
-        for c, col in enumerate(cols):
-            for r, v in col.items():
-                v %= p
-                if v:
-                    ents.append((r, c, v))
-        return cls(p, nrows, len(cols), tuple(ents))
-
     def row_dicts(self) -> list[dict[int, int]]:
         rows: list[dict[int, int]] = [dict() for _ in range(self.nrows)]
         for r, c, v in self.entries:
             rows[r][c] = v
         return rows
-
-    def columns(self) -> list[dict[int, int]]:
-        cols: list[dict[int, int]] = [dict() for _ in range(self.ncols)]
-        for r, c, v in self.entries:
-            cols[c][r] = v
-        return cols
 
     def to_dense(self) -> list[list[int]]:
         out = [[0] * self.ncols for _ in range(self.nrows)]

@@ -241,18 +241,21 @@ def _pv_series(gens: list[tuple[str, int]], p: int, lo: int, hi: int
     return ps_from_degree_list(degrees, lo, hi)
 
 
+def _block_params(p: int, kind: str, k: int):
+    """(valuation, truncation, leading digits, (e, b) pairs) of the tower
+    block B_k or C_k of the circle page."""
+    if kind == "B":
+        return 2 * k - 2, rho(p, 2 * k - 3), _d2_range(p), [(0, 0), (0, 1)]
+    return 2 * k - 1, rho(p, 2 * k - 2), range(1, p), [(0, 1), (1, 1)]
+
+
 def _block_series(p: int, kind: str, k: int, lo: int, hi: int
                   ) -> PoincareSeries:
     """In-window dimensions of one tower block of the circle page."""
     L, E = 2 * p * p - 1, 2 * p - 1
     step = 2 * p * p - 2
     degrees = []
-    if kind == "B":
-        v, trunc, ds = 2 * k - 2, rho(p, 2 * k - 3), _d2_range(p)
-        combos = [(0, 0), (0, 1)]  # (e, b)
-    else:
-        v, trunc, ds = 2 * k - 1, rho(p, 2 * k - 2), range(1, p)
-        combos = [(0, 1), (1, 1)]
+    v, trunc, ds, combos = _block_params(p, kind, k)
     for e, b in combos:
         for d in ds:
             base = -2 * d * p ** v + L * b + E * e
@@ -303,12 +306,7 @@ def r_fixed_points(p: int, lo: int, hi: int
 def _tower_step_onto(p: int, kind: str, k: int, lo: int, hi: int
                      ) -> tuple[bool, str]:
     alg = tate_ambient(p, 0)
-    if kind == "B":
-        v, trunc, ds = 2 * k - 2, rho(p, 2 * k - 3), _d2_range(p)
-        combos = [(0, 0), (0, 1)]
-    else:
-        v, trunc, ds = 2 * k - 1, rho(p, 2 * k - 2), range(1, p)
-        combos = [(0, 1), (1, 1)]
+    v, trunc, ds, combos = _block_params(p, kind, k)
     for e, b in combos:
         for d in ds:
             j = d * p ** v
@@ -387,15 +385,16 @@ class PvModule:
         }
 
 
-def _row23(p: int) -> list[PvGenerator]:
+def _row23(p: int, top: str) -> list[PvGenerator]:
+    """Rows 2 and 3; top names the degree 2p^2-1 class of row 3."""
     L, E = 2 * p * p - 1, 2 * p - 1
     out = []
     for d in _d2_range(p):
         out.append(PvGenerator(f"t^{d}*v2", 2 * p * p - 2 - 2 * d, row=2))
         out.append(PvGenerator(f"dlogv1*t^{d}*v2", L - 2 * d, row=2))
     for d in range(1, p):
-        out.append(PvGenerator(f"t^{d * p}*lambda2", L - 2 * d * p, row=3))
-        out.append(PvGenerator(f"eps1b*t^{d * p}*lambda2",
+        out.append(PvGenerator(f"t^{d * p}*{top}", L - 2 * d * p, row=3))
+        out.append(PvGenerator(f"eps1b*t^{d * p}*{top}",
                                L + E - 2 * d * p, row=3))
     return out
 
@@ -409,7 +408,7 @@ def tc_presentation_module(p: int) -> PvModule:
             PvGenerator("partial*lambda2", L - 1),
             PvGenerator("eps1b*lambda2", E + L),
             PvGenerator("partial*eps1b*lambda2", E + L - 1)]
-    return PvModule(p, "tc", tuple(row1 + _row23(p)))
+    return PvModule(p, "tc", tuple(row1 + _row23(p, "lambda2")))
 
 
 def tc_presentation(p: int) -> tuple[PvModule, list[str]]:
@@ -438,7 +437,7 @@ def k_presentation(p: int) -> tuple[PvModule, list[str]]:
             PvGenerator("eps1b", E), PvGenerator("eps1b*partial*lambda2", E + L - 1),
             PvGenerator("eps1b*lambda2", E + L),
             PvGenerator("eps1b*partial*v2", E + L - 2)]
-    mod = PvModule(p, "k", tuple(row1 + _row23(p)))
+    mod = PvModule(p, "k", tuple(row1 + _row23(p, "lambda2")))
     problems = []
     if mod.rank != 2 * p * p - 2 * p + 8:
         problems.append(f"rank {mod.rank} != {2 * p * p - 2 * p + 8}")
@@ -466,16 +465,8 @@ def k_lp_presentation(p: int) -> PvModule:
             PvGenerator("eps1b*partial*lambda2", E + L - 1),
             PvGenerator("eps1b*dlogv1", E + 1),
             PvGenerator("eps1b*partial*v2", E + L - 2)]
-    row23 = []
-    for d in _d2_range(p):
-        row23.append(PvGenerator(f"t^{d}*v2", 2 * p * p - 2 - 2 * d, row=2))
-        row23.append(PvGenerator(f"dlogv1*t^{d}*v2", L - 2 * d, row=2))
-    for d in range(1, p):
-        row23.append(PvGenerator(f"t^{d * p}*v2*dlogv1", L - 2 * d * p, row=3))
-        row23.append(PvGenerator(f"eps1b*t^{d * p}*v2*dlogv1",
-                                 E + L - 2 * d * p, row=3))
-    return PvModule(p, "k-lp-conditional", tuple(row1 + row23),
-                    conditional=True)
+    return PvModule(p, "k-lp-conditional",
+                    tuple(row1 + _row23(p, "v2*dlogv1")), conditional=True)
 
 
 def k_Lp_checks(p: int) -> tuple[bool, list[str]]:

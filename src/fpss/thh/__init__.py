@@ -5,19 +5,17 @@ from .bokstedt import (bokstedt_algebra, bokstedt_e2_page, bokstedt_einf_page,
                        bokstedt_rule, bokstedt_run)
 from .v1 import (astar_series, h_thh_series, poincare_identity_check,
                  v1_thh_presentation, v1_thh_series)
-from .tate import (SSInstance, Stage, TateForm, cp_tate_run, cpn_hofix_run,
-                   cpn_tate_run, hofix_instance, instance_region,
-                   relabeling_agreement, run_instance, tate_instance)
-from .circle import (lemma_78_check, lemma_79_check, s1_hofix_einf,
-                     s1_hofix_limits, s1_limits, s1_tate_einf)
+from .tate import (TOWERS, SSInstance, Stage, TateForm, instance_region,
+                   relabeling_agreement, run_instance, tower_form,
+                   tower_instance)
+from .circle import lemma_78_check, lemma_79_check, s1_einf, s1_limits
 
 __all__ = [
     "hh_bruteforce", "bokstedt_algebra", "bokstedt_e2_page",
     "bokstedt_einf_page", "bokstedt_rule", "bokstedt_run", "astar_series",
     "h_thh_series", "poincare_identity_check", "v1_thh_presentation",
-    "v1_thh_series", "SSInstance", "Stage", "TateForm", "cp_tate_run",
-    "cpn_hofix_run", "cpn_tate_run", "hofix_instance", "instance_region",
-    "relabeling_agreement", "run_instance", "tate_instance",
-    "lemma_78_check", "lemma_79_check", "s1_hofix_einf", "s1_hofix_limits",
-    "s1_limits", "s1_tate_einf",
+    "v1_thh_series", "TOWERS", "SSInstance", "Stage", "TateForm",
+    "instance_region", "relabeling_agreement", "run_instance", "tower_form",
+    "tower_instance", "lemma_78_check", "lemma_79_check", "s1_einf",
+    "s1_limits",
 ]

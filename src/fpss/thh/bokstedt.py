@@ -13,18 +13,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from ..comodule import RingId
+from ..comodule import TAU_SETS, RingId
 from ..graded import Algebra, Generator, Kind, Monomial
 from ..specseq import DerivationRule, Region, verify_turn
 
-# which suspended tau-classes each ring carries, and which suspended
-# xi-classes survive to the last page
-_TAU_SETS = {
-    RingId.HZP_MOD: lambda k: True,
-    RingId.HZ_LOCAL: lambda k: k >= 1,
-    RingId.ELL: lambda k: k >= 2,
-    RingId.ELL_MOD_P: lambda k: k == 0 or k >= 2,
-}
+# which suspended xi-classes survive to the last page
 _SURVIVING_SXI = {
     RingId.HZP_MOD: (),
     RingId.HZ_LOCAL: (1,),
@@ -43,7 +36,7 @@ def bokstedt_algebra(p: int, ring: RingId, top: int) -> Algebra:
         k += 1
     k = 0
     while 2 * p ** k - 1 <= top:
-        if _TAU_SETS[ring](k):
+        if TAU_SETS[ring](k):
             gens.append(Generator(f"btau{k}", 0, 2 * p ** k - 1, Kind.EXTERIOR))
         k += 1
     k = 1
@@ -52,7 +45,7 @@ def bokstedt_algebra(p: int, ring: RingId, top: int) -> Algebra:
         k += 1
     k = 0
     while 2 * p ** k <= top:
-        if _TAU_SETS[ring](k):
+        if TAU_SETS[ring](k):
             gens.append(Generator(f"sbtau{k}", 1, 2 * p ** k - 1, Kind.DIVIDED))
         k += 1
     return Algebra(p, tuple(gens))

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from ..graded import Monomial
 from ..numerics import rho, vp
 from ..specseq import Region
-from .tate import (IU, PLAIN, PLAIN_E, Summand, TateForm, _pred_ok,
-                   hofix_form, tate_ambient, tate_form)
+from .tate import (BOTH, IU, PLAIN_E, TOWERS, Summand, TateForm, tate_ambient,
+                   tower_blocks, tower_form)
 
 
 def _free_exponent_bound(p: int, region: Region) -> int:
@@ -36,39 +35,17 @@ def blocks_meeting(p: int, region: Region) -> int:
 def comparison_region(p: int, lo: int, hi: int, conv: str) -> Region:
     """Region for closed-form comparisons: several tmu2 periods deep."""
     c_max = (hi - lo) // (2 * p * p - 2) + 30
-    if conv == "tate":
-        s_lo = lo - (2 * p * p + 4 * p) - 2 * p * p * c_max
-    else:
-        s_lo = -2 * c_max - 4
-    return Region(lo, hi, s_lo, hi + 4)
+    return Region(lo, hi, TOWERS[conv].s_floor(p, lo, c_max), hi + 4)
 
 
 @lru_cache(maxsize=None)
-def s1_tate_einf(p: int, kmax: int) -> TateForm:
-    """Final page of the circle Tate tower, blocks up to index kmax."""
-    alg = tate_ambient(p, 0)
-    S = Summand
-    sums = [S((0,), (0, 1), PLAIN, 1, ("res",))]
-    for k in range(2, kmax + 1):
-        sums.append(S((0,), (0, 1), PLAIN, rho(p, 2 * k - 3), ("vp_eq", 2 * k - 2)))
-    for k in range(2, kmax + 1):
-        sums.append(S((0,), (1,), PLAIN_E, rho(p, 2 * k - 2), ("vp_eq", 2 * k - 1)))
-    sums.append(S((0,), (0, 1), PLAIN_E, None, ("zero",)))
-    return TateForm(f"tate:s1:final:{kmax}", 10 ** 9, alg, "tate", tuple(sums))
-
-
-@lru_cache(maxsize=None)
-def s1_hofix_einf(p: int, kmax: int) -> TateForm:
-    """Final page of the circle homotopy fixed point tower."""
-    alg = tate_ambient(p, 0)
-    S = Summand
-    sums = [S((0,), (0, 1), tuple((0, i, 0) for i in range(1, p)), 1, ("any",))]
-    for k in range(1, kmax + 1):
-        sums.append(S((0,), (0, 1), PLAIN, rho(p, 2 * k - 1), ("vp_eq", 2 * k - 2)))
-    for k in range(1, kmax + 1):
-        sums.append(S((0,), (1,), PLAIN_E, rho(p, 2 * k), ("vp_eq", 2 * k - 1)))
-    sums.append(S((0,), (0, 1), PLAIN_E, None, ("zero",)))
-    return TateForm(f"hofix:s1:final:{kmax}", 10 ** 9, alg, "hofix", tuple(sums))
+def s1_einf(p: int, kmax: int, conv: str) -> TateForm:
+    """Final page of the circle tower of one convention, blocks up to index
+    kmax."""
+    sums = tower_blocks(conv, p, (0,), kmax, kmax)
+    sums.append(Summand((0,), BOTH, PLAIN_E, None, ("zero",)))
+    return TateForm(f"{conv}:s1:final:{kmax}", 10 ** 9, tate_ambient(p, 0),
+                    conv, tuple(sums))
 
 
 def _u_free_dims(form: TateForm, region: Region) -> dict[tuple[int, int], int]:
@@ -82,37 +59,16 @@ def _u_free_dims(form: TateForm, region: Region) -> dict[tuple[int, int], int]:
     return out
 
 
-def s1_limits(p: int, lo: int, hi: int, n_probe: int | None = None
-              ) -> tuple[bool, list[str]]:
+def s1_limits(p: int, lo: int, hi: int, conv: str) -> tuple[bool, list[str]]:
     """Stabilization: the u-free part of the height-n tower's final page
     agrees bidegree-wise with the circle page inside the window, for every
     window-sufficient height."""
-    region = comparison_region(p, lo, hi, "tate")
+    region = comparison_region(p, lo, hi, conv)
     kmax = blocks_meeting(p, region)
-    if n_probe is None or n_probe < kmax:
-        n_probe = kmax
-    circle = s1_tate_einf(p, kmax)
-    want = _u_free_dims(circle, region)
-    problems: list[str] = []
-    for n in (n_probe, n_probe + 1):
-        got = _u_free_dims(tate_form(p, n, "Einf"), region)
-        for bd in sorted(set(want) | set(got)):
-            if want.get(bd, 0) != got.get(bd, 0):
-                problems.append(
-                    f"height {n}, (s={bd[0]}, t={bd[1]}): tower "
-                    f"{got.get(bd, 0)}, circle {want.get(bd, 0)}")
-    return not problems, problems
-
-
-def s1_hofix_limits(p: int, lo: int, hi: int) -> tuple[bool, list[str]]:
-    """The same stabilization on the homotopy fixed point side."""
-    region = comparison_region(p, lo, hi, "hofix")
-    kmax = blocks_meeting(p, region)
-    circle = s1_hofix_einf(p, kmax)
-    want = _u_free_dims(circle, region)
+    want = _u_free_dims(s1_einf(p, kmax, conv), region)
     problems: list[str] = []
     for n in (kmax, kmax + 1):
-        got = _u_free_dims(hofix_form(p, n, "Einf"), region)
+        got = _u_free_dims(tower_form(p, n, conv, "Einf"), region)
         for bd in sorted(set(want) | set(got)):
             if want.get(bd, 0) != got.get(bd, 0):
                 problems.append(
@@ -125,7 +81,7 @@ def lemma_78_check(p: int, n: int, lo: int, hi: int) -> tuple[bool, list[str]]:
     """For every exponent j in the window with valuation 2n-2: no class of
     the final homotopy fixed point page shares the total degree of
     (tmu2)^rho(2n-1) mu2^j with a more negative column."""
-    form = hofix_form(p, n, "Einf")
+    form = tower_form(p, n, "hofix", "Einf")
     alg = form.algebra
     problems: list[str] = []
     candidates = 0
@@ -163,7 +119,11 @@ def lemma_79_check(p: int, n: int, lo: int, hi: int) -> tuple[bool, list[str]]:
         total_z = (2 * p * p - 2) * c_z - 2 * i
         t_z = 2 * p * p * c_z
         t_cap = t_z - 2 * rho(p, 2 * n) - 1
-        found = _monomials_at_total_capped(summand, total_z + 1, t_cap)
+        # internal degree <= t_cap is column >= total - t_cap; no class of
+        # the summand has negative internal degree
+        total = total_z + 1
+        found = sorted(summand.iter_region(
+            Region(total, total, total - t_cap, total)), key=alg.key)
         expect_j = p ** (2 * n + 1) - p ** (2 * n + 2) + i
         expect = (0, expect_j, 0, 0, 0, 0, 1)
         if found != [expect]:
@@ -171,24 +131,3 @@ def lemma_79_check(p: int, n: int, lo: int, hi: int) -> tuple[bool, list[str]]:
             problems.append(f"i={i}: candidate sources {got}")
     return not problems, problems or [f"{candidates} exponents checked"]
 
-
-def _monomials_at_total_capped(form: TateForm, total: int,
-                               t_cap: int) -> list[Monomial]:
-    """Monomials of one total degree with internal degree at most t_cap."""
-    p = form.p
-    out: list[Monomial] = []
-    for sm in form.summands:
-        for a in sm.u:
-            for b in sm.lam:
-                for d0, i0, e in sm.module:
-                    vc = form._vert_const(b, d0, i0, e)
-                    c = 0
-                    while vc + 2 * p * p * c <= t_cap:
-                        num = vc + (2 * p * p - 2) * c - a - total
-                        if num % 2 == 0:
-                            free = num // 2
-                            if _pred_ok(sm.pred, p, free):
-                                out.append(form._monomial(a, b, d0, i0, e, free, c))
-                        c += 1
-    out.sort(key=form.algebra.key)
-    return out

@@ -4,16 +4,19 @@ and homotopy fixed point spectral sequences.
 One ambient algebra carries every page: an exterior column class u, a
 Laurent class t in column -2, exterior classes lambda2 and eps1b, a Laurent
 class mu2, and the finite module part spanned by eps0 and mu0.  Pages are
-described by summands; the free exponent is the pure t power (Tate pages)
-or the pure mu2 power (homotopy fixed point pages), with the tmu2 power as
-the other coordinate:
+described by summands in two coordinates: the power c >= 0 of the class
+t*mu2, and the exponent of a free class, which is t on Tate pages and mu2
+on homotopy fixed point pages:
 
-    tate coordinates:   j = t_exp - mu2_exp,   c = mu2_exp >= 0
-    hofix coordinates:  m = mu2_exp - t_exp,   c = t_exp  >= 0
+    tate:   t^(j + c) mu2^c,   j free
+    hofix:  t^c mu2^(m + c),   m free
+
+The two towers are one description: everything else that tells them apart
+is the convention's row of TOWERS.
 
 Differentials are the initial suspension rule d(eps0 mu0^(i-1)) = t mu0^i
 followed, for each k up to the tower height n, by an odd family moving
-eps1b classes, an even family moving powers of t (or mu2) into lambda2
+eps1b classes, an even family moving powers of the free class into lambda2
 multiples, and one final odd-length family consuming u.  All units are
 fixed to 1; every verified statement is unit-invariant.
 """
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Callable, Iterable
 
 from ..graded import Algebra, Generator, Kind, Monomial
 from ..numerics import rho, vp
@@ -45,10 +48,6 @@ def tate_ambient(p: int, n: int) -> Algebra:
     ))
 
 
-def _pack(a: int, J: int, b: int, M: int, d0: int, i0: int, e: int) -> Monomial:
-    return (a, J, b, M, d0, i0, e)
-
-
 def module_triples(p: int) -> tuple[tuple[int, int, int], ...]:
     """The 2p module generators: eps0^d mu0^i with the top pair replaced by
     the opaque class eps1b."""
@@ -58,6 +57,7 @@ def module_triples(p: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(out)
 
 
+BOTH = (0, 1)
 PLAIN = ((0, 0, 0),)
 PLAIN_E = ((0, 0, 0), (0, 0, 1))
 
@@ -75,8 +75,6 @@ def _pred_ok(pred: Pred, p: int, x: int) -> bool:
         return x != 0 and vp(p, x) == pred[1]
     if kind == "vp_ge":
         return x == 0 or vp(p, x) >= pred[1]
-    if kind == "not_div":
-        return x % p != 0
     if kind == "res":
         # x = -i mod p^2 with 0 < i < p
         return 0 < (-x) % (p * p) < p
@@ -92,6 +90,34 @@ class Summand:
     pred: Pred
 
 
+@dataclass(frozen=True)
+class Tower:
+    """The data that tells one tower convention from the other."""
+
+    free: tuple[int, int]   # (t, mu2) exponents of the free class
+    sign: int               # differentials move the free exponent by sign*p^i
+    first_block: int        # index k of the first truncated block B_k, C_k
+    rho_shift: int          # valuation v blocks are truncated at rho(v + shift)
+    # (p, u) -> the summand that stands in for the blocks below the first
+    head: Callable[[int, tuple[int, ...]], Summand]
+    # (p, lo, c) -> lowest column of a class in total degree >= lo with
+    # tmu2 power < c, with slack: the base of every trust region
+    s_floor: Callable[[int, int, int], int]
+
+
+TOWERS = {
+    # the residue classes t^(-i), 0 < i < p, modulo t^(p^2)
+    "tate": Tower((1, 0), 1, 2, -1,
+                  lambda p, u: Summand(u, BOTH, PLAIN, 1, ("res",)),
+                  lambda p, lo, c: lo - (2 * p * p + 4 * p) - 2 * p * p * c),
+    # the powers mu0^i, 0 < i < p, left by d2 in column 0
+    "hofix": Tower((0, 1), -1, 1, 1,
+                   lambda p, u: Summand(u, BOTH, tuple(
+                       (0, i, 0) for i in range(1, p)), 1, ("any",)),
+                   lambda p, lo, c: -2 * c - 4),
+}
+
+
 @dataclass
 class TateForm:
     """Closed-form page: disjoint summands over the ambient algebra."""
@@ -99,7 +125,7 @@ class TateForm:
     label: str
     r: int
     algebra: Algebra
-    conv: str                    # "tate" or "hofix"
+    conv: str                    # a key of TOWERS
     summands: tuple[Summand, ...]
     provenance: str = "closed-form"
 
@@ -111,117 +137,93 @@ class TateForm:
         p = self.p
         return (2 * p * p - 1) * b + (2 * p - 1) * e + d0 + 2 * i0
 
-    def _monomial(self, a: int, b: int, d0: int, i0: int, e: int,
-                  free: int, c: int) -> Monomial:
-        if self.conv == "tate":
-            return _pack(a, free + c, b, c, d0, i0, e)
-        return _pack(a, c, b, free + c, d0, i0, e)
+    def _free_degrees(self) -> tuple[int, int, int, int]:
+        """(t exponent, mu2 exponent, column, total degree) of the free
+        class: (1, 0, -2, -2) for t, (0, 1, 0, 2p^2) for mu2."""
+        ft, fm = TOWERS[self.conv].free
+        return ft, fm, -2 * ft, 2 * self.p * self.p * fm - 2 * ft
 
     def basis_at(self, s: int, t: int) -> tuple[Monomial, ...]:
         """One bidegree, enumerated on its own: the oracle for iter_region."""
         p = self.p
+        tw = TOWERS[self.conv]
+        ft, fm = tw.free
         out: list[Monomial] = []
         for sm in self.summands:
             for a in sm.u:
+                # the t exponent fixes the column, the mu2 exponent the
+                # internal degree
+                if (-s - a) % 2:
+                    continue
+                J = (-s - a) // 2
                 for b in sm.lam:
                     for d0, i0, e in sm.module:
-                        vc = self._vert_const(b, d0, i0, e)
-                        if self.conv == "tate":
-                            num = t - vc
-                            if num % (2 * p * p):
-                                continue
-                            c = num // (2 * p * p)
-                            if c < 0 or (sm.c_hi is not None and c >= sm.c_hi):
-                                continue
-                            if (-s - a) % 2:
-                                continue
-                            free = (-s - a) // 2 - c
-                        else:
-                            if (-s - a) % 2:
-                                continue
-                            c = (-s - a) // 2
-                            if c < 0 or (sm.c_hi is not None and c >= sm.c_hi):
-                                continue
-                            num = t - vc
-                            if num % (2 * p * p):
-                                continue
-                            free = num // (2 * p * p) - c
-                        if _pred_ok(sm.pred, p, free):
-                            out.append(self._monomial(a, b, d0, i0, e, free, c))
+                        M, rem = divmod(t - self._vert_const(b, d0, i0, e),
+                                        2 * p * p)
+                        if rem:
+                            continue
+                        c = fm * J + ft * M     # exponent outside the free slot
+                        if c < 0 or (sm.c_hi is not None and c >= sm.c_hi):
+                            continue
+                        if _pred_ok(sm.pred, p, tw.sign * (J - M)):
+                            out.append((a, J, b, M, d0, i0, e))
         out.sort(key=self.algebra.key)
         return tuple(out)
 
     def iter_region(self, region: Region) -> Iterable[Monomial]:
         p = self.p
+        ft, fm, f_s, f_tot = self._free_degrees()
+        step, stride = 2 * p * p - 2, abs(f_tot)    # total degrees
         for sm in self.summands:
             for a in sm.u:
                 for b in sm.lam:
                     for d0, i0, e in sm.module:
-                        vc = self._vert_const(b, d0, i0, e)
+                        base = self._vert_const(b, d0, i0, e) - a
                         c = 0
                         while sm.c_hi is None or c < sm.c_hi:
-                            if self.conv == "tate":
-                                # s = total - vc - 2p^2 c must reach s_lo
-                                if region.hi - vc - 2 * p * p * c < region.s_lo:
-                                    break
-                            else:
-                                s = -a - 2 * c
-                                if s < region.s_lo:
-                                    break
-                            for total in range(region.lo, region.hi + 1):
-                                if self.conv == "tate":
-                                    num = vc + (2 * p * p - 2) * c - a - total
-                                    if num % 2:
-                                        continue
-                                    free = num // 2
-                                    s = -a - 2 * (free + c)
-                                else:
-                                    num = total + a + 2 * c - vc
-                                    if num % (2 * p * p):
-                                        continue
-                                    free = num // (2 * p * p) - c
-                                    s = -a - 2 * c
-                                if not (region.s_lo <= s <= region.s_hi):
-                                    continue
-                                if _pred_ok(sm.pred, p, free):
-                                    yield self._monomial(a, b, d0, i0, e, free, c)
+                            rest = base + step * c  # total at free exponent 0
+                            # the column falls with c; along the free class it
+                            # moves with the total degree (t) or not at all
+                            # (mu2), so it peaks at total degree hi
+                            if -a - 2 * c + f_s * (region.hi - rest) // f_tot \
+                                    < region.s_lo:
+                                break
+                            first = region.lo + (rest - region.lo) % stride
+                            for total in range(first, region.hi + 1, stride):
+                                free = (total - rest) // f_tot
+                                s = -a - 2 * c + f_s * free
+                                if region.s_lo <= s <= region.s_hi and \
+                                        _pred_ok(sm.pred, p, free):
+                                    yield (a, c + ft * free, b, c + fm * free,
+                                           d0, i0, e)
                             c += 1
 
     def monomials_at_total(self, total: int) -> list[Monomial]:
         """All basis monomials of one total degree; needs every summand to be
         either truncated in the tmu2 power or pinned to free exponent 0."""
         p = self.p
+        ft, fm, _, f_tot = self._free_degrees()
+        step = 2 * p * p - 2
         out: list[Monomial] = []
         for sm in self.summands:
             for a in sm.u:
                 for b in sm.lam:
                     for d0, i0, e in sm.module:
-                        vc = self._vert_const(b, d0, i0, e)
+                        base = self._vert_const(b, d0, i0, e) - a
                         if sm.c_hi is None:
                             if sm.pred[0] != "zero":
                                 raise ValueError(
                                     f"summand of {self.label} has unbounded "
                                     f"tmu2 power and free exponent")
-                            num = total + a - vc
-                            if num % (2 * p * p - 2):
-                                continue
-                            c = num // (2 * p * p - 2)
-                            if c >= 0:
-                                out.append(self._monomial(a, b, d0, i0, e, 0, c))
+                            c, rem = divmod(total - base, step)
+                            if not rem and c >= 0:
+                                out.append((a, c, b, c, d0, i0, e))
                             continue
                         for c in range(sm.c_hi):
-                            if self.conv == "tate":
-                                num = vc + (2 * p * p - 2) * c - a - total
-                                if num % 2:
-                                    continue
-                                free = num // 2
-                            else:
-                                num = total + a - vc - (2 * p * p - 2) * c
-                                if num % (2 * p * p):
-                                    continue
-                                free = num // (2 * p * p)
-                            if _pred_ok(sm.pred, p, free):
-                                out.append(self._monomial(a, b, d0, i0, e, free, c))
+                            free, rem = divmod(total - base - step * c, f_tot)
+                            if not rem and _pred_ok(sm.pred, p, free):
+                                out.append((a, c + ft * free, b, c + fm * free,
+                                            d0, i0, e))
         out.sort(key=self.algebra.key)
         return out
 
@@ -229,91 +231,46 @@ class TateForm:
 # -- closed forms ---------------------------------------------------------
 
 
-def _both() -> tuple[int, ...]:
-    return (0, 1)
+def tower_blocks(conv: str, p: int, u: tuple[int, ...], b_hi: int, c_hi: int,
+                 settled: bool = True) -> list[Summand]:
+    """The head and the truncated tower blocks: B_k (free exponent of
+    valuation 2k-2) up to b_hi and C_k (valuation 2k-1, times lambda2) up to
+    c_hi.  Until the differentials below the first block have run
+    (settled=False), blocks from index 1 stand in place of the head."""
+    tw = TOWERS[conv]
+    k_lo = tw.first_block if settled else 1
+    out = [tw.head(p, u)] if settled else []
+    out += [Summand(u, BOTH, PLAIN, rho(p, 2 * k - 2 + tw.rho_shift),
+                    ("vp_eq", 2 * k - 2)) for k in range(k_lo, b_hi + 1)]
+    out += [Summand(u, (1,), PLAIN_E, rho(p, 2 * k - 1 + tw.rho_shift),
+                    ("vp_eq", 2 * k - 1)) for k in range(k_lo, c_hi + 1)]
+    return out
 
 
-def tate_form(p: int, n: int, stage: str, k: int = 0) -> TateForm:
-    """Named closed-form pages of the Tate tower of height n."""
-    alg = tate_ambient(p, n)
-    S = Summand
-    first_p = S(_both(), _both(), PLAIN, 1, ("not_div",))
-    first = S(_both(), _both(), PLAIN, 1, ("res",))
-
-    def bs(k_hi: int) -> list[Summand]:
-        return [S(_both(), _both(), PLAIN, rho(p, 2 * kk - 3), ("vp_eq", 2 * kk - 2))
-                for kk in range(2, k_hi + 1)]
-
-    def cs(k_hi: int) -> list[Summand]:
-        return [S(_both(), (1,), PLAIN_E, rho(p, 2 * kk - 2), ("vp_eq", 2 * kk - 1))
-                for kk in range(2, k_hi + 1)]
-
+def tower_form(p: int, n: int, conv: str, stage: str, k: int = 0) -> TateForm:
+    """Named closed-form pages of the height n tower of one convention."""
+    tw = TOWERS[conv]
     if stage == "E2":
-        sums = [S(_both(), _both(), module_triples(p), None, ("any",))]
+        sums = [Summand(BOTH, BOTH, module_triples(p), None, ("any",))]
         r = 2
-    elif stage == "E3":
-        sums = [S(_both(), _both(), PLAIN_E, None, ("any",))]
-        r = 3
-    elif stage == "odd":
-        # after the length 2 rho(2k-1) family
-        if k == 1:
-            sums = [first_p,
-                    S(_both(), _both(), PLAIN_E, None, ("vp_ge", 1))]
+    elif stage in ("E3", "odd", "even", "Einf"):
+        # differentials run so far: none (E3), 2k-1 (odd k), 2k (even k)
+        i = {"E3": 0, "odd": 2 * k - 1, "even": 2 * k, "Einf": 2 * n}[stage]
+        sums = tower_blocks(conv, p, BOTH, (i + 1) // 2, i // 2,
+                            settled=i >= 2 * tw.first_block - 2)
+        if stage == "Einf":
+            sums.append(Summand((0,), BOTH, PLAIN_E,
+                                rho(p, 2 * n - 1 + tw.rho_shift) + 1,
+                                ("vp_ge", 2 * n)))
+            r = 2 * rho(p, 2 * n) + 2
         else:
-            sums = [first] + bs(k) + cs(k - 1) + \
-                [S(_both(), _both(), PLAIN_E, None, ("vp_ge", 2 * k - 1))]
-        r = 2 * rho(p, 2 * k - 1) + 1
-    elif stage == "even":
-        sums = [first] + bs(k) + cs(k) + \
-            [S(_both(), _both(), PLAIN_E, None, ("vp_ge", 2 * k))]
-        r = 2 * rho(p, 2 * k) + 1
-    elif stage == "Einf":
-        sums = [first] + bs(n) + cs(n) + \
-            [S((0,), _both(), PLAIN_E, rho(p, 2 * n - 2) + 1, ("vp_ge", 2 * n))]
-        r = 2 * rho(p, 2 * n) + 2
+            sums.append(Summand(BOTH, BOTH, PLAIN_E, None, ("vp_ge", i)))
+            r = 2 * rho(p, i) + 1 if i else 3
     else:
         raise ValueError(stage)
-    label = f"tate:cp:{n}:{stage}" + (f":{k}" if stage in ("odd", "even") else "")
-    return TateForm(label, r, alg, "tate", tuple(sums))
-
-
-def hofix_form(p: int, n: int, stage: str, k: int = 0) -> TateForm:
-    """Named closed-form pages of the homotopy fixed point tower."""
-    alg = tate_ambient(p, n)
-    S = Summand
-    mu0_first = S(_both(), _both(),
-                  tuple((0, i, 0) for i in range(1, p)), 1, ("any",))
-
-    def bs(k_hi: int) -> list[Summand]:
-        return [S(_both(), _both(), PLAIN, rho(p, 2 * kk - 1), ("vp_eq", 2 * kk - 2))
-                for kk in range(1, k_hi + 1)]
-
-    def cs(k_hi: int) -> list[Summand]:
-        return [S(_both(), (1,), PLAIN_E, rho(p, 2 * kk), ("vp_eq", 2 * kk - 1))
-                for kk in range(1, k_hi + 1)]
-
-    if stage == "E2":
-        sums = [S(_both(), _both(), module_triples(p), None, ("any",))]
-        r = 2
-    elif stage == "E3":
-        sums = [mu0_first, S(_both(), _both(), PLAIN_E, None, ("any",))]
-        r = 3
-    elif stage == "odd":
-        sums = [mu0_first] + bs(k) + cs(k - 1) + \
-            [S(_both(), _both(), PLAIN_E, None, ("vp_ge", 2 * k - 1))]
-        r = 2 * rho(p, 2 * k - 1) + 1
-    elif stage == "even":
-        sums = [mu0_first] + bs(k) + cs(k) + \
-            [S(_both(), _both(), PLAIN_E, None, ("vp_ge", 2 * k))]
-        r = 2 * rho(p, 2 * k) + 1
-    elif stage == "Einf":
-        sums = [mu0_first] + bs(n) + cs(n) + \
-            [S((0,), _both(), PLAIN_E, rho(p, 2 * n) + 1, ("vp_ge", 2 * n))]
-        r = 2 * rho(p, 2 * n) + 2
-    else:
-        raise ValueError(stage)
-    label = f"hofix:cp:{n}:{stage}" + (f":{k}" if stage in ("odd", "even") else "")
-    return TateForm(label, r, alg, "hofix", tuple(sums))
+    label = f"{conv}:cp:{n}:{stage}" + (
+        f":{k}" if stage in ("odd", "even") else "")
+    return TateForm(label, r, tate_ambient(p, n), conv, tuple(sums))
 
 
 # -- differential rules ---------------------------------------------------
@@ -325,119 +282,83 @@ def d2_rule(p: int, n: int) -> DerivationRule:
     return DerivationRule(2, "d2", {"eps0": alg.elem(t=1, mu0=1)})
 
 
-def tate_odd_rule(p: int, n: int, k: int) -> FamilyRule:
-    delta = p ** (2 * k - 1) - p ** (2 * k)
-    inc = rho(p, 2 * k - 3)
-    r = 2 * rho(p, 2 * k - 1)
+def _shift(tw: Tower, inc: int, x: int) -> tuple[int, int]:
+    """Change of the (t, mu2) exponents that raises the tmu2 power by inc
+    and the free exponent by sign * x."""
+    return inc + tw.sign * x * tw.free[0], inc + tw.sign * x * tw.free[1]
+
+
+# The rules below test the free exponent sign * (t exp - mu2 exp) only by
+# zero and valuation, so they test t exp - mu2 exp directly.
+
+
+def odd_rule(p: int, k: int, conv: str) -> FamilyRule:
+    """eps1b classes onto the block B_k."""
+    tw = TOWERS[conv]
+    x = p ** (2 * k) - p ** (2 * k - 1)
+    dj, dm = _shift(tw, rho(p, 2 * k - 2 + tw.rho_shift), x)
+    v = 2 * k - 2
 
     def fn(alg: Algebra, m: Monomial):
         a, J, b, M, d0, i0, e = m
         if e != 1 or d0 or i0:
             return []
-        j = J - M - delta
-        if j == 0 or vp(p, j) != 2 * k - 2:
+        j = J - M + x
+        if j == 0 or vp(p, j) != v:
             return []
-        c = M + inc
-        return [(_pack(a, j + c, b, c, 0, 0, 0), 1)]
+        return [((a, J + dj, b, M + dm, 0, 0, 0), 1)]
 
-    return FamilyRule(r, f"tate-odd:{k}", fn)
+    return FamilyRule(2 * rho(p, 2 * k - 1), f"{conv}-odd:{k}", fn)
 
 
-def tate_even_rule(p: int, n: int, k: int) -> FamilyRule:
-    r = 2 * rho(p, 2 * k)
-    inc = rho(p, 2 * k - 2)
+def even_rule(p: int, k: int, conv: str) -> FamilyRule:
+    """Powers of the free class onto lambda2 multiples in the block C_k."""
+    tw = TOWERS[conv]
+    dj, dm = _shift(tw, rho(p, 2 * k - 1 + tw.rho_shift), p ** (2 * k))
+    v, sign = 2 * k - 1, tw.sign
 
-    def fn(alg: Algebra, m: Monomial):
-        a, J, b, M, d0, i0, e = m
-        if b or d0 or i0:
-            return []
-        j = J - M
-        if k == 1:
-            # derivation in t^p over the residue classes t^(-i), 0 <= i < p
-            q, rem = divmod(j, p)
+    if k < tw.first_block:
+        # below the first block (Tate, k = 1): a derivation in t^p over the
+        # residue classes t^(-i), 0 <= i < p
+        def fn(alg: Algebra, m: Monomial):
+            a, J, b, M, d0, i0, e = m
+            if b or d0 or i0:
+                return []
+            q, rem = divmod(sign * (J - M), p)
             if rem:
                 q += 1
             if q % p == 0:
                 return []
-        else:
-            if j == 0 or vp(p, j) != 2 * k - 1:
+            return [((a, J + dj, 1, M + dm, 0, 0, e), 1)]
+    else:
+        def fn(alg: Algebra, m: Monomial):
+            a, J, b, M, d0, i0, e = m
+            if b or d0 or i0:
                 return []
-        jj = j + p ** (2 * k)
-        c = M + inc
-        return [(_pack(a, jj + c, 1, c, 0, 0, e), 1)]
+            j = J - M
+            if j == 0 or vp(p, j) != v:
+                return []
+            return [((a, J + dj, 1, M + dm, 0, 0, e), 1)]
 
-    return FamilyRule(r, f"tate-even:{k}", fn)
+    return FamilyRule(2 * rho(p, 2 * k), f"{conv}-even:{k}", fn)
 
 
-def tate_final_rule(p: int, n: int) -> FamilyRule:
-    r = 2 * rho(p, 2 * n) + 1
-    inc = rho(p, 2 * n - 2) + 1
+def final_rule(p: int, n: int, conv: str) -> FamilyRule:
+    """The u classes onto the truncated top of the tower."""
+    tw = TOWERS[conv]
+    dj, dm = _shift(tw, rho(p, 2 * n - 1 + tw.rho_shift) + 1, p ** (2 * n))
+    v = 2 * n
 
     def fn(alg: Algebra, m: Monomial):
         a, J, b, M, d0, i0, e = m
         if a != 1 or d0 or i0:
             return []
         j = J - M
-        if j != 0 and vp(p, j) < 2 * n:
+        if j != 0 and vp(p, j) < v:
             return []
-        jj = j + p ** (2 * n)
-        c = M + inc
-        return [(_pack(0, jj + c, b, c, 0, 0, e), 1)]
+        return [((0, J + dj, b, M + dm, 0, 0, e), 1)]
 
-    return FamilyRule(r, f"tate-final:{n}", fn)
-
-
-def hofix_odd_rule(p: int, n: int, k: int) -> FamilyRule:
-    delta = p ** (2 * k) - p ** (2 * k - 1)
-    inc = rho(p, 2 * k - 1)
-    r = 2 * rho(p, 2 * k - 1)
-
-    def fn(alg: Algebra, m: Monomial):
-        a, J, b, M, d0, i0, e = m
-        if e != 1 or d0 or i0:
-            return []
-        mm = M - J - delta
-        if mm == 0 or vp(p, mm) != 2 * k - 2:
-            return []
-        c = J + inc
-        return [(_pack(a, c, b, mm + c, 0, 0, 0), 1)]
-
-    return FamilyRule(r, f"hofix-odd:{k}", fn)
-
-
-def hofix_even_rule(p: int, n: int, k: int) -> FamilyRule:
-    shift = p ** (2 * k)
-    inc = rho(p, 2 * k)
-    r = 2 * rho(p, 2 * k)
-
-    def fn(alg: Algebra, m: Monomial):
-        a, J, b, M, d0, i0, e = m
-        if b or d0 or i0:
-            return []
-        mm = M - J
-        if mm == 0 or vp(p, mm) != 2 * k - 1:
-            return []
-        c = J + inc
-        return [(_pack(a, c, 1, mm - shift + c, 0, 0, e), 1)]
-
-    return FamilyRule(r, f"hofix-even:{k}", fn)
-
-
-def hofix_final_rule(p: int, n: int) -> FamilyRule:
-    r = 2 * rho(p, 2 * n) + 1
-    inc = rho(p, 2 * n) + 1
-
-    def fn(alg: Algebra, m: Monomial):
-        a, J, b, M, d0, i0, e = m
-        if a != 1 or d0 or i0:
-            return []
-        mm = M - J
-        if mm != 0 and vp(p, mm) < 2 * n:
-            return []
-        c = J + inc
-        return [(_pack(0, c, b, mm - p ** (2 * n) + c, 0, 0, e), 1)]
-
-    return FamilyRule(r, f"hofix-final:{n}", fn)
+    return FamilyRule(2 * rho(p, 2 * n) + 1, f"{conv}-final:{n}", fn)
 
 
 # -- instances ------------------------------------------------------------
@@ -479,52 +400,30 @@ class SSInstance:
 
 
 @lru_cache(maxsize=None)
-def tate_instance(p: int, n: int) -> SSInstance:
-    stages = [Stage(2, d2_rule(p, n), tate_form(p, n, "E2"), tate_form(p, n, "E3"))]
-    prev = tate_form(p, n, "E3")
-    for k in range(1, n + 1):
-        after_odd = tate_form(p, n, "odd", k)
-        stages.append(Stage(2 * rho(p, 2 * k - 1), tate_odd_rule(p, n, k),
-                            prev, after_odd))
-        after_even = tate_form(p, n, "even", k)
-        stages.append(Stage(2 * rho(p, 2 * k), tate_even_rule(p, n, k),
-                            after_odd, after_even))
-        prev = after_even
-    stages.append(Stage(2 * rho(p, 2 * n) + 1, tate_final_rule(p, n),
-                        prev, tate_form(p, n, "Einf")))
-    return SSInstance(f"tate:cp:{n}", p, n, tate_ambient(p, n), tuple(stages))
+def tower_instance(p: int, n: int, conv: str) -> SSInstance:
+    """The height n tower of one convention, stage by stage."""
+    def form(stage: str, k: int = 0) -> TateForm:
+        return tower_form(p, n, conv, stage, k)
 
+    stages = [Stage(2, d2_rule(p, n), form("E2"), form("E3"))]
 
-@lru_cache(maxsize=None)
-def hofix_instance(p: int, n: int) -> SSInstance:
-    stages = [Stage(2, d2_rule(p, n), hofix_form(p, n, "E2"),
-                    hofix_form(p, n, "E3"))]
-    prev = hofix_form(p, n, "E3")
+    def turn(rule: FamilyRule, after: TateForm) -> None:
+        stages.append(Stage(rule.r, rule, stages[-1].after, after))
+
     for k in range(1, n + 1):
-        after_odd = hofix_form(p, n, "odd", k)
-        stages.append(Stage(2 * rho(p, 2 * k - 1), hofix_odd_rule(p, n, k),
-                            prev, after_odd))
-        after_even = hofix_form(p, n, "even", k)
-        stages.append(Stage(2 * rho(p, 2 * k), hofix_even_rule(p, n, k),
-                            after_odd, after_even))
-        prev = after_even
-    stages.append(Stage(2 * rho(p, 2 * n) + 1, hofix_final_rule(p, n),
-                        prev, hofix_form(p, n, "Einf")))
-    return SSInstance(f"hofix:cp:{n}", p, n, tate_ambient(p, n), tuple(stages))
+        turn(odd_rule(p, k, conv), form("odd", k))
+        turn(even_rule(p, k, conv), form("even", k))
+    turn(final_rule(p, n, conv), form("Einf"))
+    return SSInstance(f"{conv}:cp:{n}", p, n, tate_ambient(p, n),
+                      tuple(stages))
 
 
 def instance_region(p: int, n: int, lo: int, hi: int, conv: str) -> Region:
     """Column range wide enough to exercise every family in the window."""
+    tw = TOWERS[conv]
     base_c = (hi - lo) // (2 * p * p - 2) + 5
-    if conv == "tate":
-        inc = rho(p, 2 * n - 2) + 1
-        c_max = base_c + inc + 4
-        s_lo = lo - (2 * p * p + 4 * p) - 2 * p * p * c_max
-    else:
-        inc = rho(p, 2 * n) + 1
-        c_max = base_c + inc + 4
-        s_lo = -2 * c_max - 4
-    return Region(lo, hi, s_lo, hi + 4)
+    inc = rho(p, 2 * n - 1 + tw.rho_shift) + 1
+    return Region(lo, hi, tw.s_floor(p, lo, base_c + inc + 4), hi + 4)
 
 
 def run_instance(inst: SSInstance, lo: int, hi: int,
@@ -540,26 +439,12 @@ def run_instance(inst: SSInstance, lo: int, hi: int,
     return out
 
 
-def cp_tate_run(p: int, lo: int, hi: int) -> list[PageComparison]:
-    """Full verification of the order p Tate tower."""
-    return run_instance(tate_instance(p, 1), lo, hi)
-
-
-def cpn_tate_run(p: int, n: int, lo: int, hi: int) -> list[PageComparison]:
-    """Full verification of the height n Tate tower."""
-    return run_instance(tate_instance(p, n), lo, hi)
-
-
-def cpn_hofix_run(p: int, n: int, lo: int, hi: int) -> list[PageComparison]:
-    """Full verification of the height n homotopy fixed point tower."""
-    return run_instance(hofix_instance(p, n), lo, hi)
-
-
 def relabeling_agreement(p: int, n: int, lo: int, hi: int
                          ) -> tuple[bool, list[str]]:
     """Pages before the final odd differential agree for towers of heights
     n and n+1, up to renaming the column class."""
-    inst_a, inst_b = tate_instance(p, n), tate_instance(p, n + 1)
+    inst_a = tower_instance(p, n, "tate")
+    inst_b = tower_instance(p, n + 1, "tate")
     bound = 2 * rho(p, 2 * n) + 1
     region = instance_region(p, n, lo, hi, "tate")
     forms_a = [f for f in inst_a.forms() if f.r <= bound]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..comodule import RingId
+from ..comodule import TAU_SETS, RingId
 from ..graded import Kind, PoincareSeries, ps_from_degree_list, ps_one_generator
 
 
@@ -67,10 +67,6 @@ def astar_series(p: int, hi: int) -> PoincareSeries:
 
 
 def _h_ring_series(p: int, ring: RingId, hi: int) -> PoincareSeries:
-    taus = {RingId.HZP_MOD: lambda k: True,
-            RingId.HZ_LOCAL: lambda k: k >= 1,
-            RingId.ELL: lambda k: k >= 2,
-            RingId.ELL_MOD_P: lambda k: k == 0 or k >= 2}[ring]
     out = ps_from_degree_list([0], 0, hi)
     k = 1
     while 2 * (p ** k - 1) <= hi:
@@ -78,7 +74,7 @@ def _h_ring_series(p: int, ring: RingId, hi: int) -> PoincareSeries:
         k += 1
     k = 0
     while 2 * p ** k - 1 <= hi:
-        if taus(k):
+        if TAU_SETS[ring](k):
             out = out.mul(ps_one_generator(0, hi, 2 * p ** k - 1, Kind.EXTERIOR))
         k += 1
     return out

@@ -17,8 +17,8 @@ from fpss.tc import k_Lp_checks, k_presentation, r_fixed_points, rh_map_check, t
 from fpss.thh.bokstedt import bokstedt_run
 from fpss.thh.circle import lemma_78_check, lemma_79_check, s1_limits
 from fpss.thh.hochschild import hh_bruteforce
-from fpss.thh.tate import (hofix_instance, relabeling_agreement, run_instance,
-                           tate_form, tate_instance)
+from fpss.thh.tate import (relabeling_agreement, run_instance, tower_form,
+                           tower_instance)
 from fpss.thh.v1 import poincare_identity_check
 
 P = 5
@@ -85,14 +85,14 @@ def test_criterion_04_poincare_identity():
 
 def test_criterion_05_cp_tate_full_run():
     with Budget("05 cp-tate-run", 120):
-        inst = tate_instance(P, 1)
+        inst = tower_instance(P, 1, "tate")
         results = run_instance(inst, -20, 120)
         assert len(results) == 4
         for cmp_ in results:
             assert cmp_.passed, cmp_.summary()
         # the final page in total degree 2p-2 = 8 is two dimensional and
         # contains the eps1b lambda2 class one periodicity step up
-        einf = tate_form(P, 1, "Einf")
+        einf = tower_form(P, 1, "tate", "Einf")
         monos = einf.monomials_at_total(2 * P - 2)
         assert len(monos) == 2
         names = {einf.algebra.mono_str(m) for m in monos}
@@ -103,12 +103,12 @@ def test_criterion_06_tower_runs():
     with Budget("06 tate-towers", 600):
         runs = {}
         for n in (1, 2):
-            results = run_instance(tate_instance(P, n), -40, 160)
+            results = run_instance(tower_instance(P, n, "tate"), -40, 160)
             for cmp_ in results:
                 assert cmp_.passed, cmp_.summary()
             runs[n] = results
         # the height 1 run is the criterion 05 run: same stages, same rules
-        rs = [st.r for st in tate_instance(P, 1).stages]
+        rs = [st.r for st in tower_instance(P, 1, "tate").stages]
         assert rs == [2, 2 * rho(P, 1), 2 * rho(P, 2), 2 * rho(P, 2) + 1]
         assert rs == [2, 42, 50, 51]
         # pages before the final differential agree across heights
@@ -119,7 +119,7 @@ def test_criterion_06_tower_runs():
 def test_criterion_07_hofix_towers():
     with Budget("07 hofix-towers", 600):
         for n in (1, 2):
-            results = run_instance(hofix_instance(P, n), -40, 160)
+            results = run_instance(tower_instance(P, n, "hofix"), -40, 160)
             for cmp_ in results:
                 assert cmp_.passed, cmp_.summary()
 
@@ -135,8 +135,9 @@ def test_criterion_08_lemma_enumerations():
 
 def test_criterion_09_circle_stabilization():
     with Budget("09 circle-stabilization", 120):
-        ok, problems = s1_limits(P, -40, 160)
-        assert ok, problems[:4]
+        for conv in ("tate", "hofix"):
+            ok, problems = s1_limits(P, -40, 160, conv)
+            assert ok, (conv, problems[:4])
 
 
 def test_criterion_10_endgame():
@@ -160,7 +161,7 @@ def test_criterion_11_property_suite():
     with Budget("11 property-suite", 300):
         # d after d vanishes on every in-window monomial of every script
         # (checked inside every page turn); exercise one stage directly
-        inst = tate_instance(P, 1)
+        inst = tower_instance(P, 1, "tate")
         region = Region(-10, 30, -400, 34)
         for st in inst.stages:
             for m in st.before.iter_region(region):

@@ -1,8 +1,8 @@
 import pytest
 
 from fpss.thh.circle import (blocks_meeting, comparison_region,
-                             lemma_78_check, lemma_79_check,
-                             s1_hofix_limits, s1_limits, s1_tate_einf)
+                             lemma_78_check, lemma_79_check, s1_einf,
+                             s1_limits)
 
 P = 5
 
@@ -10,14 +10,14 @@ P = 5
 def test_circle_page_degree_zero():
     # bidegree (0, 0) is spanned by the unit alone; the full total degree 0
     # line also meets the deeper tower blocks
-    form = s1_tate_einf(P, 3)
+    form = s1_einf(P, 3, "tate")
     assert [form.algebra.mono_str(m) for m in form.basis_at(0, 0)] == ["1"]
     names = [form.algebra.mono_str(m) for m in form.monomials_at_total(0)]
     assert "1" in names
 
 
 def test_circle_page_lambda2_column():
-    form = s1_tate_einf(P, 3)
+    form = s1_einf(P, 3, "tate")
     monos = form.monomials_at_total(2 * P * P - 1)
     assert any(form.algebra.mono_str(m) == "lambda2" for m in monos)
 
@@ -25,8 +25,8 @@ def test_circle_page_lambda2_column():
 def test_truncation_is_stable_in_region():
     region = comparison_region(P, -20, 60, "tate")
     kmax = blocks_meeting(P, region)
-    small = s1_tate_einf(P, kmax)
-    large = s1_tate_einf(P, kmax + 2)
+    small = s1_einf(P, kmax, "tate")
+    large = s1_einf(P, kmax + 2, "tate")
     dims_small = {}
     for m in small.iter_region(region):
         bd = small.algebra.bidegree(m)
@@ -39,10 +39,9 @@ def test_truncation_is_stable_in_region():
 
 
 def test_s1_stabilization():
-    ok, problems = s1_limits(P, -20, 60)
-    assert ok, problems[:5]
-    ok, problems = s1_hofix_limits(P, -20, 60)
-    assert ok, problems[:5]
+    for conv in ("tate", "hofix"):
+        ok, problems = s1_limits(P, -20, 60, conv)
+        assert ok, (conv, problems[:5])
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -88,6 +88,10 @@ def test_tables_output(capsys):
     assert code == 0
     code, _, _ = run_cli(capsys, "tables", "unknown:thing")
     assert code == 2
+    # malformed tower ids are usage errors, never pages or crashes
+    for bad in ("tate", "hofix", "tate:s1:junk", "hofix:cp:0"):
+        code, out, err = run_cli(capsys, "tables", bad)
+        assert code == 2 and not out and "unknown instance" in err, bad
 
 
 def test_byte_identical_reruns(capsys):

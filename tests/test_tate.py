@@ -3,10 +3,9 @@ import pytest
 from fpss.numerics import rho, vp
 from fpss.specseq import (Region, bidegree_table, turn_page,
                           well_definedness_check)
-from fpss.thh.tate import (IE1, IL, IM, IT, IU, hofix_form, hofix_instance,
-                           instance_region, module_triples,
-                           relabeling_agreement, run_instance, tate_form,
-                           tate_instance)
+from fpss.thh.tate import (IE1, IL, IM, IT, IU, instance_region,
+                           module_triples, relabeling_agreement, run_instance,
+                           tower_form, tower_instance)
 
 P = 5
 
@@ -16,7 +15,7 @@ def test_module_generator_count():
 
 
 def test_seed_bidegree_examples():
-    e2 = tate_form(P, 1, "E2")
+    e2 = tower_form(P, 1, "tate", "E2")
     alg = e2.algebra
     # bidegree (-2, 0) holds exactly t
     assert [alg.mono_str(m) for m in e2.basis_at(-2, 0)] == ["t"]
@@ -29,8 +28,10 @@ def test_seed_bidegree_examples():
 
 
 def test_forms_are_duplicate_free():
-    for form in (tate_form(P, 2, "odd", 2), hofix_form(P, 2, "even", 1),
-                 tate_form(P, 2, "Einf"), hofix_form(P, 2, "Einf")):
+    for form in (tower_form(P, 2, "tate", "odd", 2),
+                 tower_form(P, 2, "hofix", "even", 1),
+                 tower_form(P, 2, "tate", "Einf"),
+                 tower_form(P, 2, "hofix", "Einf")):
         region = Region(-30, 60, -400, 64)
         seen = set()
         for m in form.iter_region(region):
@@ -41,26 +42,26 @@ def test_forms_are_duplicate_free():
 
 
 def test_cp_run_small_window():
-    results = run_instance(tate_instance(P, 1), -20, 40)
+    results = run_instance(tower_instance(P, 1, "tate"), -20, 40)
     assert all(c.passed for c in results)
     assert len(results) == 4
 
 
 def test_runs_at_the_next_prime():
-    for maker in (tate_instance, hofix_instance):
-        results = run_instance(maker(7, 1), -20, 60)
+    for conv in ("tate", "hofix"):
+        results = run_instance(tower_instance(7, 1, conv), -20, 60)
         assert all(c.passed for c in results)
 
 
 def test_hofix_run_small_window():
-    results = run_instance(hofix_instance(P, 1), -20, 40)
+    results = run_instance(tower_instance(P, 1, "hofix"), -20, 40)
     assert all(c.passed for c in results)
 
 
 def test_final_page_top_class():
     # total degree 2p-2 of the final page: the residue class t^(-4) and the
     # eps1b lambda2 class one periodicity step up
-    einf = tate_form(P, 1, "Einf")
+    einf = tower_form(P, 1, "tate", "Einf")
     alg = einf.algebra
     monos = einf.monomials_at_total(2 * P - 2)
     names = sorted(alg.mono_str(m) for m in monos)
@@ -70,7 +71,7 @@ def test_final_page_top_class():
 def test_cpn_einf_block_example():
     # the height 2 final page contains the valuation 2 block truncated at
     # rho(1) = 21
-    einf = tate_form(P, 2, "Einf")
+    einf = tower_form(P, 2, "tate", "Einf")
     alg = einf.algebra
     sample = [m for m in einf.iter_region(Region(-60, 60, -3000, 64))
               if m[IL] == 0 and m[IU] == 0 and m[IE1] == 0
@@ -83,7 +84,7 @@ def test_cpn_einf_block_example():
 
 
 def test_pages_never_grow():
-    inst = tate_instance(P, 1)
+    inst = tower_instance(P, 1, "tate")
     region = instance_region(P, 1, -20, 40, "tate")
     forms = inst.forms()
     for before, after in zip(forms, forms[1:]):
@@ -98,7 +99,7 @@ def test_pages_never_grow():
 
 
 def test_dd_zero_and_unit_invariance():
-    inst = tate_instance(P, 1)
+    inst = tower_instance(P, 1, "tate")
     region = Region(-10, 30, -300, 34)
     st = inst.stages[1]
     base = turn_page(st.before, st.rule, region)
@@ -111,7 +112,7 @@ def test_dd_zero_and_unit_invariance():
 def test_propagation_mode_matches_verification():
     # carry representatives forward through the first two differentials and
     # compare with the closed form, gating each step
-    inst = tate_instance(P, 1)
+    inst = tower_instance(P, 1, "tate")
     region = Region(-10, 24, -200, 30)
     page = turn_page(inst.stages[0].before, inst.stages[0].rule, region)
     gate = well_definedness_check(page, inst.stages[1].rule)
@@ -131,7 +132,7 @@ def test_relabeling_agreement():
 
 def test_d2_leibniz_example():
     # d2 on eps0 mu0^2 is t mu0^3: one Leibniz step, odd leading factor
-    inst = tate_instance(P, 1)
+    inst = tower_instance(P, 1, "tate")
     alg = inst.algebra
     rule = inst.stages[0].rule
     got = rule.apply(alg, alg.mono(eps0=1, mu0=2))
@@ -139,12 +140,12 @@ def test_d2_leibniz_example():
 
 
 def test_unit_bidegree_of_final_page():
-    einf = tate_form(P, 1, "Einf")
+    einf = tower_form(P, 1, "tate", "Einf")
     assert [einf.algebra.mono_str(m) for m in einf.basis_at(0, 0)] == ["1"]
 
 
 def test_empty_window_is_vacuous():
-    results = run_instance(tate_instance(P, 1), 5, 4)
+    results = run_instance(tower_instance(P, 1, "tate"), 5, 4)
     assert all(c.passed for c in results)
     assert all(c.bidegrees_checked == 0 for c in results)
 
@@ -164,7 +165,7 @@ def test_verifier_catches_corrupted_rule():
         c = M + 2          # correct increment is 1
         return [((a, j + c, b, c, 0, 0, 0), 1)]
 
-    inst = tate_instance(P, 1)
+    inst = tower_instance(P, 1, "tate")
     region = instance_region(P, 1, -20, 40, "tate")
     rule = FamilyRule(2 * rho(P, 1), "bad-odd", bad_odd)
     cmp_ = verify_turn(inst.stages[1].before, rule, inst.stages[1].after,
@@ -182,7 +183,7 @@ def test_verifier_catches_corrupted_form():
         Summand((0, 1), (0, 1), PLAIN, 1, ("res",)),
         Summand((0,), (0, 1), PLAIN_E, rho(P, 0) + 2, ("vp_ge", 2)),
     ))
-    inst = tate_instance(P, 1)
+    inst = tower_instance(P, 1, "tate")
     region = instance_region(P, 1, -20, 40, "tate")
     st = inst.stages[3]
     cmp_ = verify_turn(st.before, st.rule, wrong, region)
@@ -190,7 +191,7 @@ def test_verifier_catches_corrupted_form():
 
 
 def test_form_at_lookup():
-    inst = tate_instance(P, 1)
+    inst = tower_instance(P, 1, "tate")
     assert inst.form_at(2).label.endswith("E2")
     assert inst.form_at(3).label.endswith("E3")
     assert inst.form_at(2 * rho(P, 1)).label.endswith("E3")
@@ -200,11 +201,12 @@ def test_form_at_lookup():
         inst.form_at(1)
 
 
-@pytest.mark.parametrize("maker", [tate_instance, hofix_instance])
-def test_bidegree_tables_match_basis_at(maker):
+@pytest.mark.parametrize("conv", ["tate", "hofix"],
+                         ids=["tate_instance", "hofix_instance"])
+def test_bidegree_tables_match_basis_at(conv):
     # every lookup verify_turn makes, against the per-bidegree closed form
-    inst = maker(P, 1)
-    region = instance_region(P, 1, -10, 20, inst.stages[0].before.conv)
+    inst = tower_instance(P, 1, conv)
+    region = instance_region(P, 1, -10, 20, conv)
     for st in inst.stages:
         r = st.rule.r
         before = bidegree_table(st.before, region.widen(r))
