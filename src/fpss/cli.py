@@ -1,6 +1,8 @@
 """Batch driver: run verification targets, dump pages, emit series.
 
-Exit codes: 0 all checks pass, 1 a mathematical mismatch, 2 usage error.
+Exit codes: 0 all checks pass, 1 a mathematical mismatch (a failed check
+or a structural VerificationError), 2 usage error, 3 internal error (any
+other exception, reported as such).
 Output is deterministic: identical invocations produce identical bytes.
 """
 from __future__ import annotations
@@ -14,7 +16,7 @@ from .comodule import (RingId, eq_classes, is_primitive,
 from .graded import Algebra, Generator, Kind, poincare_series
 from .numerics import is_prime
 from .report import Check, Report
-from .specseq import Region, dump_page
+from .specseq import Region, VerificationError, dump_page
 from .tc import (k_Lp_checks, k_lp_presentation, k_presentation,
                  r_fixed_points, rh_map_check, tc_presentation)
 from .thh.bokstedt import (bokstedt_e2_page, bokstedt_einf_page, bokstedt_run)
@@ -24,7 +26,7 @@ from .thh.hochschild import hh_bruteforce
 from .thh.tate import TOWERS, instance_region, run_instance, tower_instance
 from .thh.v1 import poincare_identity_check, v1_thh_presentation
 
-USAGE_ERROR, MISMATCH = 2, 1
+USAGE_ERROR, MISMATCH, INTERNAL_ERROR = 2, 1, 3
 
 TOWER_TARGETS = {"thm-7.1", "cor-7.2", "thm-7.4", "cor-7.5"}
 MIN_PRIME_RELAXED = {"oracle-hh", "bokstedt", "bokstedt:zp", "bokstedt:zlocal",
@@ -337,9 +339,12 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_ERROR if err.code not in (0, None) else 0
     try:
         return args.func(args)
-    except Exception as err:  # structural failures are mismatches
+    except VerificationError as err:  # structural failures are mismatches
         print(f"verification error: {err}", file=sys.stderr)
         return MISMATCH
+    except Exception as err:  # a crash is not a mathematical result
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

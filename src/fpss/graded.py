@@ -9,8 +9,9 @@ chosen downstream is deterministic.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from operator import mul
 
 from .numerics import binom_mod_p, is_prime
 
@@ -68,6 +69,11 @@ class Algebra:
 
     p: int
     gens: tuple[Generator, ...]
+    # per-generator column, internal and total degrees, aligned with gens
+    s_weights: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    t_weights: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    total_weights: tuple[int, ...] = field(init=False, repr=False,
+                                           compare=False)
 
     def __post_init__(self) -> None:
         if not is_prime(self.p) or self.p < 3:
@@ -76,6 +82,10 @@ class Algebra:
         if len(set(names)) != len(names):
             raise ValueError("generator names must be unique")
         object.__setattr__(self, "gens", tuple(_normalize_gen(g) for g in self.gens))
+        object.__setattr__(self, "s_weights", tuple(g.s for g in self.gens))
+        object.__setattr__(self, "t_weights", tuple(g.t for g in self.gens))
+        object.__setattr__(self, "total_weights",
+                           tuple(g.total for g in self.gens))
 
     # -- monomials ------------------------------------------------------
 
@@ -109,20 +119,21 @@ class Algebra:
         return True
 
     def sdeg(self, m: Monomial) -> int:
-        return sum(g.s * e for g, e in zip(self.gens, m) if e)
+        return sum(map(mul, self.s_weights, m))
 
     def tdeg(self, m: Monomial) -> int:
-        return sum(g.t * e for g, e in zip(self.gens, m) if e)
+        return sum(map(mul, self.t_weights, m))
 
     def total(self, m: Monomial) -> int:
-        return sum((g.s + g.t) * e for g, e in zip(self.gens, m) if e)
+        return sum(map(mul, self.total_weights, m))
 
     def bidegree(self, m: Monomial) -> tuple[int, int]:
-        return self.sdeg(m), self.tdeg(m)
+        return (sum(map(mul, self.s_weights, m)),
+                sum(map(mul, self.t_weights, m)))
 
     def key(self, m: Monomial):
         """Canonical monomial sort key: total degree, then exponent tuple."""
-        return (self.total(m), m)
+        return (sum(map(mul, self.total_weights, m)), m)
 
     def mono_str(self, m: Monomial) -> str:
         parts = []

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 from typing import Callable, Iterable
 
 from ..graded import Algebra, Generator, Kind, Monomial
@@ -79,6 +80,42 @@ def _pred_ok(pred: Pred, p: int, x: int) -> bool:
         # x = -i mod p^2 with 0 < i < p
         return 0 < (-x) % (p * p) < p
     raise ValueError(f"unknown predicate {pred}")
+
+
+def _pred_classes(pred: Pred, p: int) -> tuple[int, tuple[int, ...]]:
+    """A modulus and the residues modulo it of every free exponent the
+    predicate accepts (and of some it rejects: vp_eq also needs x != 0 and
+    no higher valuation)."""
+    kind = pred[0]
+    if kind in ("vp_eq", "vp_ge"):
+        return p ** pred[1], (0,)
+    if kind == "res":
+        return p * p, tuple(-i % (p * p) for i in range(1, p))
+    return 1, (0,)
+
+
+def _tmu2_powers(p: int, pred: Pred, c_hi: int, rest: int, step: int,
+                 f_tot: int) -> Iterable[int]:
+    """The tmu2 powers 0 <= c < c_hi at which rest - step * c is a multiple
+    of f_tot whose quotient, the free exponent, lies in a residue class the
+    predicate allows.
+
+    The multiples occur at c = c0 + L k, along which the free exponent is
+    free0 - D k.  D is a unit mod p in both towers, so each allowed residue
+    of the free exponent modulo M = p^v (or p^2) pins k to one class mod M.
+    """
+    g = gcd(step, f_tot)
+    if rest % g:
+        return
+    L = abs(f_tot) // g
+    c0 = rest // g * pow(step // g, -1, L) % L
+    free0 = (rest - step * c0) // f_tot
+    D = step * L // f_tot
+    M, residues = _pred_classes(pred, p)
+    inv = pow(D, -1, M)
+    for res in residues:
+        k = (free0 - res) * inv % M
+        yield from range(c0 + L * k, c_hi, L * M)
 
 
 @dataclass(frozen=True)
@@ -219,9 +256,10 @@ class TateForm:
                             if not rem and c >= 0:
                                 out.append((a, c, b, c, d0, i0, e))
                             continue
-                        for c in range(sm.c_hi):
-                            free, rem = divmod(total - base - step * c, f_tot)
-                            if not rem and _pred_ok(sm.pred, p, free):
+                        for c in _tmu2_powers(p, sm.pred, sm.c_hi,
+                                              total - base, step, f_tot):
+                            free = (total - base - step * c) // f_tot
+                            if _pred_ok(sm.pred, p, free):
                                 out.append((a, c + ft * free, b, c + fm * free,
                                             d0, i0, e))
         out.sort(key=self.algebra.key)

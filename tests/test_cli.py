@@ -53,6 +53,31 @@ def test_verify_mismatch_exit_one(capsys, monkeypatch):
     assert "FAIL" in out
 
 
+def test_internal_error_exit_three(capsys, monkeypatch):
+    import fpss.cli as cli
+
+    def crash(target, p, n, lo, hi):
+        raise RuntimeError("synthetic crash")
+
+    monkeypatch.setattr(cli, "run_verify_target", crash)
+    code, out, err = run_cli(capsys, "verify", "thm-8.8")
+    assert code == 3 and not out
+    assert err == "internal error: RuntimeError: synthetic crash\n"
+
+
+def test_verification_error_exit_one(capsys, monkeypatch):
+    import fpss.cli as cli
+    from fpss.specseq import VerificationError
+
+    def structural(target, p, n, lo, hi):
+        raise VerificationError("d after d nonzero on x for d2")
+
+    monkeypatch.setattr(cli, "run_verify_target", structural)
+    code, out, err = run_cli(capsys, "verify", "thm-8.8")
+    assert code == 1 and not out
+    assert err == "verification error: d after d nonzero on x for d2\n"
+
+
 def test_structured_output_schema(capsys):
     code, out, _ = run_cli(capsys, "verify", "thm-8.10", "--format",
                            "structured")

@@ -1,10 +1,11 @@
 import pytest
 
+from fpss import specseq
 from fpss.graded import Algebra, Generator, Kind
 from fpss.specseq import (DerivationRule, ExplicitPage, FamilyRule, Region,
-                          VerificationError, apply_leibniz, compare_pages,
-                          dump_page, spans_equal, turn_page, verify_turn,
-                          well_definedness_check)
+                          VerificationError, _monomial_plan, apply_leibniz,
+                          compare_pages, dump_page, spans_equal, turn_page,
+                          verify_turn, well_definedness_check)
 
 P = 5
 
@@ -57,6 +58,182 @@ def test_leibniz_sign_on_odd_prefix():
     # x odd: d(x*w) = -x d(w)
     got = apply_leibniz(rule, alg, alg.mono(x=1, w=1))
     assert got == {alg.mono(x=1, y=1): P - 1}
+
+
+def derivation_algebra():
+    # odd generators before (a) and after (b) the derived ones (g odd, w
+    # even), a truncated class the values reach, a Laurent class, and a
+    # divided power class
+    return Algebra(P, (
+        Generator("a", 0, 1, Kind.EXTERIOR),
+        Generator("g", 1, 2, Kind.EXTERIOR),
+        Generator("w", 2, 0, Kind.POLYNOMIAL),
+        Generator("b", 0, 3, Kind.EXTERIOR),
+        Generator("h", 0, 2, Kind.TRUNCATED, 3),
+        Generator("l", -2, 0, Kind.LAURENT),
+        Generator("D", 0, 4, Kind.DIVIDED),
+    ))
+
+
+def derivation_monomials(alg):
+    return [(a, g, w, b, h, l, d) for a in (0, 1) for g in (0, 1)
+            for w in range(7) for b in (0, 1) for h in range(3)
+            for l in range(-2, 3) for d in range(3)]
+
+
+def test_exponent_arithmetic_matches_leibniz():
+    # g^1 and w^e (e up to 6, so e = p vanishes) with one-monomial values;
+    # h^2 times d(g) reaches the truncation height
+    alg = derivation_algebra()
+    rule = DerivationRule(2, "d", {"g": alg.elem(2, h=1, l=-1),
+                                   "w": alg.elem(h=1)})
+    assert _monomial_plan(rule, alg) is not None
+    hits_height = alg.mono(g=1, h=2)
+    assert apply_leibniz(rule, alg, hits_height) == {}
+    for r in (rule, rule.scaled(2), rule.scaled(P)):
+        for m in derivation_monomials(alg):
+            assert r.apply(alg, m) == apply_leibniz(r, alg, m), \
+                (r.name, alg.mono_str(m))
+
+
+@pytest.mark.parametrize("case", ["two-term", "power-rules", "odd-value",
+                                  "divided-value"])
+def test_exponent_arithmetic_declines(case):
+    alg = derivation_algebra()
+    rule = {
+        "two-term": DerivationRule(2, "d", {"g": alg.add(alg.elem(h=1),
+                                                          alg.elem(l=1))}),
+        "power-rules": DerivationRule(2, "d", {"g": alg.elem(h=1)},
+                                      {"D": lambda e: alg.elem(D=e - 1)}),
+        "odd-value": DerivationRule(2, "d", {"w": alg.elem(b=1)}),
+        "divided-value": DerivationRule(2, "d", {"g": alg.elem(D=1)}),
+    }[case]
+    assert _monomial_plan(rule, alg) is None
+    for m in derivation_monomials(alg):
+        assert rule.apply(alg, m) == apply_leibniz(rule, alg, m)
+
+
+def mutation_algebra():
+    # z shares the bidegree of x, v that of y; q sits one d2 below y
+    return Algebra(P, (
+        Generator("x", 0, 5, Kind.EXTERIOR),
+        Generator("z", 0, 5, Kind.EXTERIOR),
+        Generator("y", -2, 6, Kind.EXTERIOR),
+        Generator("v", -2, 6, Kind.EXTERIOR),
+        Generator("q", -4, 7, Kind.EXTERIOR),
+        Generator("w", 0, 2, Kind.POLYNOMIAL),
+    ))
+
+
+def mutated_turn(case):
+    """A page turn that is not a certified monomial matching, by case; the
+    base turn, x*w^k onto y*w^k with the powers of w left, is one."""
+    alg = mutation_algebra()
+
+    def times_w(*names, ks=range(4)):
+        return [alg.mono(**{g: 1 for g in names}, w=k) for k in ks]
+
+    before = times_w() + times_w("x") + times_w("y")
+    values = {"x": alg.elem(y=1)}
+    after = times_w()
+    region, dd_check = Region(0, 12, -20, 20), True
+    if case == "shared-target":
+        before += times_w("z")
+        values["z"] = alg.elem(y=1)
+    elif case == "two-term":
+        before += times_w("v")
+        values["x"] = alg.add(alg.elem(y=1), alg.elem(v=1))
+        after += times_w("y")
+    elif case == "drops-a-class":
+        after = times_w(ks=range(3))
+    elif case == "duplicates-a-class":
+        # no source: y*w^k and v*w^k are cycles; the closed form lists y*w
+        # twice in place of v*w, so only its duplicate is wrong
+        before = times_w() + times_w("y") + times_w("v")
+        after += times_w("y") + times_w("v", ks=(0, 2, 3))
+        after += times_w("y", ks=(1,))
+    elif case == "page-lists-a-monomial-twice":
+        before += times_w("y", ks=(1,))
+    elif case == "closed-class-is-a-boundary":
+        # y*w^k is hit, v*w^k is not; the closed form names y*w^k
+        before += times_w("v")
+        after += times_w("y")
+    elif case == "class-not-on-the-page":
+        # z*w^k survives, x*w^k shares its bidegree but is no page monomial
+        before = times_w() + times_w("z")
+        after += times_w("x")
+    elif case == "hit-from-outside-the-region":
+        # the region holds the y*w^k but not the x*w^k that hit them
+        after = times_w("y")
+        region = Region(0, 12, -20, -1)
+    elif case == "dd-nonzero":
+        # the targets y*w^k lie outside the region's columns
+        before += times_w("q")
+        values["y"] = alg.elem(q=1)
+        region = Region(0, 12, 0, 20)
+    elif case == "hit-not-a-cycle":
+        # without the d after d check, only the hit y*w^k shows it
+        before += times_w("q")
+        values["y"] = alg.elem(q=1)
+        dd_check = False
+    rule = DerivationRule(2, "d2", values)
+    if case == "target-in-another-bidegree":
+        # x onto the page monomial w^3, which is not where a d2 of x lands
+        x, w3 = alg.mono(x=1), alg.mono(w=3)
+        rule = FamilyRule(2, "d2", lambda a, m: [(w3, 1)] if m == x else [])
+        before = times_w() + [x]
+        after = times_w(ks=(0, 1, 2))
+    return (page_of(alg, before), rule, page_of(alg, after, label="E3", r=3),
+            region, dd_check)
+
+
+def outcome(turn):
+    try:
+        return verify_turn(*turn)
+    except VerificationError as err:
+        return f"VerificationError: {err}"
+
+
+def both_paths(monkeypatch, case):
+    """verify_turn as it runs, with what the matching certificate said, and
+    verify_turn with the Echelon path alone."""
+    said = []
+    real = specseq._matching_certifies
+
+    def spy(*args):
+        said.append(real(*args))
+        return said[-1]
+
+    monkeypatch.setattr(specseq, "_matching_certifies", spy)
+    fast = outcome(mutated_turn(case))
+    monkeypatch.setattr(specseq, "_matching_certifies", lambda *args: False)
+    return fast, outcome(mutated_turn(case)), said
+
+
+def test_matching_certifies_the_base_turn(monkeypatch):
+    fast, slow, said = both_paths(monkeypatch, "base")
+    assert said == [True]
+    assert fast == slow and fast.passed and fast.bidegrees_checked
+
+
+@pytest.mark.parametrize("case", ["shared-target", "two-term", "drops-a-class",
+                                  "duplicates-a-class",
+                                  "page-lists-a-monomial-twice",
+                                  "closed-class-is-a-boundary",
+                                  "class-not-on-the-page",
+                                  "target-in-another-bidegree",
+                                  "hit-from-outside-the-region", "dd-nonzero",
+                                  "hit-not-a-cycle"])
+def test_matching_mutations_take_the_echelon_path(monkeypatch, case):
+    fast, slow, said = both_paths(monkeypatch, case)
+    assert said == [False]
+    assert fast == slow
+    if case == "dd-nonzero":
+        assert fast.startswith("VerificationError: d after d nonzero")
+    elif case == "two-term":
+        assert fast.passed      # not a matching, but the closed form is right
+    else:
+        assert not fast.passed and fast.mismatches
 
 
 def test_zero_rule_keeps_page():

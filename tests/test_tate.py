@@ -1,9 +1,14 @@
+import time
+
 import pytest
 
 from fpss.numerics import rho, vp
-from fpss.specseq import (Region, bidegree_table, turn_page,
+from fpss.specseq import (Region, _echelon_mismatches, _matching_certifies,
+                          _monomial_plan, _turn_tables, _TurnValues,
+                          apply_leibniz, bidegree_table, turn_page,
                           well_definedness_check)
-from fpss.thh.tate import (IE1, IL, IM, IT, IU, instance_region,
+from fpss.thh.circle import s1_einf
+from fpss.thh.tate import (IE1, IL, IM, IT, IU, TOWERS, instance_region,
                            module_triples, relabeling_agreement, run_instance,
                            tower_form, tower_instance)
 
@@ -221,3 +226,94 @@ def test_bidegree_tables_match_basis_at(conv):
             for bd in ((s, t), (s + r, t - r + 1), (s - r, t + r - 1)):
                 assert before.get(bd, ()) == st.before.basis_at(*bd), bd
             assert after.get((s, t), ()) == st.after.basis_at(s, t), (s, t)
+
+
+# the acceptance window at p = 5 and the next-prime window at p = 7
+CROSS_CHECK_WINDOWS = [(5, -40, 160), (7, -20, 60)]
+
+
+@pytest.mark.parametrize("conv", ["tate", "hofix"])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("p, lo, hi", CROSS_CHECK_WINDOWS)
+def test_matching_agrees_with_echelon(p, lo, hi, n, conv):
+    # every stage is a monomial matching the certificate takes, and the
+    # Echelon path, on the same tables and values, finds nothing either
+    inst = tower_instance(p, n, conv)
+    region = instance_region(p, n, lo, hi, conv)
+    for st in inst.stages:
+        values = _TurnValues(st.rule)
+        bases, closed, bds = _turn_tables(st.before, st.rule, st.after, region)
+        assert bds
+        args = (inst.algebra, values, bases, closed, bds, st.rule.r, True)
+        assert _matching_certifies(*args), st.rule.name
+        assert _echelon_mismatches(*args) == [], st.rule.name
+
+
+@pytest.mark.parametrize("conv", ["tate", "hofix"])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("p", [5, 7])
+def test_d2_exponent_arithmetic_matches_leibniz(p, n, conv):
+    # the d2 rule takes the exponent-arithmetic path; on every monomial of
+    # the widened E2 region it gives the Leibniz expansion, scaled or not
+    inst = tower_instance(p, n, conv)
+    alg = inst.algebra
+    st = inst.stages[0]
+    assert _monomial_plan(st.rule, alg) is not None
+    region = instance_region(p, n, -20, 60, conv).widen(st.rule.r)
+    monos = list(st.before.iter_region(region))
+    assert monos
+    for rule in (st.rule, st.rule.scaled(2)):
+        for m in monos:
+            assert rule.apply(alg, m) == apply_leibniz(rule, alg, m), \
+                (rule.name, alg.mono_str(m))
+
+
+def test_monomials_at_total_is_fast():
+    # p = 11, kmax = 5 has tmu2 powers up to rho(11, 10) ~ 2.6e10
+    for conv in ("tate", "hofix"):
+        t0 = time.perf_counter()
+        monos = s1_einf(11, 5, conv).monomials_at_total(0)
+        assert time.perf_counter() - t0 < 2.0, conv
+        assert monos
+
+
+def _classes_at_total(form, total, c_cap):
+    """The union of basis_at(s, total - s) over every column s that holds a
+    class of tmu2 power c < c_cap: c fixes the internal degree up to the
+    row's constant on Tate pages, and the column up to u on homotopy fixed
+    point pages."""
+    p = form.p
+    ft, fm = TOWERS[form.conv].free
+    out = set()
+    for c in range(c_cap):
+        if form.conv == "tate":
+            bds = {(total - t, t) for sm in form.summands for b in sm.lam
+                   for d0, i0, e in sm.module
+                   for t in [form._vert_const(b, d0, i0, e) + 2 * p * p * c]}
+        else:
+            bds = {(s, total - s) for sm in form.summands for a in sm.u
+                   for s in [-a - 2 * c]}
+        for s, t in bds:
+            out.update(m for m in form.basis_at(s, t)
+                       if fm * m[IT] + ft * m[IM] == c)
+    return out
+
+
+@pytest.mark.parametrize("conv", ["tate", "hofix"])
+@pytest.mark.parametrize("p", [5, 7])
+def test_monomials_at_total_matches_basis_at(p, conv):
+    # every class is a basis_at class of its bidegree; below the cap on the
+    # tmu2 power (above every c_hi for kmax <= 2 Tate and kmax = 1
+    # homotopy fixed point pages) the union of basis_at has no other class
+    c_cap = 2 * p * p
+    ft, fm = TOWERS[conv].free
+    for kmax in range(1, 5):
+        form = s1_einf(p, kmax, conv)
+        alg = form.algebra
+        for total in range(-60, 201):
+            got = form.monomials_at_total(total)
+            assert len(set(got)) == len(got)
+            for m in got:
+                assert m in form.basis_at(*alg.bidegree(m)), (kmax, m)
+            low = {m for m in got if fm * m[IT] + ft * m[IM] < c_cap}
+            assert low == _classes_at_total(form, total, c_cap), (kmax, total)
