@@ -33,7 +33,8 @@ Bidegree = tuple[int, int]
 
 
 class VerificationError(Exception):
-    """A structural failure: d after d nonzero, or a rule leaving the page."""
+    """A structural failure: d after d nonzero, a rule leaving the page, or
+    a tower whose in-window limit the endgame cannot certify."""
 
 
 @dataclass(frozen=True)

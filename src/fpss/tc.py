@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from .graded import Monomial, PoincareSeries, ps_from_degree_list
 from .numerics import rho, vp
+from .specseq import VerificationError
 from .thh.tate import IE0, IE1, IL, IM, IM0, IT, IU, tate_ambient
 
 
@@ -249,6 +250,12 @@ def _block_params(p: int, kind: str, k: int):
     return 2 * k - 1, rho(p, 2 * k - 2), range(1, p), [(0, 1), (1, 1)]
 
 
+def _in_window(base: int, step: int, trunc: int, lo: int, hi: int) -> range:
+    """The tmu2 powers 0 <= c < trunc with base + step * c in [lo, hi]."""
+    return range(max(0, -((base - lo) // step)),
+                 min(trunc, (hi - base) // step + 1))
+
+
 def _block_series(p: int, kind: str, k: int, lo: int, hi: int
                   ) -> PoincareSeries:
     """In-window dimensions of one tower block of the circle page."""
@@ -259,10 +266,8 @@ def _block_series(p: int, kind: str, k: int, lo: int, hi: int
     for e, b in combos:
         for d in ds:
             base = -2 * d * p ** v + L * b + E * e
-            for c in range(trunc):
-                deg = base + step * c
-                if lo <= deg <= hi:
-                    degrees.append(deg)
+            for c in _in_window(base, step, trunc, lo, hi):
+                degrees.append(base + step * c)
     return ps_from_degree_list(degrees, lo, hi)
 
 
@@ -292,12 +297,12 @@ def r_fixed_points(p: int, lo: int, hi: int
                 break
             k += 1
             if k > 12:
-                raise ArithmeticError(f"{kind} blocks do not stabilize")
+                raise VerificationError(f"{kind} blocks do not stabilize")
         # each tower step surjects in-window (so the derived limit vanishes)
         for kk in range(2, k_stable + 2):
             ok, bad = _tower_step_onto(p, kind, kk, lo, hi)
             if not ok:
-                raise ArithmeticError(
+                raise VerificationError(
                     f"tower step {kind}_{kk + 1} -> {kind}_{kk} not onto: {bad}")
         notes.append(f"{kind} tower steps onto up to height {k_stable + 1}")
     return ker, cok, notes
@@ -310,11 +315,8 @@ def _tower_step_onto(p: int, kind: str, k: int, lo: int, hi: int
     for e, b in combos:
         for d in ds:
             j = d * p ** v
-            for c in range(trunc):
-                deg = (2 * p * p - 1) * b + (2 * p - 1) * e - 2 * j \
-                    + (2 * p * p - 2) * c
-                if not lo <= deg <= hi:
-                    continue
+            base = (2 * p * p - 1) * b + (2 * p - 1) * e - 2 * j
+            for c in _in_window(base, 2 * p * p - 2, trunc, lo, hi):
                 m = _pack(p, e, b, j, c)
                 pre = _pack(p, e, b, j * p * p, c + j)
                 if not page_member(p, pre) or r_endo(p, pre) != m:

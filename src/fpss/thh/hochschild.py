@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from ..fp_linalg import Echelon
 from ..graded import Algebra, Monomial, PoincareSeries
+from ..specseq import VerificationError
 
 Tensor = tuple[Monomial, ...]
 
@@ -107,7 +108,7 @@ def hh_bruteforce(alg: Algebra, max_total_degree: int) -> PoincareSeries:
                 in_ech.insert(col)
             hdim = len(basis) - out_ech.rank - in_ech.rank
             if hdim < 0:
-                raise ArithmeticError("boundary of boundary nonzero")
+                raise VerificationError("boundary of boundary nonzero")
             if hdim:
                 counts[n + d] = counts.get(n + d, 0) + hdim
     return PoincareSeries.from_counts(0, hi, counts)

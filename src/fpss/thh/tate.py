@@ -94,28 +94,24 @@ def _pred_classes(pred: Pred, p: int) -> tuple[int, tuple[int, ...]]:
     return 1, (0,)
 
 
-def _tmu2_powers(p: int, pred: Pred, c_hi: int, rest: int, step: int,
-                 f_tot: int) -> Iterable[int]:
-    """The tmu2 powers 0 <= c < c_hi at which rest - step * c is a multiple
-    of f_tot whose quotient, the free exponent, lies in a residue class the
-    predicate allows.
+def _allowed_steps(p: int, pred: Pred, free0: int, D: int, k_lo: int,
+                   k_hi: int) -> Iterable[int]:
+    """The steps k_lo <= k < k_hi, ascending, at which the free exponent
+    free0 + D k lies in a residue class the predicate allows.
 
-    The multiples occur at c = c0 + L k, along which the free exponent is
-    free0 - D k.  D is a unit mod p in both towers, so each allowed residue
-    of the free exponent modulo M = p^v (or p^2) pins k to one class mod M.
+    D is a unit modulo the predicate's modulus M, so each allowed residue
+    pins k to one class mod M; a zero predicate pins k itself.
     """
-    g = gcd(step, f_tot)
-    if rest % g:
-        return
-    L = abs(f_tot) // g
-    c0 = rest // g * pow(step // g, -1, L) % L
-    free0 = (rest - step * c0) // f_tot
-    D = step * L // f_tot
+    if pred[0] == "zero":
+        k, rem = divmod(-free0, D)
+        return range(k, k + 1) if not rem and k_lo <= k < k_hi else range(0)
     M, residues = _pred_classes(pred, p)
     inv = pow(D, -1, M)
-    for res in residues:
-        k = (free0 - res) * inv % M
-        yield from range(c0 + L * k, c_hi, L * M)
+    ks = sorted((res - free0) * inv % M for res in residues)
+    if len(ks) == 1:
+        return range(k_lo + (ks[0] - k_lo) % M, k_hi, M)
+    return (q + r for q in range(k_lo - k_lo % M, k_hi, M) for r in ks
+            if k_lo <= q + r < k_hi)
 
 
 @dataclass(frozen=True)
@@ -211,6 +207,7 @@ class TateForm:
         p = self.p
         ft, fm, f_s, f_tot = self._free_degrees()
         step, stride = 2 * p * p - 2, abs(f_tot)    # total degrees
+        D = stride // f_tot         # free exponent change per total stride
         for sm in self.summands:
             for a in sm.u:
                 for b in sm.lam:
@@ -225,12 +222,21 @@ class TateForm:
                             if -a - 2 * c + f_s * (region.hi - rest) // f_tot \
                                     < region.s_lo:
                                 break
+                            # step k is total first + stride k: the free
+                            # exponent free0 + D k, the column s0 + g k
                             first = region.lo + (rest - region.lo) % stride
-                            for total in range(first, region.hi + 1, stride):
-                                free = (total - rest) // f_tot
-                                s = -a - 2 * c + f_s * free
-                                if region.s_lo <= s <= region.s_hi and \
-                                        _pred_ok(sm.pred, p, free):
+                            free0 = (first - rest) // f_tot
+                            s0, g = -a - 2 * c + f_s * free0, f_s * D
+                            k_lo, k_hi = 0, (region.hi - first) // stride + 1
+                            if g:
+                                k_lo = max(k_lo, -((s0 - region.s_lo) // g))
+                                k_hi = min(k_hi, (region.s_hi - s0) // g + 1)
+                            elif not region.s_lo <= s0 <= region.s_hi:
+                                k_hi = 0
+                            for k in _allowed_steps(p, sm.pred, free0, D,
+                                                    k_lo, k_hi):
+                                free = free0 + D * k
+                                if _pred_ok(sm.pred, p, free):
                                     yield (a, c + ft * free, b, c + fm * free,
                                            d0, i0, e)
                             c += 1
@@ -241,6 +247,12 @@ class TateForm:
         p = self.p
         ft, fm, _, f_tot = self._free_degrees()
         step = 2 * p * p - 2
+        # rest - step * c is a multiple of f_tot exactly at c = c0 + L k,
+        # where the free exponent is free0 + D k
+        g = gcd(step, f_tot)
+        L = abs(f_tot) // g
+        inv = pow(step // g, -1, L)
+        D = -step * L // f_tot
         out: list[Monomial] = []
         for sm in self.summands:
             for a in sm.u:
@@ -256,10 +268,16 @@ class TateForm:
                             if not rem and c >= 0:
                                 out.append((a, c, b, c, d0, i0, e))
                             continue
-                        for c in _tmu2_powers(p, sm.pred, sm.c_hi,
-                                              total - base, step, f_tot):
-                            free = (total - base - step * c) // f_tot
+                        rest = total - base
+                        if rest % g:
+                            continue
+                        c0 = rest // g * inv % L
+                        free0 = (rest - step * c0) // f_tot
+                        for k in _allowed_steps(p, sm.pred, free0, D, 0,
+                                                -((c0 - sm.c_hi) // L)):
+                            free = free0 + D * k
                             if _pred_ok(sm.pred, p, free):
+                                c = c0 + L * k
                                 out.append((a, c + ft * free, b, c + fm * free,
                                             d0, i0, e))
         out.sort(key=self.algebra.key)

@@ -78,6 +78,18 @@ def test_verification_error_exit_one(capsys, monkeypatch):
     assert err == "verification error: d after d nonzero on x for d2\n"
 
 
+def test_tower_step_not_onto_exit_one(capsys, monkeypatch):
+    # a tower step that is not onto is a mismatch, not a crash
+    import fpss.tc as tc
+
+    monkeypatch.setattr(tc, "_tower_step_onto",
+                        lambda p, kind, k, lo, hi: (False, "t^50"))
+    code, out, err = run_cli(capsys, "verify", "prop-8.6")
+    assert code == 1 and not out
+    assert err == ("verification error: tower step B_3 -> B_2 not onto: "
+                   "t^50\n")
+
+
 def test_structured_output_schema(capsys):
     code, out, _ = run_cli(capsys, "verify", "thm-8.10", "--format",
                            "structured")

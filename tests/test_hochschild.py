@@ -64,3 +64,22 @@ def test_boundary_squares_to_zero():
                 assert all(v == 0 for v in acc.values()), tns
                 checked += 1
     assert checked > 50
+
+
+def test_boundary_of_boundary_nonzero_is_a_verification_error(monkeypatch):
+    # a boundary of full rank in every length cannot square to zero; the
+    # oracle reports that as a mismatch, not as an internal error
+    import fpss.thh.hochschild as hochschild
+    from fpss.specseq import VerificationError
+
+    def full_rank(alg, tns):
+        n, d = len(tns) - 1, sum(alg.total(m) for m in tns)
+        by_deg = _monomials_by_degree(alg, d)
+        below = _chain_basis(alg, by_deg, n - 1, d)
+        own = _chain_basis(alg, by_deg, n, d)
+        return {below[own.index(tns) % len(below)]: 1} if below else {}
+
+    monkeypatch.setattr(hochschild, "hochschild_boundary", full_rank)
+    alg = Algebra(P, (poly("x", 2), poly("y", 2)))
+    with pytest.raises(VerificationError, match="boundary of boundary"):
+        hh_bruteforce(alg, 8)

@@ -7,10 +7,12 @@ from fpss.specseq import (Region, _echelon_mismatches, _matching_certifies,
                           _monomial_plan, _turn_tables, _TurnValues,
                           apply_leibniz, bidegree_table, turn_page,
                           well_definedness_check)
-from fpss.thh.circle import s1_einf
-from fpss.thh.tate import (IE1, IL, IM, IT, IU, TOWERS, instance_region,
-                           module_triples, relabeling_agreement, run_instance,
-                           tower_form, tower_instance)
+import fpss.thh.tate as tate
+from fpss.thh.circle import comparison_region, s1_einf, s1_limits
+from fpss.thh.tate import (IE1, IL, IM, IT, IU, TOWERS, TateForm, _pred_ok,
+                           instance_region, module_triples,
+                           relabeling_agreement, run_instance, tower_form,
+                           tower_instance)
 
 P = 5
 
@@ -317,3 +319,80 @@ def test_monomials_at_total_matches_basis_at(p, conv):
                 assert m in form.basis_at(*alg.bidegree(m)), (kmax, m)
             low = {m for m in got if fm * m[IT] + ft * m[IM] < c_cap}
             assert low == _classes_at_total(form, total, c_cap), (kmax, total)
+
+
+def _scan_iter_region(form, region):
+    """iter_region by scan and filter: every total degree of the window that
+    can hold a class, at each tmu2 power, kept when its column is in the
+    window and the predicate accepts its free exponent."""
+    p = form.p
+    ft, fm, f_s, f_tot = form._free_degrees()
+    step, stride = 2 * p * p - 2, abs(f_tot)
+    for sm in form.summands:
+        for a in sm.u:
+            for b in sm.lam:
+                for d0, i0, e in sm.module:
+                    base = form._vert_const(b, d0, i0, e) - a
+                    c = 0
+                    while sm.c_hi is None or c < sm.c_hi:
+                        rest = base + step * c
+                        if -a - 2 * c + f_s * (region.hi - rest) // f_tot \
+                                < region.s_lo:
+                            break
+                        first = region.lo + (rest - region.lo) % stride
+                        for total in range(first, region.hi + 1, stride):
+                            free = (total - rest) // f_tot
+                            s = -a - 2 * c + f_s * free
+                            if region.s_lo <= s <= region.s_hi and \
+                                    _pred_ok(sm.pred, p, free):
+                                yield (a, c + ft * free, b, c + fm * free,
+                                       d0, i0, e)
+                        c += 1
+
+
+def _oracle_regions(p, n, conv):
+    inst = instance_region(p, n, -20, 60, conv)
+    return [inst, inst.widen(7), comparison_region(p, -40, 160, conv),
+            # column bounds through the tower blocks and the head
+            Region(-40, 160, -300, 40), Region(-100, 100, -37, -3),
+            Region(-60, 200, -61, 11), Region(3, 3, -1000, 3),
+            Region(10, 9, -50, 50)]
+
+
+@pytest.mark.parametrize("conv", ["tate", "hofix"])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("p", [5, 7])
+def test_iter_region_matches_scan(p, n, conv):
+    forms = tower_instance(p, n, conv).forms()
+    forms += [s1_einf(p, kmax, conv) for kmax in (2, 3, 4)]
+    for form in forms:
+        for region in _oracle_regions(p, n, conv):
+            got = list(form.iter_region(region))
+            assert got == list(_scan_iter_region(form, region)), \
+                (form.label, region)
+
+
+def test_iter_region_steps_only_allowed_residues(monkeypatch):
+    # the free exponent steps through the predicate's residue classes, so
+    # _pred_ok rejects at most as many candidates as it accepts
+    for conv in ("tate", "hofix"):
+        calls, yielded = [0], [0]
+
+        def counting_pred_ok(pred, p, x):
+            calls[0] += 1
+            return _pred_ok(pred, p, x)
+
+        real_iter = TateForm.iter_region
+
+        def counting_iter(self, region):
+            for m in real_iter(self, region):
+                yielded[0] += 1
+                yield m
+
+        monkeypatch.setattr(tate, "_pred_ok", counting_pred_ok)
+        monkeypatch.setattr(TateForm, "iter_region", counting_iter)
+        ok, problems = s1_limits(5, -40, 160, conv)
+        monkeypatch.undo()
+        assert ok, problems[:3]
+        assert yielded[0] > 0
+        assert calls[0] <= 2 * yielded[0], (conv, calls[0], yielded[0])

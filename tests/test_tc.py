@@ -1,9 +1,15 @@
+import time
+
 import pytest
 
-from fpss.tc import (PvGenerator, PvModule, classify, k_Lp_checks,
+import fpss.tc as tc
+from fpss.graded import ps_from_degree_list
+from fpss.tc import (PvGenerator, PvModule, _block_params, _block_series,
+                     _pack, _tower_step_onto, classify, k_Lp_checks,
                      k_lp_presentation, k_presentation, page_member, r_endo,
                      r_fixed_points, rh_map_check, tc_presentation,
                      tf_decompose)
+from fpss.thh.tate import tate_ambient
 
 P = 5
 L, E = 2 * P * P - 1, 2 * P - 1
@@ -135,3 +141,98 @@ def test_pv_module_truncated_series():
     step = 2 * P * P - 2
     assert series.get(0) == 1 and series.get(step) == 1
     assert series.get(2 * step) == 0
+
+
+def _walk_windows(p, kind, k, windows):
+    """The in-window (e, b, d, c) of one tower block, per window, in the
+    order the endgame checks them.  Walks every tmu2 power c < trunc where
+    that is at most 2e7 steps; past that (p = 7, k = 5: up to 3.6e8 steps
+    per block) it walks every degree of each window and solves for c."""
+    L, E, step = 2 * p * p - 1, 2 * p - 1, 2 * p * p - 2
+    v, trunc, ds, combos = _block_params(p, kind, k)
+    out = {w: [] for w in windows}
+    full = trunc * len(ds) * len(combos) <= 2 * 10 ** 7
+    lo_all, hi_all = min(w[0] for w in windows), max(w[1] for w in windows)
+    for e, b in combos:
+        for d in ds:
+            base = -2 * d * p ** v + L * b + E * e
+            if full:
+                for c in range(trunc):
+                    deg = base + step * c
+                    if lo_all <= deg <= hi_all:
+                        for lo, hi in windows:
+                            if lo <= deg <= hi:
+                                out[(lo, hi)].append((e, b, d, c))
+                continue
+            for lo, hi in windows:
+                for deg in range(lo, hi + 1):
+                    c, rem = divmod(deg - base, step)
+                    if not rem and 0 <= c < trunc:
+                        out[(lo, hi)].append((e, b, d, c))
+    return out
+
+
+def _oracle_step(p, kind, k, classes):
+    """_tower_step_onto's verdict, computed on the given classes."""
+    v = _block_params(p, kind, k)[0]
+    for e, b, d, c in classes:
+        j = d * p ** v
+        m = _pack(p, e, b, j, c)
+        pre = _pack(p, e, b, j * p * p, c + j)
+        if not tc.page_member(p, pre) or tc.r_endo(p, pre) != m:
+            return False, tate_ambient(p, 0).mono_str(m)
+    return True, ""
+
+
+def _windows(p):
+    # from 2p-1, as in the endgame; starting or ending inside the blocks;
+    # past the top of the height-2 blocks; and the one total degree 2p^2,
+    # which holds no B or C class
+    return [(2 * p - 1, 4 * p * p + 1), (2 * p - 1, 2 * p * p + p),
+            (3 * p * p, 5 * p * p - 3), (2 * p - 1, 50 * p * p),
+            (2 * p * p, 2 * p * p)]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+@pytest.mark.parametrize("kind", ["B", "C"])
+@pytest.mark.parametrize("p", [5, 7])
+def test_clipped_block_walks_match_full_walk(p, kind, k, monkeypatch):
+    L, E, step = 2 * p * p - 1, 2 * p - 1, 2 * p * p - 2
+    v = _block_params(p, kind, k)[0]
+    expected = _walk_windows(p, kind, k, _windows(p))
+    assert not expected[(2 * p * p, 2 * p * p)]
+    assert expected[(2 * p - 1, 50 * p * p)]
+    checked = []
+    real_r_endo = tc.r_endo
+
+    def recording_r_endo(p_, m):
+        checked.append(m)
+        return real_r_endo(p_, m)
+
+    monkeypatch.setattr(tc, "r_endo", recording_r_endo)
+    for (lo, hi), classes in expected.items():
+        degrees = [-2 * d * p ** v + L * b + E * e + step * c
+                   for e, b, d, c in classes]
+        assert _block_series(p, kind, k, lo, hi) == \
+            ps_from_degree_list(degrees, lo, hi), (lo, hi)
+        # page_member passes on every preimage, so r_endo sees each one
+        checked.clear()
+        assert _tower_step_onto(p, kind, k, lo, hi) == (True, ""), (lo, hi)
+        assert checked == [_pack(p, e, b, d * p ** v * p * p,
+                                 c + d * p ** v)
+                           for e, b, d, c in classes], (lo, hi)
+    # a failing step reports the first failing class of the full walk
+    monkeypatch.setattr(tc, "r_endo", lambda p_, m: None
+                        if m[1] % 3 == 0 else real_r_endo(p_, m))
+    for (lo, hi), classes in expected.items():
+        assert _tower_step_onto(p, kind, k, lo, hi) == \
+            _oracle_step(p, kind, k, classes), (lo, hi)
+
+
+def test_r_fixed_points_is_fast():
+    # the tower blocks checked here truncate at up to 1.0e5 tmu2 powers per
+    # leading digit; the time must follow the in-window classes instead
+    t0 = time.perf_counter()
+    ker, cok, notes = r_fixed_points(7, 13, 197)
+    assert time.perf_counter() - t0 < 1.0
+    assert any("onto" in n for n in notes)
