@@ -29,6 +29,7 @@ from .thh.v1 import poincare_identity_check, v1_thh_presentation
 USAGE_ERROR, MISMATCH, INTERNAL_ERROR = 2, 1, 3
 
 TOWER_TARGETS = {"thm-7.1", "cor-7.2", "thm-7.4", "cor-7.5"}
+LEMMA_TARGETS = {"lemma-7.8", "lemma-7.9"}
 MIN_PRIME_RELAXED = {"oracle-hh", "bokstedt", "bokstedt:zp", "bokstedt:zlocal",
                      "bokstedt:ell", "bokstedt:ellmodp"}
 
@@ -173,7 +174,7 @@ def cmd_verify(args) -> int:
     except ValueError as err:
         print(str(err), file=sys.stderr)
         return USAGE_ERROR
-    if args.id in TOWER_TARGETS and args.n < 1:
+    if args.id in TOWER_TARGETS | LEMMA_TARGETS and args.n < 1:
         print(f"--n >= 1 required for {args.id}, got {args.n}", file=sys.stderr)
         return USAGE_ERROR
     if args.id == "prop-8.6" and hi < 2 * p - 1:

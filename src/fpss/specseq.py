@@ -302,12 +302,15 @@ class _TurnValues:
 def bidegree_table(page: Page, region: Region
                    ) -> dict[Bidegree, tuple[Monomial, ...]]:
     """Every bidegree basis of the page in the region, from one iter_region
-    pass, each in canonical order."""
+    pass, each in canonical order.  A page whose enumeration already knows
+    each bidegree (TateForm._iter_placed) hands the pairs over."""
     alg = page.algebra
-    bidegree = alg.bidegree
+    placed = getattr(page, "_iter_placed", None)
+    pairs = placed(region) if placed else (
+        (alg.bidegree(m), m) for m in page.iter_region(region))
     buckets: dict[Bidegree, list[Monomial]] = {}
-    for m in page.iter_region(region):
-        buckets.setdefault(bidegree(m), []).append(m)
+    for bd, m in pairs:
+        buckets.setdefault(bd, []).append(m)
     return {bd: tuple(ms) if len(ms) == 1 else tuple(sorted(ms, key=alg.key))
             for bd, ms in buckets.items()}
 

@@ -19,6 +19,16 @@ followed, for each k up to the tower height n, by an odd family moving
 eps1b classes, an even family moving powers of the free class into lambda2
 multiples, and one final odd-length family consuming u.  All units are
 fixed to 1; every verified statement is unit-invariant.
+
+The suspension turn is certified by factorization, not monomial by
+monomial: its page is one summand A (x) M, A the passive classes (u,
+lambda2, t, mu2) and M the 2p module monomials, and d = x delta with
+delta(eps0 mu0^(i-1)) = mu0^i on M and x = t.  Since x is not a zero
+divisor on A, the homology is A (x) H(M, delta) plus (A/xA) (x) im delta
+in every degree: A (x) {1, eps1b} for Tate, where t is a unit, plus the
+head mu0^i in tmu2 power 0 for homotopy fixed points.  run_instance
+compares that formula with the closed form over the region and falls
+back to verify_turn for every other turn, or when a precondition fails.
 """
 from __future__ import annotations
 
@@ -94,22 +104,35 @@ def _pred_classes(pred: Pred, p: int) -> tuple[int, tuple[int, ...]]:
     return 1, (0,)
 
 
-def _allowed_steps(p: int, pred: Pred, free0: int, D: int, k_lo: int,
-                   k_hi: int) -> Iterable[int]:
-    """The steps k_lo <= k < k_hi, ascending, at which the free exponent
-    free0 + D k lies in a residue class the predicate allows.
+def _step_classes(p: int, pred: Pred, D: int
+                  ) -> tuple[int, int, list[int]] | None:
+    """Per summand: the predicate's modulus M, the inverse of D modulo M and
+    the steps k modulo M, ascending, at which the free exponent D k lies in
+    an allowed residue class; None for a zero predicate.
 
-    D is a unit modulo the predicate's modulus M, so each allowed residue
-    pins k to one class mod M; a zero predicate pins k itself.
-    """
+    D is a unit modulo M, so each allowed residue pins k to one class."""
     if pred[0] == "zero":
-        k, rem = divmod(-free0, D)
-        return range(k, k + 1) if not rem and k_lo <= k < k_hi else range(0)
+        return None
     M, residues = _pred_classes(pred, p)
     inv = pow(D, -1, M)
-    ks = sorted((res - free0) * inv % M for res in residues)
-    if len(ks) == 1:
-        return range(k_lo + (ks[0] - k_lo) % M, k_hi, M)
+    return M, inv, sorted(res * inv % M for res in residues)
+
+
+def _allowed_steps(classes: tuple[int, int, list[int]] | None, free0: int,
+                   D: int, k_lo: int, k_hi: int) -> Iterable[int]:
+    """The steps k_lo <= k < k_hi, ascending, at which the free exponent
+    free0 + D k lies in a residue class of _step_classes; a zero predicate
+    pins k itself."""
+    if classes is None:
+        k, rem = divmod(-free0, D)
+        return range(k, k + 1) if not rem and k_lo <= k < k_hi else range(0)
+    M, inv, base = classes
+    shift = free0 * inv % M
+    if len(base) == 1:
+        return range(k_lo + (base[0] - shift - k_lo) % M, k_hi, M)
+    # the classes of free0 + D k: base shifted down by shift, still ascending
+    ks = [k - shift for k in base if k >= shift] + \
+        [k - shift + M for k in base if k < shift]
     return (q + r for q in range(k_lo - k_lo % M, k_hi, M) for r in ks
             if k_lo <= q + r < k_hi)
 
@@ -204,11 +227,17 @@ class TateForm:
         return tuple(out)
 
     def iter_region(self, region: Region) -> Iterable[Monomial]:
+        return (m for _, m in self._iter_placed(region))
+
+    def _iter_placed(self, region: Region
+                     ) -> Iterable[tuple[tuple[int, int], Monomial]]:
+        """iter_region's monomials, in its order, each with its bidegree."""
         p = self.p
         ft, fm, f_s, f_tot = self._free_degrees()
         step, stride = 2 * p * p - 2, abs(f_tot)    # total degrees
         D = stride // f_tot         # free exponent change per total stride
         for sm in self.summands:
+            classes = _step_classes(p, sm.pred, D)
             for a in sm.u:
                 for b in sm.lam:
                     for d0, i0, e in sm.module:
@@ -233,12 +262,14 @@ class TateForm:
                                 k_hi = min(k_hi, (region.s_hi - s0) // g + 1)
                             elif not region.s_lo <= s0 <= region.s_hi:
                                 k_hi = 0
-                            for k in _allowed_steps(p, sm.pred, free0, D,
-                                                    k_lo, k_hi):
+                            for k in _allowed_steps(classes, free0, D, k_lo,
+                                                    k_hi):
                                 free = free0 + D * k
                                 if _pred_ok(sm.pred, p, free):
-                                    yield (a, c + ft * free, b, c + fm * free,
-                                           d0, i0, e)
+                                    s = s0 + g * k
+                                    yield (s, first + stride * k - s), (
+                                        a, c + ft * free, b, c + fm * free,
+                                        d0, i0, e)
                             c += 1
 
     def monomials_at_total(self, total: int) -> list[Monomial]:
@@ -255,6 +286,7 @@ class TateForm:
         D = -step * L // f_tot
         out: list[Monomial] = []
         for sm in self.summands:
+            classes = _step_classes(p, sm.pred, D)
             for a in sm.u:
                 for b in sm.lam:
                     for d0, i0, e in sm.module:
@@ -273,7 +305,7 @@ class TateForm:
                             continue
                         c0 = rest // g * inv % L
                         free0 = (rest - step * c0) // f_tot
-                        for k in _allowed_steps(p, sm.pred, free0, D, 0,
+                        for k in _allowed_steps(classes, free0, D, 0,
                                                 -((c0 - sm.c_hi) // L)):
                             free = free0 + D * k
                             if _pred_ok(sm.pred, p, free):
@@ -482,17 +514,108 @@ def instance_region(p: int, n: int, lo: int, hi: int, conv: str) -> Region:
     return Region(lo, hi, tw.s_floor(p, lo, base_c + inc + 4), hi + 4)
 
 
+def _factorization_certifies(before: TateForm, rule: DiffRule,
+                             after: TateForm, region: Region
+                             ) -> PageComparison | None:
+    """verify_turn's result for a turn d = x delta on one summand A (x) M,
+    certified from the 2p module monomials; None when a precondition fails.
+
+    A is every u, lambda2, tmu2 power and free exponent; the rule is a
+    derivation with values on the module generators only, so d(a m) =
+    +-a d(m), and d(m) = x delta(m) with one passive monomial x.  When
+    delta is a monomial matching on M with delta delta = 0 and x is a unit
+    on A or raises the tmu2 power by one, the homology is A (x) H(M, delta)
+    plus (A/xA) (x) im delta, in every degree."""
+    alg = before.algebra
+    if not (isinstance(rule, DerivationRule) and not rule.power_rules
+            and len(before.summands) == 1 and after.algebra == alg):
+        return None
+    sm, = before.summands
+    if (sm.u, sm.lam, sm.c_hi, sm.pred) != (BOTH, BOTH, None, ("any",)) or \
+            len(set(sm.module)) != len(sm.module) or not set(rule.values) <= \
+            {alg.gens[i].name for i in (IE0, IM0, IE1)}:
+        return None
+    r, module = rule.r, set(sm.module)
+    delta, xs = {}, set()
+    for trip in sm.module:
+        m = (0, 0, 0, 0) + trip
+        try:
+            val = rule.apply(alg, m)
+        except Exception:   # verify_turn raises or records it
+            return None
+        if not val:
+            continue
+        if len(val) != 1:
+            return None
+        (v, _), = val.items()
+        s, t = alg.bidegree(m)
+        if v[IE0:] not in module or alg.bidegree(v) != (s - r, t + r - 1):
+            return None
+        delta[trip] = v[IE0:]
+        xs.add(v[:IE0])
+    hit = set(delta.values())
+    if len(xs) > 1 or len(hit) != len(delta) or hit & delta.keys():
+        return None     # no common x, not a matching, or delta delta != 0
+    ft, fm = TOWERS[before.conv].free
+    x = xs.pop() if xs else (0, 0, 0, 0)
+    dc = fm * x[IT] + ft * x[IM]    # change of the tmu2 power
+    if x[IU] or x[IL] or dc not in (0, 1):
+        return None     # a zero divisor, or a cokernel other than c = 0
+    sums = [Summand(BOTH, BOTH, tuple(m for m in sm.module
+                                      if m not in delta and m not in hit),
+                    None, ("any",))]
+    if dc:
+        sums.append(Summand(BOTH, BOTH, tuple(m for m in sm.module if m in hit),
+                            1, ("any",)))
+    want = set(TateForm("H", r + 1, alg, before.conv, tuple(sums))
+               .iter_region(region))
+    got = list(after.iter_region(region))
+    if len(got) != len(want) or set(got) != want:
+        return None
+    return PageComparison(f"{before.label} -> {after.label}",
+                          _bidegree_count(before, region), [])
+
+
+def _bidegree_count(form: TateForm, region: Region) -> int:
+    """The bidegrees of the region that hold a class of a one-summand page
+    with both u and lambda2 values, unbounded tmu2 power and any free
+    exponent, counted per column and residue of t mod 2p^2.
+
+    The tmu2 slot's exponent, mu2 (Tate) or t (homotopy fixed points), is
+    >= 0 and the other is free: every column holds the same internal
+    degrees, from the lowest of each residue class up (Tate), or every
+    column s <= 0 holds the whole classes (homotopy fixed points)."""
+    p = form.p
+    P2 = 2 * p * p
+    ft, fm = TOWERS[form.conv].free
+    sm, = form.summands
+    lowest: dict[int, int] = {}
+    for b in sm.lam:
+        for d0, i0, e in sm.module:
+            v = form._vert_const(b, d0, i0, e)
+            lowest[v % P2] = min(lowest.get(v % P2, v), v)
+    count = 0
+    s_hi = min(region.s_hi, 0) if fm else region.s_hi
+    for s in range(region.s_lo, s_hi + 1):
+        t_lo, t_hi = region.lo - s, region.hi - s
+        for res, low in lowest.items():
+            start = max(t_lo, low) if ft else t_lo
+            if start <= t_hi:
+                count += (t_hi - res) // P2 - (start - 1 - res) // P2
+    return count
+
+
 def run_instance(inst: SSInstance, lo: int, hi: int,
                  region: Region | None = None) -> list[PageComparison]:
     """Re-seed every stage from its closed form, turn the page, and certify
-    the homology against the next closed form."""
+    the homology against the next closed form: by factorization where it
+    applies (the d2 turn), else by verify_turn."""
     conv = inst.stages[0].before.conv
     if region is None:
         region = instance_region(inst.p, inst.n, lo, hi, conv)
-    out = []
-    for st in inst.stages:
-        out.append(verify_turn(st.before, st.rule, st.after, region))
-    return out
+    return [_factorization_certifies(st.before, st.rule, st.after, region)
+            or verify_turn(st.before, st.rule, st.after, region)
+            for st in inst.stages]
 
 
 def relabeling_agreement(p: int, n: int, lo: int, hi: int

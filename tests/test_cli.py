@@ -28,6 +28,11 @@ def test_verify_usage_errors(capsys):
     for target in ("thm-7.1", "cor-7.2", "thm-7.4", "cor-7.5"):
         code, out, err = run_cli(capsys, "verify", target, "--n", "0")
         assert code == 2 and "--n" in err and not out
+    # the lemma targets too: these once failed, passed vacuously or crashed
+    for target, n in (("lemma-7.9", "0"), ("lemma-7.9", "-1"),
+                      ("lemma-7.8", "0"), ("lemma-7.8", "-3")):
+        code, out, err = run_cli(capsys, "verify", target, "--n", n)
+        assert code == 2 and "--n" in err and not out
     # prop-8.6 starts in degree 2p-1, so 0:5 is empty at p=5
     code, out, err = run_cli(capsys, "verify", "prop-8.6", "--window", "0:5")
     assert code == 2 and "empty window" in err and not out

@@ -1,16 +1,19 @@
 import time
+from dataclasses import replace
 
 import pytest
 
 from fpss.numerics import rho, vp
-from fpss.specseq import (Region, _echelon_mismatches, _matching_certifies,
+from fpss.specseq import (DerivationRule, Region, VerificationError,
+                          _echelon_mismatches, _matching_certifies,
                           _monomial_plan, _turn_tables, _TurnValues,
                           apply_leibniz, bidegree_table, turn_page,
-                          well_definedness_check)
+                          verify_turn, well_definedness_check)
 import fpss.thh.tate as tate
 from fpss.thh.circle import comparison_region, s1_einf, s1_limits
-from fpss.thh.tate import (IE1, IL, IM, IT, IU, TOWERS, TateForm, _pred_ok,
-                           instance_region, module_triples,
+from fpss.thh.tate import (BOTH, IE1, IL, IM, IT, IU, PLAIN, TOWERS, SSInstance,
+                           Summand, TateForm, _factorization_certifies,
+                           _pred_ok, instance_region, module_triples,
                            relabeling_agreement, run_instance, tower_form,
                            tower_instance)
 
@@ -356,7 +359,9 @@ def _oracle_regions(p, n, conv):
             # column bounds through the tower blocks and the head
             Region(-40, 160, -300, 40), Region(-100, 100, -37, -3),
             Region(-60, 200, -61, 11), Region(3, 3, -1000, 3),
-            Region(10, 9, -50, 50)]
+            Region(10, 9, -50, 50),
+            # starts where the Tate head's residue steps wrap around p^2
+            Region(4 - 2 * p * p, 100, -200, 30)]
 
 
 @pytest.mark.parametrize("conv", ["tate", "hofix"])
@@ -396,3 +401,175 @@ def test_iter_region_steps_only_allowed_residues(monkeypatch):
         assert ok, problems[:3]
         assert yielded[0] > 0
         assert calls[0] <= 2 * yielded[0], (conv, calls[0], yielded[0])
+
+
+# the default CLI window at p = 5, the acceptance window, the next prime
+FACTOR_WINDOWS = [(5, -50, 125), (5, -40, 160), (7, -20, 60)]
+
+
+@pytest.mark.parametrize("conv", ["tate", "hofix"])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("p, lo, hi", FACTOR_WINDOWS)
+def test_factorization_agrees_with_verify_turn(p, lo, hi, n, conv):
+    # the d2 turn certifies by factorization, with verify_turn's label,
+    # bidegree count and (empty) mismatch list, for the rule and a rescaling
+    st = tower_instance(p, n, conv).stages[0]
+    region = instance_region(p, n, lo, hi, conv)
+    rules = (st.rule, st.rule.scaled(2)) if p == 7 else (st.rule,)
+    for rule in rules:
+        got = _factorization_certifies(st.before, rule, st.after, region)
+        assert got is not None and got.passed, rule.name
+        assert got == verify_turn(st.before, rule, st.after, region), rule.name
+
+
+def test_factorization_decides_only_d2(monkeypatch):
+    # every default tower run certifies stage 0 by factorization and sends
+    # every later stage to verify_turn
+    calls = []
+    real = tate.verify_turn
+
+    def counting(before, rule, after, region):
+        calls.append(rule.name)
+        return real(before, rule, after, region)
+
+    monkeypatch.setattr(tate, "verify_turn", counting)
+    for conv in ("tate", "hofix"):
+        inst = tower_instance(P, 2, conv)
+        calls.clear()
+        results = run_instance(inst, -2 * P * P, 5 * P * P)
+        assert all(c.passed for c in results)
+        assert calls == [st.rule.name for st in inst.stages[1:]], conv
+
+
+def test_factorization_is_fast():
+    # both conventions at p = 5, n = 2 on the default window
+    t0 = time.perf_counter()
+    for conv in ("tate", "hofix"):
+        st = tower_instance(P, 2, conv).stages[0]
+        region = instance_region(P, 2, -2 * P * P, 5 * P * P, conv)
+        assert _factorization_certifies(st.before, st.rule, st.after, region)
+    assert time.perf_counter() - t0 < 0.5
+
+
+def _drop_eps1b(st, alg):
+    sums = tuple(replace(sm, module=PLAIN) if sm.pred == ("vp_ge", 0) else sm
+                 for sm in st.after.summands)
+    return replace(st, after=replace(st.after, summands=sums))
+
+
+def _drop_head(st, alg):
+    return replace(st, after=replace(st.after,
+                                     summands=st.after.summands[1:]))
+
+
+def _with_rule(r=2, values=lambda alg: {}, power_rules=lambda alg: {},
+               d2=True):
+    # the d2 rule (d2=True) with more values, or these values alone
+    def mutate(st, alg):
+        vals = {"eps0": alg.elem(t=1, mu0=1)} if d2 else {}
+        vals.update(values(alg))
+        return replace(st, rule=DerivationRule(r, "mutant", vals,
+                                               power_rules(alg)))
+    return mutate
+
+
+def _with_e2(**changes):
+    def mutate(st, alg):
+        sm, = st.before.summands
+        return replace(st, before=replace(st.before,
+                                          summands=(replace(sm, **changes),)))
+    return mutate
+
+
+P2 = 2 * P * P
+FACTOR_MUTANTS = {
+    "E3 without eps1b": ("tate", _drop_eps1b),
+    "hofix E3 without its head": ("hofix", _drop_head),
+    "value on a passive generator": ("tate", _with_rule(
+        values=lambda alg: {"lambda2": alg.elem(t=1, mu2=1)})),
+    # u t^(p^2) lambda2 has the bidegree of a length 2p^2+1 differential
+    "x a zero divisor": ("tate", _with_rule(
+        r=P2 + 1, values=lambda alg: {
+            "eps0": alg.elem(u1=1, t=P * P, lambda2=1, mu0=1)})),
+    "two-term value": ("hofix", _with_rule(values=lambda alg: {
+        "eps0": alg.add(alg.elem(t=1, mu0=1),
+                        alg.elem(t=1, lambda2=1, mu2=-1, eps0=1, mu0=1))})),
+    # d(t^e) = t^(e+1) eps0 on the passive t
+    "power rule": ("tate", _with_rule(power_rules=lambda alg: {
+        "t": lambda e: alg.elem(t=e + 1, eps0=1)})),
+    "E2 with vp_ge 1": ("tate", _with_e2(pred=("vp_ge", 1))),
+    "E2 with a tmu2 bound": ("hofix", _with_e2(c_hi=7)),
+    "module without mu0^(p-1)": ("tate", _with_e2(module=tuple(
+        m for m in module_triples(P) if m != (0, P - 1, 0)))),
+    "module listing eps1b twice": ("hofix", _with_e2(
+        module=module_triples(P) + ((0, 0, 1),))),
+}
+
+
+def _dd_nonzero(st, alg):
+    # d(mu0) = t eps0 mu0 on a module with eps0 mu0^(p-1): still a matching
+    # into the module, but d(mu0^i) = i t eps0 mu0^i has d of it nonzero
+    st = _with_rule(values=lambda alg: {"mu0": alg.elem(t=1, eps0=1, mu0=1)})(
+        st, alg)
+    return _with_e2(module=module_triples(P) + ((1, P - 1, 0),))(st, alg)
+
+
+def _with_after(*sums):
+    def mutate(st, alg):
+        return replace(st, after=replace(st.after, summands=sums))
+    return mutate
+
+
+def _chain(*mutations):
+    def mutate(st, alg):
+        for m in mutations:
+            st = m(st, alg)
+        return st
+    return mutate
+
+
+EPS0_MU0 = tuple((1, j, 0) for j in range(P))
+FACTOR_MUTANTS.update({
+    "delta delta nonzero": ("tate", _dd_nonzero),
+    "wrong length": ("tate", _with_rule(r=3)),
+    "E3 listing a class twice": ("hofix", lambda st, alg: replace(
+        st, after=replace(st.after, summands=st.after.summands * 2))),
+    # x = t^(2p^2) mu2^2 leaves the slices c = 0, 1 in the cokernel; the
+    # closed form claims c = 0 alone
+    "x raises the tmu2 power by two": ("tate", _chain(
+        _with_rule(r=4 * P * P, d2=False, values=lambda alg: {
+            "mu0": alg.elem(t=2 * P * P, mu2=2, eps0=1)}),
+        _with_after(Summand(BOTH, BOTH, ((0, 0, 0), (0, 0, 1)), None, ("any",)),
+                    Summand(BOTH, BOTH, EPS0_MU0[:-1], 1, ("any",))))),
+    # mu0 -> t^(p^2) mu2 eps0 and eps1b -> t^(p^2) lambda2 eps0 mu0^(p-1):
+    # one bidegree shift, two passive factors, the second a zero divisor
+    "two passive factors": ("tate", _chain(
+        _with_rule(r=P2, d2=False, values=lambda alg: {
+            "mu0": alg.elem(t=P * P, mu2=1, eps0=1),
+            "eps1b": alg.elem(t=P * P, lambda2=1, eps0=1, mu0=P - 1)}),
+        _with_e2(module=module_triples(P) + ((1, P - 1, 0),)),
+        _with_after(Summand(BOTH, BOTH, ((0, 0, 0),), None, ("any",)),
+                    Summand(BOTH, BOTH, EPS0_MU0, 1, ("any",))))),
+})
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except VerificationError as err:
+        return ("VerificationError", str(err))
+
+
+@pytest.mark.parametrize("name", sorted(FACTOR_MUTANTS))
+def test_factorization_mutants_take_verify_turn(name):
+    # the certificate declines, and run_instance returns (or raises) exactly
+    # what verify_turn does
+    conv, mutate = FACTOR_MUTANTS[name]
+    inst = tower_instance(P, 1, conv)
+    st = mutate(inst.stages[0], inst.algebra)
+    region = instance_region(P, 1, -20, 60, conv)
+    assert _outcome(_factorization_certifies, st.before, st.rule, st.after,
+                    region) is None
+    mutant = SSInstance("mutant", P, 1, inst.algebra, (st,))
+    want = _outcome(verify_turn, st.before, st.rule, st.after, region)
+    assert _outcome(lambda: run_instance(mutant, -20, 60, region)[0]) == want
