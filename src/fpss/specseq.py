@@ -306,11 +306,14 @@ def bidegree_table(page: Page, region: Region
     each bidegree (TateForm._iter_placed) hands the pairs over."""
     alg = page.algebra
     placed = getattr(page, "_iter_placed", None)
-    pairs = placed(region) if placed else (
-        (alg.bidegree(m), m) for m in page.iter_region(region))
     buckets: dict[Bidegree, list[Monomial]] = {}
-    for bd, m in pairs:
-        buckets.setdefault(bd, []).append(m)
+    if placed is None:
+        bidegree = alg.bidegree
+        for m in page.iter_region(region):
+            buckets.setdefault(bidegree(m), []).append(m)
+    else:
+        for bd, m in placed(region):
+            buckets.setdefault(bd, []).append(m)
     return {bd: tuple(ms) if len(ms) == 1 else tuple(sorted(ms, key=alg.key))
             for bd, ms in buckets.items()}
 

@@ -481,39 +481,6 @@ def _with_e2(**changes):
     return mutate
 
 
-P2 = 2 * P * P
-FACTOR_MUTANTS = {
-    "E3 without eps1b": ("tate", _drop_eps1b),
-    "hofix E3 without its head": ("hofix", _drop_head),
-    "value on a passive generator": ("tate", _with_rule(
-        values=lambda alg: {"lambda2": alg.elem(t=1, mu2=1)})),
-    # u t^(p^2) lambda2 has the bidegree of a length 2p^2+1 differential
-    "x a zero divisor": ("tate", _with_rule(
-        r=P2 + 1, values=lambda alg: {
-            "eps0": alg.elem(u1=1, t=P * P, lambda2=1, mu0=1)})),
-    "two-term value": ("hofix", _with_rule(values=lambda alg: {
-        "eps0": alg.add(alg.elem(t=1, mu0=1),
-                        alg.elem(t=1, lambda2=1, mu2=-1, eps0=1, mu0=1))})),
-    # d(t^e) = t^(e+1) eps0 on the passive t
-    "power rule": ("tate", _with_rule(power_rules=lambda alg: {
-        "t": lambda e: alg.elem(t=e + 1, eps0=1)})),
-    "E2 with vp_ge 1": ("tate", _with_e2(pred=("vp_ge", 1))),
-    "E2 with a tmu2 bound": ("hofix", _with_e2(c_hi=7)),
-    "module without mu0^(p-1)": ("tate", _with_e2(module=tuple(
-        m for m in module_triples(P) if m != (0, P - 1, 0)))),
-    "module listing eps1b twice": ("hofix", _with_e2(
-        module=module_triples(P) + ((0, 0, 1),))),
-}
-
-
-def _dd_nonzero(st, alg):
-    # d(mu0) = t eps0 mu0 on a module with eps0 mu0^(p-1): still a matching
-    # into the module, but d(mu0^i) = i t eps0 mu0^i has d of it nonzero
-    st = _with_rule(values=lambda alg: {"mu0": alg.elem(t=1, eps0=1, mu0=1)})(
-        st, alg)
-    return _with_e2(module=module_triples(P) + ((1, P - 1, 0),))(st, alg)
-
-
 def _with_after(*sums):
     def mutate(st, alg):
         return replace(st, after=replace(st.after, summands=sums))
@@ -528,12 +495,19 @@ def _chain(*mutations):
     return mutate
 
 
+P2 = 2 * P * P
 EPS0_MU0 = tuple((1, j, 0) for j in range(P))
-FACTOR_MUTANTS.update({
-    "delta delta nonzero": ("tate", _dd_nonzero),
-    "wrong length": ("tate", _with_rule(r=3)),
+FACTOR_MUTANTS = {
+    "E3 without eps1b": ("tate", _drop_eps1b),
+    "hofix E3 without its head": ("hofix", _drop_head),
     "E3 listing a class twice": ("hofix", lambda st, alg: replace(
         st, after=replace(st.after, summands=st.after.summands * 2))),
+    "value on a passive generator": ("tate", _with_rule(
+        values=lambda alg: {"lambda2": alg.elem(t=1, mu2=1)})),
+    # u t^(p^2) lambda2 has the bidegree of a length 2p^2+1 differential
+    "x a zero divisor": ("tate", _with_rule(
+        r=P2 + 1, values=lambda alg: {
+            "eps0": alg.elem(u1=1, t=P * P, lambda2=1, mu0=1)})),
     # x = t^(2p^2) mu2^2 leaves the slices c = 0, 1 in the cokernel; the
     # closed form claims c = 0 alone
     "x raises the tmu2 power by two": ("tate", _chain(
@@ -550,7 +524,25 @@ FACTOR_MUTANTS.update({
         _with_e2(module=module_triples(P) + ((1, P - 1, 0),)),
         _with_after(Summand(BOTH, BOTH, ((0, 0, 0),), None, ("any",)),
                     Summand(BOTH, BOTH, EPS0_MU0, 1, ("any",))))),
-})
+    "two-term value": ("hofix", _with_rule(values=lambda alg: {
+        "eps0": alg.add(alg.elem(t=1, mu0=1),
+                        alg.elem(t=1, lambda2=1, mu2=-1, eps0=1, mu0=1))})),
+    # d(mu0) = t eps0 mu0 on a module with eps0 mu0^(p-1): still a matching
+    # into the module, but d(mu0^i) = i t eps0 mu0^i has d of it nonzero
+    "delta delta nonzero": ("tate", _chain(
+        _with_rule(values=lambda alg: {"mu0": alg.elem(t=1, eps0=1, mu0=1)}),
+        _with_e2(module=module_triples(P) + ((1, P - 1, 0),)))),
+    "wrong length": ("tate", _with_rule(r=3)),
+    # d(t^e) = t^(e+1) eps0 on the passive t
+    "power rule": ("tate", _with_rule(power_rules=lambda alg: {
+        "t": lambda e: alg.elem(t=e + 1, eps0=1)})),
+    "E2 with vp_ge 1": ("tate", _with_e2(pred=("vp_ge", 1))),
+    "E2 with a tmu2 bound": ("hofix", _with_e2(c_hi=7)),
+    "module without mu0^(p-1)": ("tate", _with_e2(module=tuple(
+        m for m in module_triples(P) if m != (0, P - 1, 0)))),
+    "module listing eps1b twice": ("hofix", _with_e2(
+        module=module_triples(P) + ((0, 0, 1),))),
+}
 
 
 def _outcome(fn, *args):
