@@ -3,7 +3,14 @@
 The normalized complex C_n = A (x) Abar^n is finite in each internal degree
 once every generator has positive degree, so homology is computed exactly by
 sparse elimination, degree by degree.  This is the independent oracle the
-multiplicative closed forms are checked against.
+multiplicative closed forms are checked against; no closed form enters it.
+
+Each degree's complex splits further by weight, the sum of the slots'
+exponent tuples, which every face keeps.  A weight block is walked from the
+longest tensors down.  Each boundary is computed once, and d(d(t)) = 0 is
+checked on every tensor t before d(t) is used.  Each d_n is eliminated once,
+and only on the tensors that are not pivots of the echelon of d_(n+1)
+(clearing, Chen-Kerber 2011, Bauer-Kerber-Reininghaus 2014).
 """
 from __future__ import annotations
 
@@ -76,9 +83,43 @@ def hochschild_boundary(alg: Algebra, tens: Tensor) -> dict[Tensor, int]:
     return out
 
 
+def _weight(tens: Tensor) -> tuple[int, ...]:
+    """The sum of the slots' exponent tuples; every face keeps it, since
+    mono_mul adds exponents."""
+    return tuple(map(sum, zip(*tens)))
+
+
+def _boundary_of_boundary(alg: Algebra, above: list[Tensor],
+                          bds_above: list[dict[Tensor, int]],
+                          idx: dict[Tensor, int],
+                          bds: list[dict[Tensor, int]]) -> None:
+    """Raise unless d(d(t)) = 0 for every tensor t of above, summing the
+    boundaries already computed; a face outside the block (idx) gets its
+    own boundary, so a wrong boundary shows here first."""
+    p = alg.p
+    for tns, bd in zip(above, bds_above):
+        acc: dict[Tensor, int] = {}
+        for t2, c in bd.items():
+            i = idx.get(t2)
+            for t3, c2 in (bds[i] if i is not None
+                           else hochschild_boundary(alg, t2)).items():
+                acc[t3] = (acc.get(t3, 0) + c * c2) % p
+        if any(acc.values()):
+            raise VerificationError(
+                f"boundary of boundary nonzero on a tensor of length "
+                f"{len(tns)}")
+
+
 def hh_bruteforce(alg: Algebra, max_total_degree: int) -> PoincareSeries:
     """Hochschild homology dimensions by total degree (word length plus
-    internal degree), exact up to the requested bound."""
+    internal degree), exact up to the requested bound.
+
+    Internal degree d needs lengths up to top = min(d, hi - d), and the
+    walk starts at top + 1 to get rank d_(top+1).  The pivot row of the
+    echelon of d_(n+2) at e_i is e_i plus later coordinates and lies in
+    im d_(n+2), so d_(n+1)(e_i) is a combination of later columns: dropping
+    those columns keeps rank d_(n+1).  Then dim H_n = |C_n| - rank d_n -
+    rank d_(n+1), each rank eliminated once."""
     for g in alg.gens:
         if g.total <= 0:
             raise ValueError(
@@ -88,27 +129,45 @@ def hh_bruteforce(alg: Algebra, max_total_degree: int) -> PoincareSeries:
     by_deg = _monomials_by_degree(alg, hi)
     counts: dict[int, int] = {}
     for d in range(hi + 1):
-        for n in range(0, min(d, hi - d) + 1):
-            basis = _chain_basis(alg, by_deg, n, d)
-            if not basis:
-                continue
-            below = _chain_basis(alg, by_deg, n - 1, d)
-            above = _chain_basis(alg, by_deg, n + 1, d)
-            idx_below = {tns: i for i, tns in enumerate(below)}
-            idx = {tns: i for i, tns in enumerate(basis)}
-            out_ech = Echelon(alg.p, max(len(below), 1))
-            for tns in basis:
-                col = {idx_below[t2]: c
-                       for t2, c in hochschild_boundary(alg, tns).items()}
-                out_ech.insert(col)
-            in_ech = Echelon(alg.p, len(basis))
-            for tns in above:
-                col = {idx[t2]: c
-                       for t2, c in hochschild_boundary(alg, tns).items()}
-                in_ech.insert(col)
-            hdim = len(basis) - out_ech.rank - in_ech.rank
-            if hdim < 0:
-                raise VerificationError("boundary of boundary nonzero")
-            if hdim:
-                counts[n + d] = counts.get(n + d, 0) + hdim
+        top = min(d, hi - d)
+        blocks: dict[tuple[int, ...], list[list[Tensor]]] = {}
+        for n in range(top + 2):
+            for tns in _chain_basis(alg, by_deg, n, d):
+                blocks.setdefault(_weight(tns),
+                                  [[] for _ in range(top + 2)])[n].append(tns)
+        for chains in blocks.values():
+            # C_(n+1): its tensors, their boundaries, the pivots of d_(n+2)
+            # among them and the rank of d_(n+2)
+            above: list[Tensor] = []
+            bds_above: list[dict[Tensor, int]] = []
+            cleared: set[int] = set()
+            rank_in = 0
+            # the last step, n = -1, closes C_0 with d_0 = 0
+            for n in range(top + 1, -2, -1):
+                basis = chains[n] if n >= 0 else []
+                idx = {tns: i for i, tns in enumerate(basis)}
+                bds = [hochschild_boundary(alg, tns) for tns in basis]
+                _boundary_of_boundary(alg, above, bds_above, idx, bds)
+                ech = Echelon(alg.p, max(len(basis), 1))
+                # last column first: the new pivot then seldom sits in an
+                # older row, so the echelon rarely has to clear it (on
+                # hh 5 24, 3.8 M dict lookups instead of 7.1 M)
+                for j in range(len(bds_above) - 1, -1, -1):
+                    bd = bds_above[j]
+                    if j in cleared or not bd:
+                        continue
+                    col = {}
+                    for t2, c in bd.items():
+                        i = idx.get(t2)
+                        if i is None:
+                            raise VerificationError(
+                                f"a face of a length-{n + 1} tensor leaves "
+                                f"its degree and weight block")
+                        col[i] = c
+                    ech.insert(col)
+                hdim = len(above) - ech.rank - rank_in
+                if hdim and n < top:
+                    counts[n + 1 + d] = counts.get(n + 1 + d, 0) + hdim
+                above, bds_above = basis, bds
+                cleared, rank_in = set(ech.rows), ech.rank
     return PoincareSeries.from_counts(0, hi, counts)

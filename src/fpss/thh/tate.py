@@ -110,7 +110,9 @@ def _step_classes(p: int, pred: Pred, D: int
     the steps k modulo M, ascending, at which the free exponent D k lies in
     an allowed residue class; None for a zero predicate.
 
-    D is a unit modulo M, so each allowed residue pins k to one class."""
+    D is a unit modulo M, so each allowed residue pins k to one class.  The
+    classes are exact for any, vp_ge and res; only a vp_eq step still needs
+    _pred_ok."""
     if pred[0] == "zero":
         return None
     M, residues = _pred_classes(pred, p)
@@ -238,6 +240,7 @@ class TateForm:
         D = stride // f_tot         # free exponent change per total stride
         for sm in self.summands:
             classes = _step_classes(p, sm.pred, D)
+            recheck = sm.pred[0] == "vp_eq"
             for a in sm.u:
                 for b in sm.lam:
                     for d0, i0, e in sm.module:
@@ -265,7 +268,7 @@ class TateForm:
                             for k in _allowed_steps(classes, free0, D, k_lo,
                                                     k_hi):
                                 free = free0 + D * k
-                                if _pred_ok(sm.pred, p, free):
+                                if not recheck or _pred_ok(sm.pred, p, free):
                                     s = s0 + g * k
                                     yield (s, first + stride * k - s), (
                                         a, c + ft * free, b, c + fm * free,
@@ -287,6 +290,7 @@ class TateForm:
         out: list[Monomial] = []
         for sm in self.summands:
             classes = _step_classes(p, sm.pred, D)
+            recheck = sm.pred[0] == "vp_eq"
             for a in sm.u:
                 for b in sm.lam:
                     for d0, i0, e in sm.module:
@@ -308,7 +312,7 @@ class TateForm:
                         for k in _allowed_steps(classes, free0, D, 0,
                                                 -((c0 - sm.c_hi) // L)):
                             free = free0 + D * k
-                            if _pred_ok(sm.pred, p, free):
+                            if not recheck or _pred_ok(sm.pred, p, free):
                                 c = c0 + L * k
                                 out.append((a, c + ft * free, b, c + fm * free,
                                             d0, i0, e))

@@ -1,6 +1,7 @@
 import pytest
 
-from fpss.graded import Algebra, Generator, Kind, poincare_series
+from fpss.fp_linalg import dense_rank
+from fpss.graded import Algebra, Generator, Kind, PoincareSeries, poincare_series
 from fpss.thh.hochschild import hh_bruteforce, hochschild_boundary, _chain_basis, _monomials_by_degree
 
 P = 5
@@ -83,3 +84,123 @@ def test_boundary_of_boundary_nonzero_is_a_verification_error(monkeypatch):
     alg = Algebra(P, (poly("x", 2), poly("y", 2)))
     with pytest.raises(VerificationError, match="boundary of boundary"):
         hh_bruteforce(alg, 8)
+
+
+def truncated(name, t, height):
+    return Generator(name, 0, t, Kind.TRUNCATED, height)
+
+
+def reference_hh(alg, hi):
+    # every d_n by dense elimination on the whole degree, no weight split
+    # and no clearing: dim H_n = |C_n| - rank d_n - rank d_(n+1)
+    by_deg = _monomials_by_degree(alg, hi)
+
+    def rank(n, d):
+        src = _chain_basis(alg, by_deg, n, d)
+        col = {t: i for i, t in enumerate(_chain_basis(alg, by_deg, n - 1, d))}
+        rows = []
+        for tns in src:
+            row = [0] * len(col)
+            for t2, c in hochschild_boundary(alg, tns).items():
+                row[col[t2]] = c
+            rows.append(row)
+        return dense_rank(alg.p, rows) if col else 0
+
+    counts = {}
+    for d in range(hi + 1):
+        for n in range(min(d, hi - d) + 1):
+            size = len(_chain_basis(alg, by_deg, n, d))
+            counts[n + d] = counts.get(n + d, 0) + size - rank(n, d) \
+                - rank(n + 1, d)
+    return PoincareSeries.from_counts(0, hi, counts)
+
+
+REFERENCE_ALGEBRAS = {
+    "exterior": ((ext("y", 3),), 16),
+    "polynomial": ((poly("x", 2),), 14),
+    "truncated": ((truncated("x", 2, 3),), 14),
+    "divided": ((divided("g", 2),), 14),
+    "mixed-parity": ((ext("a", 1), ext("b", 3), poly("x", 2)), 9),
+    "mixed-kinds": ((ext("t", 1), truncated("h", 2, 2), divided("g", 4)), 10),
+}
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("name", sorted(REFERENCE_ALGEBRAS))
+def test_oracle_matches_dense_reference(name, p):
+    gens, hi = REFERENCE_ALGEBRAS[name]
+    alg = Algebra(p, gens)
+    got = hh_bruteforce(alg, hi)
+    assert got == reference_hh(alg, hi)
+    assert any(got.get(d) for d in range(1, hi + 1))
+
+
+def test_break_on_a_cleared_tensor_is_a_verification_error(monkeypatch):
+    # In P(x), |x| = 2, internal degree 4, d(1|x|x) = 2 x|x - 1|x^2 makes
+    # 1|x^2 the pivot of im d_2, so d_1(1|x^2) is never eliminated.  Adding
+    # x^2 to it breaks d o d there and nowhere else; the ranks cannot see
+    # it, the boundary-of-boundary check must.
+    import fpss.thh.hochschild as hochschild
+    from fpss.specseq import VerificationError
+
+    alg = Algebra(P, (poly("x", 2),))
+    cleared, extra = ((0,), (2,)), ((2,),)
+    honest = hochschild.hochschild_boundary
+
+    def broken(alg, tns):
+        out = dict(honest(alg, tns))
+        if tns == cleared:
+            out[extra] = (out.get(extra, 0) + 1) % P
+        return out
+
+    want = hh_bruteforce(alg, 8)
+    monkeypatch.setattr(hochschild, "hochschild_boundary", broken)
+    # without the check the mutant is silent: the tensor really is cleared
+    with monkeypatch.context() as m:
+        m.setattr(hochschild, "_boundary_of_boundary", lambda *a: None)
+        assert hh_bruteforce(alg, 8) == want
+    with pytest.raises(VerificationError, match="boundary of boundary"):
+        hh_bruteforce(alg, 8)
+
+
+def test_face_outside_its_weight_block_is_a_verification_error(monkeypatch):
+    # at the top internal degree d(1|x^2) is eliminated but never squared;
+    # a face of another weight there is a mismatch, not a crash
+    import fpss.thh.hochschild as hochschild
+    from fpss.specseq import VerificationError
+
+    alg = Algebra(P, (poly("x", 2), poly("y", 2)))
+    honest = hochschild.hochschild_boundary
+
+    def leaky(alg, tns):
+        out = dict(honest(alg, tns))
+        if tns == (alg.unit_mono, alg.mono(x=2)):
+            out[(alg.mono(y=2),)] = 1
+        return out
+
+    monkeypatch.setattr(hochschild, "hochschild_boundary", leaky)
+    with pytest.raises(VerificationError, match="weight block"):
+        hh_bruteforce(alg, 4)
+
+
+def test_oracle_work_gate(monkeypatch):
+    # the benchmark's oracle run: P(x) (x) E(y), |x| = 2, |y| = 3, to total
+    # degree 24 at p = 5.  Each d_n is eliminated once, per weight block and
+    # without the cleared columns: a count of Echelon inserts, not a timing
+    # (eliminating every d_n twice took 35,815)
+    from fpss import fp_linalg
+
+    calls = [0]
+    insert = fp_linalg.Echelon.insert
+
+    def counted(self, vec):
+        calls[0] += 1
+        return insert(self, vec)
+
+    monkeypatch.setattr(fp_linalg.Echelon, "insert", counted)
+    alg = Algebra(P, (poly("x", 2), ext("y", 3)))
+    got = hh_bruteforce(alg, 24)
+    assert calls[0] <= 13_000
+    assert got == poincare_series(
+        Algebra(P, (poly("x", 2), ext("sx", 3), ext("y", 3),
+                    divided("sy", 4))), 0, 24)
