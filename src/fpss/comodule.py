@@ -202,36 +202,6 @@ def coproduct(astar: Algebra, x: Element) -> Element:
     return out
 
 
-def coassociates(astar: Algebra, m: Monomial) -> bool:
-    """True when (psi (x) id)psi and (id (x) psi)psi agree on the monomial.
-
-    Applying psi to one slot of A (x) A concatenates exponent blocks in
-    order, so no Koszul signs enter beyond those inside psi itself.
-    """
-    p = astar.p
-    na = len(astar.gens)
-
-    def psi(x: Element) -> Element:
-        return coproduct(astar, x)
-
-    def expand(y: Element, left: bool) -> dict[Monomial, int]:
-        out: dict[Monomial, int] = {}
-        for mono, c in y.items():
-            ml, mr = mono[:na], mono[na:]
-            inner = psi({ml: 1}) if left else psi({mr: 1})
-            for mono2, c2 in inner.items():
-                m3 = mono2 + mr if left else ml + mono2
-                v = (out.get(m3, 0) + c * c2) % p
-                if v:
-                    out[m3] = v
-                else:
-                    out.pop(m3, None)
-        return out
-
-    base = psi({m: 1})
-    return expand(base, left=True) == expand(base, left=False)
-
-
 # -- concrete homology comodules ----------------------------------------
 
 

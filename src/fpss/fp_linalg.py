@@ -1,78 +1,11 @@
 """Exact sparse linear algebra over the prime field F_p.
 
 Scalars are plain integers in [0, p).  All basis choices are deterministic
-functions of the given row/column order, so every quotient basis chosen
-downstream is reproducible.
+functions of the given row/column order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence
-
-from .numerics import is_prime
-
-Vector = tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class SparseMatrix:
-    """Matrix over F_p with entries stored as (row, col, value), row-major.
-
-    Invariants: p prime, indices in range, values in (0, p), no duplicate
-    coordinates, canonical sort order (for equality testing).
-    """
-
-    p: int
-    nrows: int
-    ncols: int
-    entries: tuple[tuple[int, int, int], ...]
-
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"modulus {self.p} is not prime")
-        if self.nrows < 0 or self.ncols < 0:
-            raise ValueError("negative matrix dimensions")
-        seen = set()
-        for r, c, v in self.entries:
-            if not (0 <= r < self.nrows and 0 <= c < self.ncols):
-                raise ValueError(f"entry ({r},{c}) out of range")
-            if not (0 < v < self.p):
-                raise ValueError(f"entry value {v} not reduced mod {self.p}")
-            if (r, c) in seen:
-                raise ValueError(f"duplicate entry at ({r},{c})")
-            seen.add((r, c))
-        object.__setattr__(self, "entries", tuple(sorted(self.entries)))
-
-    @classmethod
-    def from_rows(cls, p: int, nrows: int, ncols: int,
-                  rows: Iterable[dict[int, int]]) -> "SparseMatrix":
-        ents = []
-        for r, row in enumerate(rows):
-            for c, v in row.items():
-                v %= p
-                if v:
-                    ents.append((r, c, v))
-        return cls(p, nrows, ncols, tuple(ents))
-
-    @classmethod
-    def from_dense(cls, p: int, rows: Sequence[Sequence[int]]) -> "SparseMatrix":
-        nrows = len(rows)
-        ncols = len(rows[0]) if rows else 0
-        ents = [(r, c, v % p) for r, row in enumerate(rows)
-                for c, v in enumerate(row) if v % p]
-        return cls(p, nrows, ncols, tuple(ents))
-
-    def row_dicts(self) -> list[dict[int, int]]:
-        rows: list[dict[int, int]] = [dict() for _ in range(self.nrows)]
-        for r, c, v in self.entries:
-            rows[r][c] = v
-        return rows
-
-    def to_dense(self) -> list[list[int]]:
-        out = [[0] * self.ncols for _ in range(self.nrows)]
-        for r, c, v in self.entries:
-            out[r][c] = v
-        return out
+from typing import Sequence
 
 
 class Echelon:
@@ -88,14 +21,17 @@ class Echelon:
         return len(self.rows)
 
     def reduce(self, vec: dict[int, int]) -> dict[int, int]:
-        """Fully reduce vec against the stored rows; vec is not modified."""
+        """Fully reduce vec against the stored rows; vec is not modified.
+
+        Each stored row is zero at every other pivot, so clearing one pivot
+        never brings in another: one pass over the pivots in vec's support
+        suffices."""
         p = self.p
+        rows = self.rows
         out = {c: v % p for c, v in vec.items() if v % p}
-        for piv in sorted(self.rows):
-            coef = out.get(piv)
-            if not coef:
-                continue
-            row = self.rows[piv]
+        for piv in [c for c in out if c in rows]:
+            coef = out[piv]
+            row = rows[piv]
             for c, v in row.items():
                 w = (out.get(c, 0) - coef * v) % p
                 if w:
@@ -126,63 +62,6 @@ class Echelon:
                         orow.pop(c, None)
         self.rows[piv] = row
         return piv
-
-    def contains(self, vec: dict[int, int]) -> bool:
-        return not self.reduce(vec)
-
-
-def rref(m: SparseMatrix) -> tuple[SparseMatrix, tuple[int, ...], int]:
-    """Reduced row-echelon form, pivot columns, and rank."""
-    ech = Echelon(m.p, m.ncols)
-    for row in m.row_dicts():
-        if row:
-            ech.insert(row)
-    pivots = tuple(sorted(ech.rows))
-    rows = [ech.rows[piv] for piv in pivots]
-    out = SparseMatrix.from_rows(m.p, m.nrows, m.ncols, rows)
-    return out, pivots, len(pivots)
-
-
-def rank(m: SparseMatrix) -> int:
-    return rref(m)[2]
-
-
-def kernel_basis(m: SparseMatrix) -> list[Vector]:
-    """Deterministic kernel basis: one vector per free column, ascending,
-    with that free coordinate set to 1."""
-    red, pivots, _ = rref(m)
-    pivot_set = set(pivots)
-    rows = {min(r): r for r in red.row_dicts() if r}
-    out: list[Vector] = []
-    for free in range(m.ncols):
-        if free in pivot_set:
-            continue
-        vec = [0] * m.ncols
-        vec[free] = 1
-        for piv in pivots:
-            coef = rows[piv].get(free, 0)
-            if coef:
-                vec[piv] = (-coef) % m.p
-        out.append(tuple(vec))
-    return out
-
-
-def quotient_basis(ambient: Sequence[Hashable],
-                   subspace: Iterable[Sequence[int] | dict[int, int]],
-                   p: int) -> list[Hashable]:
-    """Labels of ambient/subspace: the non-pivot ambient ids after
-    echelonizing the subspace against the ambient order."""
-    ech = Echelon(p, len(ambient))
-    for vec in subspace:
-        if not isinstance(vec, dict):
-            if len(vec) > len(ambient) and any(v % p for v in vec[len(ambient):]):
-                raise ValueError("subspace vector outside ambient span")
-            vec = {i: v for i, v in enumerate(vec) if v % p}
-        if vec and max(vec) >= len(ambient) and any(
-                v % p for c, v in vec.items() if c >= len(ambient)):
-            raise ValueError("subspace vector outside ambient span")
-        ech.insert(vec)
-    return [label for i, label in enumerate(ambient) if i not in ech.rows]
 
 
 def dense_rank(p: int, rows: Sequence[Sequence[int]]) -> int:

@@ -4,8 +4,8 @@ An algebra is an ordered tensor product of one-generator pieces: exterior,
 polynomial, Laurent, truncated polynomial, or divided power.  Monomials are
 dense exponent tuples aligned with the generator list; elements are maps
 from monomials to nonzero scalars.  The canonical monomial order (total
-degree, then exponent tuple) is fixed once so that every quotient basis
-chosen downstream is deterministic.
+degree, then exponent tuple) is fixed once so that every basis listed
+downstream is deterministic.
 """
 from __future__ import annotations
 
@@ -222,15 +222,6 @@ class Algebra:
         for _ in range(n):
             out = self.mul(out, a)
         return out
-
-    def elem_str(self, a: Element) -> str:
-        if not a:
-            return "0"
-        parts = []
-        for m in sorted(a, key=self.key):
-            c = a[m]
-            parts.append(self.mono_str(m) if c == 1 else f"{c}*{self.mono_str(m)}")
-        return " + ".join(parts)
 
     # -- bases ----------------------------------------------------------
 
@@ -490,15 +481,6 @@ def poincare_series(alg: Algebra, lo: int, hi: int) -> PoincareSeries:
             raise ValueError(f"generator {g.name} gives infinite degrees")
         out = out.mul(ps_one_generator(0, hi, g.total, g.kind, g.height))
     return out.restrict(lo, hi)
-
-
-def ps_from_monomials(alg: Algebra, monomials, lo: int, hi: int) -> PoincareSeries:
-    counts: dict[int, int] = {}
-    for m in monomials:
-        d = alg.total(m)
-        if lo <= d <= hi:
-            counts[d] = counts.get(d, 0) + 1
-    return PoincareSeries.from_counts(lo, hi, counts)
 
 
 def ps_from_degree_list(degrees, lo: int, hi: int) -> PoincareSeries:

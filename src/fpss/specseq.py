@@ -1,9 +1,10 @@
-"""Generic page-turning for spectral sequences of F_p modules.
+"""Page-turn certificates for spectral sequences of F_p modules.
 
 Pages are bidegree-indexed monomial bases inside a trust region; a
 differential of length r maps bidegree (s, t) to (s - r, t + r - 1), so it
-drops total degree by one.  Page turning computes kernel mod image with
-exact sparse linear algebra, bidegree by bidegree.
+drops total degree by one.  verify_turn certifies that a closed-form page
+is the homology of the page before it, bidegree by bidegree, with exact
+sparse linear algebra.
 
 verify_turn first tries a matching certificate.  When every value is zero
 or one page monomial and no two monomials share a target, the turn is a
@@ -17,9 +18,7 @@ form, d after d nonzero, or a value that raises.
 
 Closed-form pages enumerate any bidegree exactly, so homology computed
 against them has no truncation error and the trust region only selects
-which bidegrees get verified.  Computed pages are exact only inside their
-region; turning those shrinks the region so that truncation can never
-silently produce wrong homology at the boundary.
+which bidegrees get verified.
 """
 from __future__ import annotations
 
@@ -49,43 +48,17 @@ class Region:
     def contains(self, s: int, t: int) -> bool:
         return self.lo <= s + t <= self.hi and self.s_lo <= s <= self.s_hi
 
-    def shrink(self, r: int) -> "Region":
-        return Region(self.lo + 1, self.hi - 1, self.s_lo + r, self.s_hi - r)
-
     def widen(self, r: int) -> "Region":
         """The region plus the neighbours a length r differential reaches."""
         return Region(self.lo - 1, self.hi + 1, self.s_lo - r, self.s_hi + r)
-
-    def intersect(self, other: "Region") -> "Region":
-        return Region(max(self.lo, other.lo), min(self.hi, other.hi),
-                      max(self.s_lo, other.s_lo), min(self.s_hi, other.s_hi))
 
 
 class Page(Protocol):
     label: str
     r: int
-    provenance: str
     algebra: Algebra
 
     def iter_region(self, region: Region) -> Iterable[Monomial]: ...
-
-
-@dataclass
-class ExplicitPage:
-    """Page with an explicit bidegree table; exact only where tabulated."""
-
-    label: str
-    r: int
-    algebra: Algebra
-    table: dict[Bidegree, tuple[Monomial, ...]]
-    region: Region | None = None
-    provenance: str = "closed-form"
-    boundaries: dict[Bidegree, list[Element]] = field(default_factory=dict)
-
-    def iter_region(self, region: Region) -> Iterable[Monomial]:
-        for (s, t), monos in self.table.items():
-            if region.contains(s, t):
-                yield from monos
 
 
 @dataclass(frozen=True)
@@ -364,84 +337,8 @@ def _columns_for(rule: DiffRule, alg: Algebra, src: tuple[Monomial, ...],
     return cols
 
 
-def turn_page(page: Page, rule: DiffRule, region: Region,
-              dd_check: bool = True) -> ExplicitPage:
-    """Compute the next page on every in-region bidegree of the given page.
-
-    Representatives are chosen deterministically: the canonical-order
-    monomials of the kernel not pivotal for the image span.  The resulting
-    page records image spans so that later well-definedness checks can run.
-    """
-    alg = page.algebra
-    r = rule.r
-    rule = _TurnValues(rule)
-    exact = page.provenance == "closed-form"
-    if exact:
-        work = region
-    else:
-        page_region = getattr(page, "region", None)
-        base = region if page_region is None else region.intersect(page_region)
-        work = base.shrink(r)
-    bases = bidegree_table(page, work.widen(r))
-
-    table: dict[Bidegree, tuple[Monomial, ...]] = {}
-    boundaries: dict[Bidegree, list[Element]] = {}
-    for s, t in sorted(bd for bd in bases if work.contains(*bd)):
-        b1 = bases[(s, t)]
-        b0 = bases.get((s + r, t - r + 1), ())
-        b2 = bases.get((s - r, t + r - 1), ())
-        if dd_check:
-            for m in b1:
-                dd = rule_on_element(rule, alg, rule.apply(alg, m))
-                if dd:
-                    raise VerificationError(
-                        f"d after d nonzero on {alg.mono_str(m)} at "
-                        f"(s={s}, t={t}) for rule {rule.name}")
-        out_cols = _columns_for(rule, alg, b1, b2, f"(s={s - r}, t={t + r - 1})")
-        in_cols = _columns_for(rule, alg, b0, b1, f"(s={s}, t={t})")
-
-        out_ech = Echelon(alg.p, len(b2))
-        for col in out_cols:
-            out_ech.insert(dict(col))
-        ker_dim = len(b1) - out_ech.rank
-        im_ech = Echelon(alg.p, len(b1))
-        ims: list[Element] = []
-        for col in in_cols:
-            if im_ech.insert(dict(col)) is not None:
-                ims.append({b1[i]: c for i, c in col.items()})
-        # representatives: canonical-order kernel monomials avoiding image pivots
-        reps: list[Monomial] = []
-        chosen = Echelon(alg.p, len(b1))
-        for _, row in sorted(im_ech.rows.items()):
-            chosen.insert(dict(row))
-        want = ker_dim - im_ech.rank
-        if want < 0:
-            raise VerificationError(
-                f"image exceeds kernel at (s={s}, t={t}) for rule {rule.name}")
-        for i, m in enumerate(b1):
-            if len(reps) == want:
-                break
-            if out_cols[i]:
-                continue  # not a kernel monomial
-            if chosen.insert({i: 1}) is not None:
-                reps.append(m)
-        if len(reps) != want:
-            raise VerificationError(
-                f"kernel at (s={s}, t={t}) has no monomial representatives; "
-                f"use verification mode for this turn")
-        if reps:
-            table[(s, t)] = tuple(reps)
-        if ims:
-            boundaries[(s, t)] = ims
-
-    return ExplicitPage(
-        label=f"H({page.label}; {rule.name})", r=r + 1, algebra=alg,
-        table=table, region=work, provenance="computed",
-        boundaries=boundaries)
-
-
-def verify_turn(page: Page, rule: DiffRule, after: Page, region: Region,
-                dd_check: bool = True) -> PageComparison:
+def verify_turn(page: Page, rule: DiffRule, after: Page, region: Region
+                ) -> PageComparison:
     """Turn the page and certify the homology against a closed form.
 
     A turn that is a monomial matching is certified by _matching_certifies
@@ -454,7 +351,7 @@ def verify_turn(page: Page, rule: DiffRule, after: Page, region: Region,
     values = _TurnValues(rule)
     bases, closed_bases, bds = _turn_tables(page, rule, after, region)
     label = f"{page.label} -> {after.label}"
-    args = (alg, values, bases, closed_bases, bds, rule.r, dd_check)
+    args = (alg, values, bases, closed_bases, bds, rule.r)
     if _matching_certifies(*args):
         return PageComparison(label, len(bds), [])
     return PageComparison(label, len(bds), _echelon_mismatches(*args))
@@ -475,16 +372,16 @@ def _turn_tables(page: Page, rule: DiffRule, after: Page, region: Region
 def _matching_certifies(alg: Algebra, values: _TurnValues,
                         bases: dict[Bidegree, tuple[Monomial, ...]],
                         closed_bases: dict[Bidegree, tuple[Monomial, ...]],
-                        bds: set[Bidegree], r: int, dd_check: bool) -> bool:
+                        bds: set[Bidegree], r: int) -> bool:
     """Whether the turn is a partial matching whose unmatched cycles are
     exactly the closed form; False sends the turn to the Echelon path.
 
     The sources are the monomials of the region's bidegrees (b1) and of
     their b0 neighbours.  When each source value is zero or one page
     monomial of the target bidegree, no two sources share a target, no
-    monomial is listed twice, d after d vanishes on b1 (with dd_check), and
-    every hit monomial of the region is a cycle, then the homology of each bidegree is spanned by its
-    unmatched cycles: the cycles no source hits.  The closed form then
+    monomial is listed twice, d after d vanishes on b1, and every hit
+    monomial of the region is a cycle, then the homology of each bidegree
+    is spanned by its unmatched cycles: the cycles no source hits.  The closed form then
     passes exactly when it is that set, without duplicates, which is what
     the Echelon path would certify.  Evaluating a value that raises also
     returns False; the Echelon path raises or records it in its own order.
@@ -520,7 +417,7 @@ def _matching_certifies(alg: Algebra, values: _TurnValues,
                 return False    # closed classes on an empty bidegree
             # the b0 neighbour, unless it is a region bidegree of its own
             b0 = (s + r, t - r + 1)
-            if not match(s, t, dd_check) or (
+            if not match(s, t, True) or (
                     b0 not in bds and b0 in bases and
                     not match(*b0, False)):
                 return False
@@ -547,7 +444,7 @@ def _matching_certifies(alg: Algebra, values: _TurnValues,
 def _echelon_mismatches(alg: Algebra, rule: _TurnValues,
                         bases: dict[Bidegree, tuple[Monomial, ...]],
                         closed_bases: dict[Bidegree, tuple[Monomial, ...]],
-                        bds: set[Bidegree], r: int, dd_check: bool
+                        bds: set[Bidegree], r: int
                         ) -> list[BidegreeMismatch]:
     """The general path: kernel and image by elimination, per bidegree."""
     mismatches: list[BidegreeMismatch] = []
@@ -561,12 +458,10 @@ def _echelon_mismatches(alg: Algebra, rule: _TurnValues,
             continue
         b0 = bases.get((s + r, t - r + 1), ())
         b2 = bases.get((s - r, t + r - 1), ())
-        if dd_check:
-            for m in b1:
-                dd = rule_on_element(rule, alg, rule.apply(alg, m))
-                if dd:
-                    raise VerificationError(
-                        f"d after d nonzero on {alg.mono_str(m)} for {rule.name}")
+        for m in b1:
+            if rule_on_element(rule, alg, rule.apply(alg, m)):
+                raise VerificationError(
+                    f"d after d nonzero on {alg.mono_str(m)} for {rule.name}")
         try:
             out_cols = _columns_for(rule, alg, b1, b2, f"(s={s-r}, t={t+r-1})")
             in_cols = _columns_for(rule, alg, b0, b1, f"(s={s}, t={t})")
@@ -606,85 +501,6 @@ def _echelon_mismatches(alg: Algebra, rule: _TurnValues,
                     f"closed-form class {alg.mono_str(m)} dependent on the image"))
                 break
     return mismatches
-
-
-def compare_pages(computed: Page, closed: Page, region: Region) -> PageComparison:
-    """Per-bidegree dimension and span comparison of two monomial pages."""
-    if computed.algebra != closed.algebra:
-        raise ValueError("pages live over different algebras")
-    creg = getattr(computed, "region", None)
-    if creg is not None:
-        region = region.intersect(creg)
-    computed_bases = bidegree_table(computed, region)
-    closed_bases = bidegree_table(closed, region)
-    bds = computed_bases.keys() | closed_bases.keys()
-    mismatches = []
-    for s, t in sorted(bds):
-        a = computed_bases.get((s, t), ())
-        b = closed_bases.get((s, t), ())
-        if len(a) != len(b):
-            mismatches.append(BidegreeMismatch((s, t), len(b), len(a), ""))
-        elif set(a) != set(b):
-            # spans of monomial sets agree exactly when the sets do
-            mismatches.append(BidegreeMismatch(
-                (s, t), len(b), len(a), "same dimension, different span"))
-    return PageComparison(label=f"{computed.label} vs {closed.label}",
-                          bidegrees_checked=len(bds), mismatches=mismatches)
-
-
-def spans_equal(alg: Algebra, basis_a: list[Element], basis_b: list[Element]
-                ) -> bool:
-    """Whether two lists of elements span the same subspace."""
-    universe = sorted({m for x in basis_a + basis_b for m in x}, key=alg.key)
-    idx = {m: i for i, m in enumerate(universe)}
-    ech_a = Echelon(alg.p, len(universe))
-    for x in basis_a:
-        ech_a.insert({idx[m]: c for m, c in x.items()})
-    ech_b = Echelon(alg.p, len(universe))
-    for x in basis_b:
-        ech_b.insert({idx[m]: c for m, c in x.items()})
-    if ech_a.rank != ech_b.rank:
-        return False
-    return all(ech_a.contains({idx[m]: c for m, c in x.items()}) for x in basis_b)
-
-
-def well_definedness_check(page: ExplicitPage, rule: DiffRule) -> PageComparison:
-    """Check the rule maps recorded boundary vectors into boundary spans.
-
-    A rule on representatives only descends to homology when it preserves
-    the boundary subspace; a violation names the offending vector.
-    """
-    alg = page.algebra
-    mismatches: list[BidegreeMismatch] = []
-    n = 0
-    for (s, t), vectors in page.boundaries.items():
-        target = (s - rule.r, t + rule.r - 1)
-        target_vecs = page.boundaries.get(target, [])
-        universe: list[Monomial] = sorted(
-            {m for v in target_vecs for m in v}, key=alg.key)
-        idx = {m: i for i, m in enumerate(universe)}
-        ech = Echelon(alg.p, len(universe) + 1)
-        for v in target_vecs:
-            ech.insert({idx[m]: c for m, c in v.items()})
-        for v in vectors:
-            n += 1
-            val = rule_on_element(rule, alg, v)
-            if not val:
-                continue
-            vec = {}
-            outside = False
-            for m, c in val.items():
-                if m not in idx:
-                    outside = True
-                    break
-                vec[idx[m]] = c
-            if outside or not ech.contains(vec):
-                witness = alg.elem_str(v)
-                mismatches.append(BidegreeMismatch(
-                    (s, t), 0, 1,
-                    f"boundary {witness} maps outside the boundary span"))
-    return PageComparison(label=f"well-definedness of {rule.name}",
-                          bidegrees_checked=n, mismatches=mismatches)
 
 
 def dump_page(page: Page, region: Region) -> str:

@@ -62,7 +62,6 @@ class BokstedtPage:
     ring: RingId
     top: int
     last: bool = False
-    provenance: str = "closed-form"
 
     def _keep(self, m: Monomial) -> bool:
         if not self.last:

@@ -185,7 +185,6 @@ class TateForm:
     algebra: Algebra
     conv: str                    # a key of TOWERS
     summands: tuple[Summand, ...]
-    provenance: str = "closed-form"
 
     @property
     def p(self) -> int:

@@ -3,13 +3,23 @@ import time
 import pytest
 
 from fpss.comodule import RingId
-from fpss.graded import ps_from_monomials
+from fpss.graded import PoincareSeries
 from fpss.specseq import Region, bidegree_table
 from fpss.thh.bokstedt import (bokstedt_e2_page, bokstedt_einf_page,
                                bokstedt_run)
 from fpss.thh.hochschild import hh_bruteforce
 
 P = 5
+
+
+def ps_from_monomials(alg, monomials, lo, hi):
+    """The Poincare series of a list of monomials, degrees lo..hi."""
+    counts = {}
+    for m in monomials:
+        d = alg.total(m)
+        if lo <= d <= hi:
+            counts[d] = counts.get(d, 0) + 1
+    return PoincareSeries.from_counts(lo, hi, counts)
 
 
 def test_e2_row_zero_is_ring_homology():

@@ -1,10 +1,10 @@
 import pytest
 
-from fpss.comodule import (RingId, astar_algebra, coaction, coassociates,
-                           coproduct, coproduct_values, counit_left,
-                           eq_classes, is_primitive,
-                           primitive_lift_coefficients, smash_class,
-                           thh_coaction_table, v1_smash_thh_table)
+from fpss.comodule import (RingId, astar_algebra, coaction, coproduct,
+                           coproduct_values, counit_left, eq_classes,
+                           is_primitive, primitive_lift_coefficients,
+                           smash_class, thh_coaction_table,
+                           v1_smash_thh_table)
 
 P = 5
 
@@ -30,6 +30,33 @@ def test_coproduct_of_product_matches_product_of_coproducts():
     vals = coproduct_values(astar)
     rhs = tens2.mul(vals["btau0"], vals["btau1"])
     assert lhs == rhs
+
+
+def coassociates(astar, m):
+    """True when (psi (x) id)psi and (id (x) psi)psi agree on the monomial.
+
+    Applying psi to one slot of A (x) A concatenates exponent blocks in
+    order, so no Koszul signs enter beyond those inside psi itself.
+    """
+    p = astar.p
+    na = len(astar.gens)
+
+    def expand(y, left):
+        out = {}
+        for mono, c in y.items():
+            ml, mr = mono[:na], mono[na:]
+            inner = coproduct(astar, {ml: 1} if left else {mr: 1})
+            for mono2, c2 in inner.items():
+                m3 = mono2 + mr if left else ml + mono2
+                v = (out.get(m3, 0) + c * c2) % p
+                if v:
+                    out[m3] = v
+                else:
+                    out.pop(m3, None)
+        return out
+
+    base = coproduct(astar, {m: 1})
+    return expand(base, left=True) == expand(base, left=False)
 
 
 def test_coassociativity_window():

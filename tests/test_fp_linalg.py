@@ -2,106 +2,132 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpss.fp_linalg import (Echelon, SparseMatrix, dense_rank, kernel_basis,
-                            quotient_basis, rank, rref)
+from fpss.fp_linalg import Echelon, dense_rank
+
+
+def echelon_of(p, rows):
+    ech = Echelon(p, len(rows[0]) if rows else 0)
+    for row in rows:
+        ech.insert({c: v for c, v in enumerate(row) if v % p})
+    return ech
+
+
+def sorted_walk_reduce(ech, vec):
+    """Echelon.reduce as it walked every pivot in ascending order."""
+    p = ech.p
+    out = {c: v % p for c, v in vec.items() if v % p}
+    for piv in sorted(ech.rows):
+        coef = out.get(piv)
+        if not coef:
+            continue
+        for c, v in ech.rows[piv].items():
+            w = (out.get(c, 0) - coef * v) % p
+            if w:
+                out[c] = w
+            else:
+                out.pop(c, None)
+    return out
 
 
 def test_empty_matrix():
-    m = SparseMatrix(5, 0, 0, ())
-    red, pivots, r = rref(m)
-    assert r == 0 and pivots == ()
-    assert kernel_basis(m) == []
+    ech = echelon_of(5, [])
+    assert ech.rank == 0 and ech.rows == {}
+    assert ech.reduce({}) == {}
 
 
 def test_identity_rank():
-    m = SparseMatrix.from_dense(5, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    _, pivots, r = rref(m)
-    assert r == 3 and pivots == (0, 1, 2)
+    ech = echelon_of(5, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert ech.rank == 3 and sorted(ech.rows) == [0, 1, 2]
 
 
 def test_dependent_rows():
-    m = SparseMatrix.from_dense(5, [[1, 2], [2, 4]])
-    assert rank(m) == 1
-
-
-def test_kernel_identity_and_zero():
-    assert kernel_basis(SparseMatrix.from_dense(5, [[1, 0], [0, 1]])) == []
-    zero = SparseMatrix(5, 2, 3, ())
-    assert kernel_basis(zero) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-
-
-def test_kernel_single_row():
-    m = SparseMatrix.from_dense(5, [[1, 2]])
-    assert kernel_basis(m) == [(3, 1)]
-
-
-def test_quotient_basis_examples():
-    assert quotient_basis(["a", "b"], [(1, 1)], 5) == ["b"]
-    assert quotient_basis(["a"], [], 5) == ["a"]
-    assert quotient_basis(["a", "b", "c"], [(1, 0, 0), (0, 1, 0)], 5) == ["c"]
-
-
-def test_quotient_basis_outside_span():
-    with pytest.raises(ValueError):
-        quotient_basis(["a"], [(0, 1)], 5)
-    with pytest.raises(ValueError):
-        quotient_basis(["a"], [{3: 2}], 5)
+    ech = Echelon(5, 2)
+    assert ech.insert({0: 1, 1: 2}) == 0
+    assert ech.insert({0: 2, 1: 4}) is None
+    assert ech.rank == 1
 
 
 def test_entry_validation():
+    ech = Echelon(5, 2)
     with pytest.raises(ValueError):
-        SparseMatrix(5, 1, 1, ((0, 0, 5),))
-    with pytest.raises(ValueError):
-        SparseMatrix(5, 1, 1, ((0, 0, 1), (0, 0, 2)))
-    with pytest.raises(ValueError):
-        SparseMatrix(4, 1, 1, ((0, 0, 1),))
+        ech.insert({3: 1})
+    assert ech.rank == 0
 
 
 def test_rref_idempotent_examples():
-    m = SparseMatrix.from_dense(5, [[1, 2, 3], [4, 0, 1], [0, 2, 2]])
-    red, _, _ = rref(m)
-    red2, _, _ = rref(red)
-    assert red.entries == red2.entries
+    ech = echelon_of(5, [[1, 2, 3], [4, 0, 1], [0, 2, 2]])
+    again = Echelon(5, 3)
+    for piv in sorted(ech.rows):
+        assert again.insert(dict(ech.rows[piv])) == piv
+    assert again.rows == ech.rows
 
 
-matrix_strategy = st.integers(1, 5).flatmap(
-    lambda nr: st.integers(1, 5).flatmap(
-        lambda nc: st.lists(
-            st.lists(st.integers(0, 4), min_size=nc, max_size=nc),
-            min_size=nr, max_size=nr)))
+PRIMES = st.sampled_from([2, 3, 5, 7])
+
+
+@st.composite
+def matrices(draw, max_rows=6, max_cols=6):
+    p = draw(PRIMES)
+    nc = draw(st.integers(1, max_cols))
+    rows = draw(st.lists(st.lists(st.integers(0, p - 1), min_size=nc,
+                                  max_size=nc), min_size=1, max_size=max_rows))
+    return p, rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices())
+def test_rank_nullity_and_oracle(data):
+    # the rank is dense_rank's, and the dependent rows number the relations
+    p, rows = data
+    ech = Echelon(p, len(rows[0]))
+    dependent = sum(ech.insert({c: v for c, v in enumerate(row) if v}) is None
+                    for row in rows)
+    assert ech.rank == dense_rank(p, rows)
+    assert ech.rank + dependent == len(rows)
+    for row in rows:
+        assert ech.reduce(dict(enumerate(row))) == {}
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices())
+def test_rows_monic_and_reduced(data):
+    p, rows = data
+    ech = echelon_of(p, rows)
+    for piv, row in ech.rows.items():
+        assert min(row) == piv and row[piv] == 1
+        assert all(0 < v < p for v in row.values())
+        assert not any(other in row for other in ech.rows if other != piv)
 
 
 @settings(max_examples=60, deadline=None)
-@given(matrix_strategy)
-def test_rank_nullity_and_oracle(rows):
-    m = SparseMatrix.from_dense(5, rows)
-    r = rank(m)
-    assert r == dense_rank(5, rows)
-    assert r + len(kernel_basis(m)) == m.ncols
+@given(matrices())
+def test_rref_idempotent(data):
+    p, rows = data
+    ech = echelon_of(p, rows)
+    again = echelon_of(p, [[row.get(c, 0) for c in range(ech.n)]
+                           for _, row in sorted(ech.rows.items())]
+                       or [[0] * ech.n])
+    assert again.rows == ech.rows
 
 
-@settings(max_examples=40, deadline=None)
-@given(matrix_strategy)
-def test_rref_idempotent(rows):
-    m = SparseMatrix.from_dense(5, rows)
-    red, _, _ = rref(m)
-    red2, _, _ = rref(red)
-    assert red.entries == red2.entries
-
-
-@settings(max_examples=40, deadline=None)
-@given(matrix_strategy)
-def test_kernel_vectors_annihilate(rows):
-    m = SparseMatrix.from_dense(5, rows)
-    dense = m.to_dense()
-    for vec in kernel_basis(m):
-        for row in dense:
-            assert sum(a * b for a, b in zip(row, vec)) % 5 == 0
+@settings(max_examples=80, deadline=None)
+@given(matrices(max_rows=8), st.data())
+def test_reduce_matches_sorted_walk(data, draw):
+    # interleave inserts and reductions; every result equals the old walk
+    p, rows = data
+    ech = Echelon(p, len(rows[0]))
+    for row in rows:
+        vec = {c: v for c, v in enumerate(row) if v}
+        probe = {c: draw.draw(st.integers(0, p - 1))
+                 for c in range(len(row))}
+        assert ech.reduce(probe) == sorted_walk_reduce(ech, probe)
+        assert ech.reduce(vec) == sorted_walk_reduce(ech, vec)
+        ech.insert(vec)
 
 
 def test_echelon_membership():
     ech = Echelon(5, 3)
     ech.insert({0: 1, 1: 1})
     ech.insert({1: 1, 2: 1})
-    assert ech.contains({0: 1, 2: 4})
-    assert not ech.contains({0: 1, 2: 1})
+    assert not ech.reduce({0: 1, 2: 4})
+    assert ech.reduce({0: 1, 2: 1})

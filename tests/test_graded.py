@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpss.graded import (Algebra, Generator, Kind, inject_elem,
-                         poincare_series, ps_from_monomials, tensor)
+from fpss.graded import (Algebra, Generator, Kind, PoincareSeries,
+                         inject_elem, poincare_series, tensor)
 
 P = 5
 
@@ -191,6 +191,16 @@ def test_mono_str():
     m = alg.mono(u1=1, t=-3, g=2)
     assert alg.mono_str(m) == "u1*t^-3*g[2]"
     assert alg.mono_str(alg.unit_mono) == "1"
+
+
+def ps_from_monomials(alg, monomials, lo, hi):
+    """The Poincare series of a list of monomials, degrees lo..hi."""
+    counts = {}
+    for m in monomials:
+        d = alg.total(m)
+        if lo <= d <= hi:
+            counts[d] = counts.get(d, 0) + 1
+    return PoincareSeries.from_counts(lo, hi, counts)
 
 
 def test_monomials_by_total():

@@ -1,11 +1,12 @@
+from dataclasses import dataclass
+
 import pytest
 
 from fpss import specseq
-from fpss.graded import Algebra, Generator, Kind
-from fpss.specseq import (DerivationRule, ExplicitPage, FamilyRule, Region,
+from fpss.graded import Algebra, Generator, Kind, Monomial
+from fpss.specseq import (DerivationRule, FamilyRule, Region,
                           VerificationError, _monomial_plan, apply_leibniz,
-                          compare_pages, dump_page, spans_equal, turn_page,
-                          verify_turn, well_definedness_check)
+                          bidegree_table, dump_page, verify_turn)
 
 P = 5
 
@@ -18,13 +19,32 @@ def toy_algebra():
     ))
 
 
-def page_of(alg, monos, label="E2", r=2, provenance="closed-form"):
+@dataclass
+class TablePage:
+    """A page given by an explicit bidegree table."""
+
+    label: str
+    r: int
+    algebra: Algebra
+    table: dict[tuple[int, int], tuple[Monomial, ...]]
+
+    def iter_region(self, region):
+        for (s, t), monos in self.table.items():
+            if region.contains(s, t):
+                yield from monos
+
+
+def page_of(alg, monos, label="E2", r=2):
     table = {}
     for m in monos:
         table.setdefault(alg.bidegree(m), []).append(m)
-    return ExplicitPage(label=label, r=r, algebra=alg,
-                        table={bd: tuple(ms) for bd, ms in table.items()},
-                        provenance=provenance)
+    return TablePage(label, r, alg, {bd: tuple(ms) for bd, ms in table.items()})
+
+
+def certifies(before, rule, monos, region=None):
+    """Whether verify_turn passes the monomials as the next page."""
+    after = page_of(before.algebra, monos, label="E3", r=before.r + 1)
+    return verify_turn(before, rule, after, region or REGION).passed
 
 
 REGION = Region(-20, 40, -30, 30)
@@ -136,7 +156,7 @@ def mutated_turn(case):
     before = times_w() + times_w("x") + times_w("y")
     values = {"x": alg.elem(y=1)}
     after = times_w()
-    region, dd_check = Region(0, 12, -20, 20), True
+    region = Region(0, 12, -20, 20)
     if case == "shared-target":
         before += times_w("z")
         values["z"] = alg.elem(y=1)
@@ -172,10 +192,12 @@ def mutated_turn(case):
         values["y"] = alg.elem(q=1)
         region = Region(0, 12, 0, 20)
     elif case == "hit-not-a-cycle":
-        # without the d after d check, only the hit y*w^k shows it
+        # the region holds y*w^k and q*w^k but not the x*w^k that hit the
+        # y*w^k, so d after d is never tested on x*w^k; only the hit
+        # y*w^k, which is not a cycle, shows it
         before += times_w("q")
         values["y"] = alg.elem(q=1)
-        dd_check = False
+        region = Region(0, 12, -20, -1)
     rule = DerivationRule(2, "d2", values)
     if case == "target-in-another-bidegree":
         # x onto the page monomial w^3, which is not where a d2 of x lands
@@ -184,7 +206,7 @@ def mutated_turn(case):
         before = times_w() + [x]
         after = times_w(ks=(0, 1, 2))
     return (page_of(alg, before), rule, page_of(alg, after, label="E3", r=3),
-            region, dd_check)
+            region)
 
 
 def outcome(turn):
@@ -238,11 +260,11 @@ def test_matching_mutations_take_the_echelon_path(monkeypatch, case):
 
 def test_zero_rule_keeps_page():
     alg = toy_algebra()
-    page = page_of(alg, [alg.mono(w=k) for k in range(5)])
+    monos = [alg.mono(w=k) for k in range(5)]
+    page = page_of(alg, monos)
     rule = FamilyRule(2, "zero", lambda a, m: [])
-    nxt = turn_page(page, rule, REGION)
-    assert {bd: set(ms) for bd, ms in nxt.table.items()} == \
-           {bd: set(ms) for bd, ms in page.table.items()}
+    assert certifies(page, rule, monos)
+    assert not certifies(page, rule, monos[:-1])
 
 
 def test_acyclic_pair_dies():
@@ -251,22 +273,15 @@ def test_acyclic_pair_dies():
     y = alg.mono(y=1)
     page = page_of(alg, [x, y])
     rule = FamilyRule(2, "kill", lambda a, m: [(y, 1)] if m == x else [])
-    nxt = turn_page(page, rule, REGION)
-    assert nxt.table == {}
+    assert certifies(page, rule, [])
+    assert not certifies(page, rule, [y])
 
 
 def test_dd_nonzero_detected():
     alg = Algebra(P, (Generator("w", 0, 1, Kind.POLYNOMIAL),
                       Generator("t", -2, 1, Kind.POLYNOMIAL)))
     page = page_of(alg, [alg.mono(w=k) for k in range(4)])
-
-    def bad(a, m):
-        return [(a.mono_mul(m, a.mono(t=1, w=-1) if False else a.mono(t=1))[0], 1)] \
-            if m[0] >= 0 else []
-
     rule = FamilyRule(2, "bad", lambda a, m: [((m[0], m[1] + 1), 1)])
-    with pytest.raises(VerificationError, match="d after d"):
-        turn_page(page, rule, Region(0, 4, -10, 10))
     with pytest.raises(VerificationError, match="d after d"):
         verify_turn(page, rule, page, Region(0, 4, -10, 10))
 
@@ -276,9 +291,7 @@ def test_rule_leaving_page_detected():
     page = page_of(alg, [alg.mono(x=1)])
     rule = FamilyRule(2, "stray", lambda a, m:
                       [(alg.mono(y=1), 1)] if m == alg.mono(x=1) else [])
-    with pytest.raises(VerificationError, match="outside the page"):
-        turn_page(page, rule, REGION)
-    # verification records the stray value as a mismatch instead
+    # the stray value is a mismatch, not an error
     cmp_ = verify_turn(page, rule, page_of(alg, [], label="E3", r=3), REGION)
     assert not cmp_.passed
     assert "outside the page" in cmp_.mismatches[0].detail
@@ -305,17 +318,31 @@ def test_verify_turn_catches_wrong_form():
     assert not cmp_.passed
 
 
-def test_unit_invariance_of_dimensions():
+def test_unit_invariance_of_dimensions(monkeypatch):
+    # every unit multiple of the rule certifies the same closed form, on
+    # the matching path and on the Echelon path alone
     alg = toy_algebra()
     before = page_of(alg, [alg.mono(w=k) for k in range(6)]
                      + [alg.mono(x=1, w=k) for k in range(6)]
                      + [alg.mono(y=1, w=k) for k in range(6)])
+    survivors = [alg.mono(w=k) for k in range(6)]
     rule = DerivationRule(2, "d2", {"x": alg.elem(y=1)})
-    base = turn_page(before, rule, Region(0, 12, -20, 20))
-    for unit in (2, 3, 4):
-        other = turn_page(before, rule.scaled(unit), Region(0, 12, -20, 20))
-        assert {bd: len(ms) for bd, ms in other.table.items()} == \
-               {bd: len(ms) for bd, ms in base.table.items()}
+    region = Region(0, 12, -20, 20)
+    said = []
+    real = specseq._matching_certifies
+
+    def spy(*args):
+        said.append(real(*args))
+        return said[-1]
+
+    monkeypatch.setattr(specseq, "_matching_certifies", spy)
+    for unit in (1, 2, 3, 4):
+        assert certifies(before, rule.scaled(unit), survivors, region), unit
+    assert said == [True] * 4
+    monkeypatch.setattr(specseq, "_matching_certifies", lambda *args: False)
+    for unit in (1, 2, 3, 4):
+        assert certifies(before, rule.scaled(unit), survivors, region), unit
+        assert not certifies(before, rule.scaled(unit), survivors[1:], region)
 
 
 def test_monotone_dimensions():
@@ -323,57 +350,13 @@ def test_monotone_dimensions():
     before = page_of(alg, [alg.mono(w=k) for k in range(6)]
                      + [alg.mono(x=1, w=k) for k in range(6)]
                      + [alg.mono(y=1, w=k) for k in range(6)])
+    after = page_of(alg, [alg.mono(w=k) for k in range(6)], label="E3", r=3)
     rule = DerivationRule(2, "d2", {"x": alg.elem(y=1)})
-    nxt = turn_page(before, rule, Region(0, 12, -20, 20))
-    for bd, ms in nxt.table.items():
-        assert len(ms) <= len(before.table.get(bd, ()))
-
-
-def test_compare_pages_span_mismatch():
-    alg = toy_algebra()
-    a = page_of(alg, [alg.mono(x=1)], label="A")
-    b = page_of(alg, [alg.mono(x=1)], label="B")
-    assert compare_pages(a, b, REGION).passed
-    c = page_of(alg, [alg.mono(y=1, w=1)], label="C")  # same bidegree? no
-    cmp_ = compare_pages(a, c, REGION)
-    assert not cmp_.passed
-
-
-def test_spans_equal_handles_sums():
-    alg = toy_algebra()
-    a = alg.elem(x=1)
-    b = alg.elem(w=1)  # not same bidegree, but span logic is degree-agnostic
-    assert spans_equal(alg, [b], [b])
-    assert spans_equal(alg, [a, b], [alg.add(a, b), b])
-    assert not spans_equal(alg, [b], [alg.add(a, b)])
-
-
-def test_well_definedness_pass_and_fail():
-    alg = toy_algebra()
-    page = page_of(alg, [alg.mono(w=1)], provenance="computed")
-    page.boundaries = {alg.bidegree(alg.mono(x=1)): [alg.elem(x=1)]}
-    good = FamilyRule(2, "zero", lambda a, m: [])
-    assert well_definedness_check(page, good).passed
-    # a rule constant on a representative and its coset shift also passes
-    shift = FamilyRule(2, "coset", lambda a, m: [])
-    assert well_definedness_check(page, shift).passed
-    # sends the boundary x to a survivor outside any boundary span
-    bad = FamilyRule(2, "bad", lambda a, m:
-                     [(alg.mono(y=1), 1)] if m == alg.mono(x=1) else [])
-    res = well_definedness_check(page, bad)
-    assert not res.passed
-    assert "x" in res.mismatches[0].detail
-
-
-def test_region_shrink_only_for_computed_pages():
-    alg = toy_algebra()
-    closed = page_of(alg, [alg.mono(w=1)])
-    rule = FamilyRule(2, "zero", lambda a, m: [])
-    region = Region(0, 10, -10, 10)
-    nxt = turn_page(closed, rule, region)
-    assert nxt.region == region  # closed forms are exact everywhere
-    nxt2 = turn_page(nxt, rule, region)
-    assert nxt2.region == region.shrink(2)
+    region = Region(0, 12, -20, 20)
+    assert verify_turn(before, rule, after, region).passed
+    dims = bidegree_table(before, region)
+    for bd, ms in bidegree_table(after, region).items():
+        assert len(ms) <= len(dims.get(bd, ()))
 
 
 def test_dump_format():
@@ -398,9 +381,13 @@ def test_divided_power_core_survivors():
     monos = [alg.mono(g=j) for j in range(16)] + \
             [alg.mono(sx=1, g=j) for j in range(16)]
     page = page_of(alg, monos, r=P - 1)
-    nxt = turn_page(page, rule, Region(0, 20, 0, 25))
-    survivors = sorted(alg.mono_str(m) for ms in nxt.table.values() for m in ms)
-    assert survivors == ["1", "g[1]", "g[2]", "g[3]", "g[4]"]
+    region = Region(0, 20, 0, 25)
+    survivors = [alg.mono(g=j) for j in range(P)]
+    assert [alg.mono_str(m) for m in survivors] == \
+        ["1", "g[1]", "g[2]", "g[3]", "g[4]"]
+    assert certifies(page, rule, survivors, region)
+    assert not certifies(page, rule, survivors[:-1], region)
+    assert not certifies(page, rule, survivors + [alg.mono(g=P)], region)
 
 
 from hypothesis import given, settings

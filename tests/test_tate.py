@@ -3,12 +3,12 @@ from dataclasses import replace
 
 import pytest
 
+from fpss import specseq
 from fpss.numerics import rho, vp
 from fpss.specseq import (DerivationRule, Region, VerificationError,
                           _echelon_mismatches, _matching_certifies,
                           _monomial_plan, _turn_tables, _TurnValues,
-                          apply_leibniz, bidegree_table, turn_page,
-                          verify_turn, well_definedness_check)
+                          apply_leibniz, bidegree_table, verify_turn)
 import fpss.thh.tate as tate
 from fpss.thh.circle import comparison_region, s1_einf, s1_limits
 from fpss.thh.tate import (BOTH, IE1, IL, IM, IT, IU, PLAIN, TOWERS, SSInstance,
@@ -108,31 +108,28 @@ def test_pages_never_grow():
         assert all(v >= 0 for v in dims_b.values())
 
 
-def test_dd_zero_and_unit_invariance():
+def test_dd_zero_and_unit_invariance(monkeypatch):
+    # d after d vanishes (verify_turn checks it) and every unit multiple of
+    # the rule certifies the same closed form, on the matching path and on
+    # the Echelon path alone
     inst = tower_instance(P, 1, "tate")
     region = Region(-10, 30, -300, 34)
     st = inst.stages[1]
-    base = turn_page(st.before, st.rule, region)
-    for unit in (2, 3):
-        scaled = turn_page(st.before, st.rule.scaled(unit), region)
-        assert {bd: len(v) for bd, v in scaled.table.items()} == \
-            {bd: len(v) for bd, v in base.table.items()}
+    said = []
 
+    def spy(*args):
+        said.append(_matching_certifies(*args))
+        return said[-1]
 
-def test_propagation_mode_matches_verification():
-    # carry representatives forward through the first two differentials and
-    # compare with the closed form, gating each step
-    inst = tower_instance(P, 1, "tate")
-    region = Region(-10, 24, -200, 30)
-    page = turn_page(inst.stages[0].before, inst.stages[0].rule, region)
-    gate = well_definedness_check(page, inst.stages[1].rule)
-    assert gate.passed
-    page2 = turn_page(page, inst.stages[1].rule, region, dd_check=True)
-    shrunk = page2.region
-    closed = inst.stages[1].after
-    for (s, t), monos in page2.table.items():
-        if shrunk.contains(s, t):
-            assert set(monos) == set(closed.basis_at(s, t))
+    monkeypatch.setattr(specseq, "_matching_certifies", spy)
+    for unit in (1, 2, 3):
+        cmp_ = verify_turn(st.before, st.rule.scaled(unit), st.after, region)
+        assert cmp_.passed and cmp_.bidegrees_checked, unit
+    assert said == [True] * 3
+    monkeypatch.setattr(specseq, "_matching_certifies", lambda *args: False)
+    for unit in (1, 2, 3):
+        cmp_ = verify_turn(st.before, st.rule.scaled(unit), st.after, region)
+        assert cmp_.passed and cmp_.bidegrees_checked, unit
 
 
 def test_relabeling_agreement():
@@ -249,7 +246,7 @@ def test_matching_agrees_with_echelon(p, lo, hi, n, conv):
         values = _TurnValues(st.rule)
         bases, closed, bds = _turn_tables(st.before, st.rule, st.after, region)
         assert bds
-        args = (inst.algebra, values, bases, closed, bds, st.rule.r, True)
+        args = (inst.algebra, values, bases, closed, bds, st.rule.r)
         assert _matching_certifies(*args), st.rule.name
         assert _echelon_mismatches(*args) == [], st.rule.name
 
