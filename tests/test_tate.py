@@ -121,15 +121,13 @@ def test_dd_zero_and_unit_invariance(monkeypatch):
         said.append(_matching_certifies(*args))
         return said[-1]
 
-    monkeypatch.setattr(specseq, "_matching_certifies", spy)
-    for unit in (1, 2, 3):
-        cmp_ = verify_turn(st.before, st.rule.scaled(unit), st.after, region)
-        assert cmp_.passed and cmp_.bidegrees_checked, unit
+    for certificate in (spy, lambda *args: False):
+        monkeypatch.setattr(specseq, "_matching_certifies", certificate)
+        for unit in (1, 2, 3):
+            cmp_ = verify_turn(st.before, st.rule.scaled(unit), st.after,
+                               region)
+            assert cmp_.passed and cmp_.bidegrees_checked, unit
     assert said == [True] * 3
-    monkeypatch.setattr(specseq, "_matching_certifies", lambda *args: False)
-    for unit in (1, 2, 3):
-        cmp_ = verify_turn(st.before, st.rule.scaled(unit), st.after, region)
-        assert cmp_.passed and cmp_.bidegrees_checked, unit
 
 
 def test_relabeling_agreement():
