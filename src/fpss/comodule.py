@@ -9,7 +9,7 @@ The dual Steenrod algebra is presented on the conjugated generators bxi_k
 Coactions of the topological Hochschild homology rings and of the smash
 factor E(tau0, tau1) are multiplicative extensions of per-generator tables.
 The suspended-class values are fixed input data; everything verified here
-(counitality, coassociativity, primitivity) is recomputed algebraically.
+(counitality, primitivity) is recomputed algebraically.
 """
 from __future__ import annotations
 
@@ -171,34 +171,15 @@ def is_primitive(table: CoactionTable, x: Element) -> bool:
     return coaction(table, x) == table.include(x)
 
 
-def counit_left(table_or_pair, y: Element) -> Element:
+def counit_left(table: CoactionTable, y: Element) -> Element:
     """Apply (augmentation (x) id) to an element of A (x) target."""
-    if isinstance(table_or_pair, CoactionTable):
-        astar, target, tens = table_or_pair.astar, table_or_pair.target, table_or_pair.tens
-    else:
-        astar, target, tens = table_or_pair
-    na = len(astar.gens)
+    na = len(table.astar.gens)
     out: Element = {}
     for m, c in y.items():
         if any(m[:na]):
             continue
         tm = m[na:]
-        out[tm] = (out.get(tm, 0) + c) % tens.p
-    return out
-
-
-def coproduct(astar: Algebra, x: Element) -> Element:
-    """Coproduct of an element, as an element of A (x) A (multiplicative
-    extension of the generator formulas)."""
-    values = coproduct_values(astar)
-    tens2, _ = tensor(astar.p, astar, astar, tags=("L.", "R."))
-    out: Element = {}
-    for mono, c in x.items():
-        term: Element = {tens2.unit_mono: 1}
-        for g, e in zip(astar.gens, mono):
-            for _ in range(e):
-                term = tens2.mul(term, values[g.name])
-        out = tens2.add(out, tens2.scale(term, c))
+        out[tm] = (out.get(tm, 0) + c) % table.tens.p
     return out
 
 
@@ -231,11 +212,10 @@ def thh_homology_algebra(p: int, ring: RingId) -> Algebra:
     return Algebra(p, tuple(gens))
 
 
-def thh_coaction_table(p: int, ring: RingId, cap: int | None = None) -> CoactionTable:
+def thh_coaction_table(p: int, ring: RingId) -> CoactionTable:
     """Coaction on the THH homology: ring generators coact by the restricted
     coproduct, suspended classes by their fixed table values."""
-    cap = cap or 4 * p * p
-    astar = astar_algebra(p, cap)
+    astar = astar_algebra(p, 4 * p * p)
     target = thh_homology_algebra(p, ring)
     psi = coproduct_values(astar)
     na = len(astar.gens)
@@ -307,15 +287,14 @@ def v1_raw_coaction(p: int, astar: Algebra, target: Algebra
 @lru_cache(maxsize=None)
 def v1_smash_thh_table(p: int, ring: RingId) -> CoactionTable:
     """Diagonal coaction on E(tau0,tau1) (x) H(THH(ring))."""
-    cap = 4 * p * p
-    astar = astar_algebra(p, cap)
+    astar = astar_algebra(p, 4 * p * p)
     v1 = v1_homology_algebra(p)
     thh = thh_homology_algebra(p, ring)
     combined, (iv, it) = tensor(p, v1, thh)
     raw: dict[str, list[tuple[Element, Element]]] = {}
     for name, pairs in v1_raw_coaction(p, astar, v1).items():
         raw[name] = [(a, inject_elem(iv, t)) for a, t in pairs]
-    thh_table = thh_coaction_table(p, ring, cap)
+    thh_table = thh_coaction_table(p, ring)
     na = len(astar.gens)
     for g in thh.gens:
         pairs = []

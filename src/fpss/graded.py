@@ -121,9 +121,6 @@ class Algebra:
     def sdeg(self, m: Monomial) -> int:
         return sum(map(mul, self.s_weights, m))
 
-    def tdeg(self, m: Monomial) -> int:
-        return sum(map(mul, self.t_weights, m))
-
     def total(self, m: Monomial) -> int:
         return sum(map(mul, self.total_weights, m))
 
@@ -215,12 +212,6 @@ class Algebra:
                     out[m] = v
                 else:
                     out.pop(m, None)
-        return out
-
-    def power(self, a: Element, n: int) -> Element:
-        out = self.unit()
-        for _ in range(n):
-            out = self.mul(out, a)
         return out
 
     # -- bases ----------------------------------------------------------

@@ -314,11 +314,6 @@ class PageComparison:
     def passed(self) -> bool:
         return not self.mismatches
 
-    def summary(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        extra = "" if self.passed else f", {len(self.mismatches)} mismatches"
-        return f"{status} {self.label} ({self.bidegrees_checked} bidegrees{extra})"
-
 
 def _columns_for(rule: DiffRule, alg: Algebra, src: tuple[Monomial, ...],
                  dst: tuple[Monomial, ...], where: str) -> list[dict[int, int]]:

@@ -15,10 +15,12 @@ The two towers are one description: everything else that tells them apart
 is the convention's row of TOWERS.
 
 Differentials are the initial suspension rule d(eps0 mu0^(i-1)) = t mu0^i
-followed, for each k up to the tower height n, by an odd family moving
-eps1b classes, an even family moving powers of the free class into lambda2
-multiples, and one final odd-length family consuming u.  All units are
-fixed to 1; every verified statement is unit-invariant.
+and then one row of rule_rows per family: for each k up to the tower height
+n, an odd family moving eps1b classes and an even family moving powers of
+the free class into lambda2 multiples, then a final odd-length family
+consuming u.  A row is an exterior slot, a predicate on the free exponent,
+a tmu2 increment and a free-exponent shift; family_rule makes it a rule.  All
+units are fixed to 1; every verified statement is unit-invariant.
 
 The suspension turn is certified by factorization, not monomial by
 monomial: its page is one summand A (x) M, A the passive classes (u,
@@ -35,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from ..graded import Algebra, Generator, Kind, Monomial
 from ..numerics import rho, vp
@@ -89,6 +91,9 @@ def _pred_ok(pred: Pred, p: int, x: int) -> bool:
     if kind == "res":
         # x = -i mod p^2 with 0 < i < p
         return 0 < (-x) % (p * p) < p
+    if kind == "ceil_unit":
+        # p does not divide ceil(x / p): x mod p^2 is not 0, -1, ..., -(p-1)
+        return 0 < x % (p * p) <= p * p - p
     raise ValueError(f"unknown predicate {pred}")
 
 
@@ -101,7 +106,11 @@ def _pred_classes(pred: Pred, p: int) -> tuple[int, tuple[int, ...]]:
         return p ** pred[1], (0,)
     if kind == "res":
         return p * p, tuple(-i % (p * p) for i in range(1, p))
-    return 1, (0,)
+    if kind == "ceil_unit":
+        return p * p, tuple(range(1, p * p - p + 1))
+    if kind == "any":
+        return 1, (0,)
+    raise ValueError(f"no residue classes for predicate {pred}")
 
 
 def _step_classes(p: int, pred: Pred, D: int
@@ -111,8 +120,8 @@ def _step_classes(p: int, pred: Pred, D: int
     an allowed residue class; None for a zero predicate.
 
     D is a unit modulo M, so each allowed residue pins k to one class.  The
-    classes are exact for any, vp_ge and res; only a vp_eq step still needs
-    _pred_ok."""
+    classes are exact for any, vp_ge, res and ceil_unit; only a vp_eq step
+    still needs _pred_ok."""
     if pred[0] == "zero":
         return None
     M, residues = _pred_classes(pred, p)
@@ -161,6 +170,10 @@ class Tower:
     # (p, lo, c) -> lowest column of a class in total degree >= lo with
     # tmu2 power < c, with slack: the base of every trust region
     s_floor: Callable[[int, int, int], int]
+
+    def bound(self, p: int, v: int) -> int:
+        """The exclusive tmu2 bound of the blocks of valuation v."""
+        return rho(p, v + self.rho_shift)
 
 
 TOWERS = {
@@ -331,9 +344,9 @@ def tower_blocks(conv: str, p: int, u: tuple[int, ...], b_hi: int, c_hi: int,
     tw = TOWERS[conv]
     k_lo = tw.first_block if settled else 1
     out = [tw.head(p, u)] if settled else []
-    out += [Summand(u, BOTH, PLAIN, rho(p, 2 * k - 2 + tw.rho_shift),
+    out += [Summand(u, BOTH, PLAIN, tw.bound(p, 2 * k - 2),
                     ("vp_eq", 2 * k - 2)) for k in range(k_lo, b_hi + 1)]
-    out += [Summand(u, (1,), PLAIN_E, rho(p, 2 * k - 1 + tw.rho_shift),
+    out += [Summand(u, (1,), PLAIN_E, tw.bound(p, 2 * k - 1),
                     ("vp_eq", 2 * k - 1)) for k in range(k_lo, c_hi + 1)]
     return out
 
@@ -351,8 +364,7 @@ def tower_form(p: int, n: int, conv: str, stage: str, k: int = 0) -> TateForm:
                             settled=i >= 2 * tw.first_block - 2)
         if stage == "Einf":
             sums.append(Summand((0,), BOTH, PLAIN_E,
-                                rho(p, 2 * n - 1 + tw.rho_shift) + 1,
-                                ("vp_ge", 2 * n)))
+                                tw.bound(p, 2 * n - 1) + 1, ("vp_ge", 2 * n)))
             r = 2 * rho(p, 2 * n) + 2
         else:
             sums.append(Summand(BOTH, BOTH, PLAIN_E, None, ("vp_ge", i)))
@@ -373,83 +385,57 @@ def d2_rule(p: int, n: int) -> DerivationRule:
     return DerivationRule(2, "d2", {"eps0": alg.elem(t=1, mu0=1)})
 
 
-def _shift(tw: Tower, inc: int, x: int) -> tuple[int, int]:
-    """Change of the (t, mu2) exponents that raises the tmu2 power by inc
-    and the free exponent by sign * x."""
-    return inc + tw.sign * x * tw.free[0], inc + tw.sign * x * tw.free[1]
+class RuleRow(NamedTuple):
+    """One tower differential after d2, the family (odd, even or final) of
+    index k.  A source has exponent src in the exterior slot, no eps0 or mu0
+    factor, and a free exponent that pred accepts; its value flips the slot,
+    raises the tmu2 power by inc and moves the free exponent by shift."""
+
+    family: str
+    k: int
+    slot: int
+    src: int
+    pred: Pred
+    inc: int        # the c_hi of the summand the family lands in
+    shift: int
+    r: int
 
 
-# The rules below test the free exponent sign * (t exp - mu2 exp) only by
-# zero and valuation, so they test t exp - mu2 exp directly.
-
-
-def odd_rule(p: int, k: int, conv: str) -> FamilyRule:
-    """eps1b classes onto the block B_k."""
+def rule_rows(p: int, n: int, conv: str) -> list[RuleRow]:
+    """The rows in order: for each k up to n, eps1b classes onto the block
+    B_k, then powers of the free class onto lambda2 multiples in C_k (below
+    the first block, Tate k = 1, a derivation in t^p over the residue
+    classes t^(-i), 0 <= i < p); last, u classes onto the top of Einf."""
     tw = TOWERS[conv]
-    x = p ** (2 * k) - p ** (2 * k - 1)
-    dj, dm = _shift(tw, rho(p, 2 * k - 2 + tw.rho_shift), x)
-    v = 2 * k - 2
+    rows = []
+    for k in range(1, n + 1):
+        x = p ** (2 * k)
+        even = ("ceil_unit",) if k < tw.first_block else ("vp_eq", 2 * k - 1)
+        rows += [RuleRow("odd", k, IE1, 1, ("vp_eq", 2 * k - 2),
+                         tw.bound(p, 2 * k - 2), tw.sign * (x - x // p),
+                         2 * rho(p, 2 * k - 1)),
+                 RuleRow("even", k, IL, 0, even, tw.bound(p, 2 * k - 1),
+                         tw.sign * x, 2 * rho(p, 2 * k))]
+    return rows + [RuleRow("final", n, IU, 1, ("vp_ge", 2 * n),
+                           tw.bound(p, 2 * n - 1) + 1, tw.sign * p ** (2 * n),
+                           2 * rho(p, 2 * n) + 1)]
+
+
+def family_rule(p: int, conv: str, row: RuleRow) -> FamilyRule:
+    """The rule of one row: its guard, then one constant exponent shift."""
+    tw = TOWERS[conv]
+    slot, src, pred, sign = row.slot, row.src, row.pred, tw.sign
+    du, dl, de = (1 - 2 * src if slot == i else 0 for i in (IU, IL, IE1))
+    dt, dm = (row.inc + f * row.shift for f in tw.free)
 
     def fn(alg: Algebra, m: Monomial):
         a, J, b, M, d0, i0, e = m
-        if e != 1 or d0 or i0:
+        if m[slot] != src or d0 or i0 or \
+                not _pred_ok(pred, p, sign * (J - M)):
             return []
-        j = J - M + x
-        if j == 0 or vp(p, j) != v:
-            return []
-        return [((a, J + dj, b, M + dm, 0, 0, 0), 1)]
+        return [((a + du, J + dt, b + dl, M + dm, 0, 0, e + de), 1)]
 
-    return FamilyRule(2 * rho(p, 2 * k - 1), f"{conv}-odd:{k}", fn)
-
-
-def even_rule(p: int, k: int, conv: str) -> FamilyRule:
-    """Powers of the free class onto lambda2 multiples in the block C_k."""
-    tw = TOWERS[conv]
-    dj, dm = _shift(tw, rho(p, 2 * k - 1 + tw.rho_shift), p ** (2 * k))
-    v, sign = 2 * k - 1, tw.sign
-
-    if k < tw.first_block:
-        # below the first block (Tate, k = 1): a derivation in t^p over the
-        # residue classes t^(-i), 0 <= i < p
-        def fn(alg: Algebra, m: Monomial):
-            a, J, b, M, d0, i0, e = m
-            if b or d0 or i0:
-                return []
-            q, rem = divmod(sign * (J - M), p)
-            if rem:
-                q += 1
-            if q % p == 0:
-                return []
-            return [((a, J + dj, 1, M + dm, 0, 0, e), 1)]
-    else:
-        def fn(alg: Algebra, m: Monomial):
-            a, J, b, M, d0, i0, e = m
-            if b or d0 or i0:
-                return []
-            j = J - M
-            if j == 0 or vp(p, j) != v:
-                return []
-            return [((a, J + dj, 1, M + dm, 0, 0, e), 1)]
-
-    return FamilyRule(2 * rho(p, 2 * k), f"{conv}-even:{k}", fn)
-
-
-def final_rule(p: int, n: int, conv: str) -> FamilyRule:
-    """The u classes onto the truncated top of the tower."""
-    tw = TOWERS[conv]
-    dj, dm = _shift(tw, rho(p, 2 * n - 1 + tw.rho_shift) + 1, p ** (2 * n))
-    v = 2 * n
-
-    def fn(alg: Algebra, m: Monomial):
-        a, J, b, M, d0, i0, e = m
-        if a != 1 or d0 or i0:
-            return []
-        j = J - M
-        if j != 0 and vp(p, j) < v:
-            return []
-        return [((0, J + dj, b, M + dm, 0, 0, e), 1)]
-
-    return FamilyRule(2 * rho(p, 2 * n) + 1, f"{conv}-final:{n}", fn)
+    return FamilyRule(row.r, f"{conv}-{row.family}:{row.k}", fn)
 
 
 # -- instances ------------------------------------------------------------
@@ -471,11 +457,6 @@ class SSInstance:
     algebra: Algebra
     stages: tuple[Stage, ...]
 
-    def forms(self) -> list[TateForm]:
-        out = [self.stages[0].before]
-        out.extend(st.after for st in self.stages)
-        return out
-
     def form_at(self, r) -> TateForm:
         if r == "inf":
             return self.stages[-1].after
@@ -493,18 +474,13 @@ class SSInstance:
 @lru_cache(maxsize=None)
 def tower_instance(p: int, n: int, conv: str) -> SSInstance:
     """The height n tower of one convention, stage by stage."""
-    def form(stage: str, k: int = 0) -> TateForm:
-        return tower_form(p, n, conv, stage, k)
-
-    stages = [Stage(2, d2_rule(p, n), form("E2"), form("E3"))]
-
-    def turn(rule: FamilyRule, after: TateForm) -> None:
-        stages.append(Stage(rule.r, rule, stages[-1].after, after))
-
-    for k in range(1, n + 1):
-        turn(odd_rule(p, k, conv), form("odd", k))
-        turn(even_rule(p, k, conv), form("even", k))
-    turn(final_rule(p, n, conv), form("Einf"))
+    stages = [Stage(2, d2_rule(p, n), tower_form(p, n, conv, "E2"),
+                    tower_form(p, n, conv, "E3"))]
+    for row in rule_rows(p, n, conv):
+        rule = family_rule(p, conv, row)
+        stage = "Einf" if row.family == "final" else row.family
+        stages.append(Stage(rule.r, rule, stages[-1].after,
+                            tower_form(p, n, conv, stage, row.k)))
     return SSInstance(f"{conv}:cp:{n}", p, n, tate_ambient(p, n),
                       tuple(stages))
 
@@ -513,7 +489,7 @@ def instance_region(p: int, n: int, lo: int, hi: int, conv: str) -> Region:
     """Column range wide enough to exercise every family in the window."""
     tw = TOWERS[conv]
     base_c = (hi - lo) // (2 * p * p - 2) + 5
-    inc = rho(p, 2 * n - 1 + tw.rho_shift) + 1
+    inc = tw.bound(p, 2 * n - 1) + 1
     return Region(lo, hi, tw.s_floor(p, lo, base_c + inc + 4), hi + 4)
 
 
@@ -620,34 +596,3 @@ def run_instance(inst: SSInstance, lo: int, hi: int,
             or verify_turn(st.before, st.rule, st.after, region)
             for st in inst.stages]
 
-
-def relabeling_agreement(p: int, n: int, lo: int, hi: int
-                         ) -> tuple[bool, list[str]]:
-    """Pages before the final odd differential agree for towers of heights
-    n and n+1, up to renaming the column class."""
-    inst_a = tower_instance(p, n, "tate")
-    inst_b = tower_instance(p, n + 1, "tate")
-    bound = 2 * rho(p, 2 * n) + 1
-    region = instance_region(p, n, lo, hi, "tate")
-    forms_a = [f for f in inst_a.forms() if f.r <= bound]
-    forms_b = [f for f in inst_b.forms() if f.r <= bound]
-    problems: list[str] = []
-    if len(forms_a) != len(forms_b):
-        problems.append(f"page counts differ: {len(forms_a)} vs {len(forms_b)}")
-        return False, problems
-    for fa, fb in zip(forms_a, forms_b):
-        da: dict[tuple[int, int], int] = {}
-        for m in fa.iter_region(region):
-            bd = fa.algebra.bidegree(m)
-            da[bd] = da.get(bd, 0) + 1
-        db: dict[tuple[int, int], int] = {}
-        for m in fb.iter_region(region):
-            bd = fb.algebra.bidegree(m)
-            db[bd] = db.get(bd, 0) + 1
-        if da != db:
-            bad = next(bd for bd in sorted(set(da) | set(db))
-                       if da.get(bd, 0) != db.get(bd, 0))
-            problems.append(
-                f"{fa.label} vs {fb.label}: dims differ at (s={bad[0]}, "
-                f"t={bad[1]})")
-    return not problems, problems

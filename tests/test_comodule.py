@@ -1,12 +1,27 @@
 import pytest
 
-from fpss.comodule import (RingId, astar_algebra, coaction, coproduct,
-                           coproduct_values, counit_left, eq_classes,
-                           is_primitive, primitive_lift_coefficients,
-                           smash_class, thh_coaction_table,
-                           v1_smash_thh_table)
+from fpss.comodule import (RingId, astar_algebra, coaction, coproduct_values,
+                           counit_left, eq_classes, is_primitive,
+                           primitive_lift_coefficients, smash_class,
+                           thh_coaction_table, v1_smash_thh_table)
+from fpss.graded import tensor
 
 P = 5
+
+
+def coproduct(astar, x):
+    """Coproduct of an element, as an element of A (x) A (multiplicative
+    extension of the generator formulas)."""
+    values = coproduct_values(astar)
+    tens2, _ = tensor(astar.p, astar, astar, tags=("L.", "R."))
+    out = {}
+    for mono, c in x.items():
+        term = {tens2.unit_mono: 1}
+        for g, e in zip(astar.gens, mono):
+            for _ in range(e):
+                term = tens2.mul(term, values[g.name])
+        out = tens2.add(out, tens2.scale(term, c))
+    return out
 
 
 def test_coproduct_of_bxi1_and_unit():
@@ -25,7 +40,6 @@ def test_coproduct_of_product_matches_product_of_coproducts():
     m = astar.mono(btau0=1, btau1=1)
     lhs = coproduct(astar, {m: 1})
     # independent expansion: multiply the generator coproducts directly
-    from fpss.graded import tensor
     tens2, _ = tensor(P, astar, astar, tags=("L.", "R."))
     vals = coproduct_values(astar)
     rhs = tens2.mul(vals["btau0"], vals["btau1"])

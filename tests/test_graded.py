@@ -81,7 +81,7 @@ def test_degree_additivity():
     assert r is not None
     m, _ = r
     assert alg.bidegree(m) == (alg.sdeg(m1) + alg.sdeg(m2),
-                               alg.tdeg(m1) + alg.tdeg(m2))
+                               alg.bidegree(m1)[1] + alg.bidegree(m2)[1])
 
 
 gen_pool = [

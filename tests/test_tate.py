@@ -1,23 +1,50 @@
 import time
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
 from fpss import specseq
 from fpss.numerics import rho, vp
-from fpss.specseq import (DerivationRule, Region, VerificationError,
-                          _echelon_mismatches, _matching_certifies,
-                          _monomial_plan, _turn_tables, _TurnValues,
-                          apply_leibniz, bidegree_table, verify_turn)
+from fpss.specseq import (DerivationRule, FamilyRule, Region,
+                          VerificationError, _echelon_mismatches,
+                          _matching_certifies, _monomial_plan, _turn_tables,
+                          _TurnValues, apply_leibniz, bidegree_table,
+                          verify_turn)
 import fpss.thh.tate as tate
 from fpss.thh.circle import comparison_region, s1_einf, s1_limits
 from fpss.thh.tate import (BOTH, IE1, IL, IM, IT, IU, PLAIN, TOWERS, SSInstance,
-                           Summand, TateForm, _factorization_certifies,
-                           _pred_ok, instance_region, module_triples,
-                           relabeling_agreement, run_instance, tower_form,
-                           tower_instance)
+                           Summand, TateForm, _allowed_steps,
+                           _factorization_certifies, _pred_classes, _pred_ok,
+                           _step_classes, instance_region, module_triples,
+                           run_instance, tower_form, tower_instance)
 
 P = 5
+
+
+def instance_forms(inst):
+    """Every page of an instance, E2 first."""
+    return [inst.stages[0].before] + [st.after for st in inst.stages]
+
+
+def relabeling_agreement(p, n, lo, hi):
+    """Pages before the final odd differential agree for Tate towers of
+    heights n and n+1, up to renaming the column class."""
+    bound = 2 * rho(p, 2 * n) + 1
+    region = instance_region(p, n, lo, hi, "tate")
+    forms_a, forms_b = ([f for f in instance_forms(tower_instance(p, h, "tate"))
+                         if f.r <= bound] for h in (n, n + 1))
+    if len(forms_a) != len(forms_b):
+        return False, [f"page counts differ: {len(forms_a)} vs {len(forms_b)}"]
+    problems = []
+    for fa, fb in zip(forms_a, forms_b):
+        da, db = (Counter(f.algebra.bidegree(m) for m in f.iter_region(region))
+                  for f in (fa, fb))
+        if da != db:
+            bad = min(bd for bd in da | db if da[bd] != db[bd])
+            problems.append(f"{fa.label} vs {fb.label}: dims differ at "
+                            f"(s={bad[0]}, t={bad[1]})")
+    return not problems, problems
 
 
 def test_module_generator_count():
@@ -96,7 +123,7 @@ def test_cpn_einf_block_example():
 def test_pages_never_grow():
     inst = tower_instance(P, 1, "tate")
     region = instance_region(P, 1, -20, 40, "tate")
-    forms = inst.forms()
+    forms = instance_forms(inst)
     for before, after in zip(forms, forms[1:]):
         dims_b = {}
         for m in before.iter_region(region):
@@ -363,7 +390,7 @@ def _oracle_regions(p, n, conv):
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("p", [5, 7])
 def test_iter_region_matches_scan(p, n, conv):
-    forms = tower_instance(p, n, conv).forms()
+    forms = instance_forms(tower_instance(p, n, conv))
     forms += [s1_einf(p, kmax, conv) for kmax in (2, 3, 4)]
     for form in forms:
         for region in _oracle_regions(p, n, conv):
@@ -560,3 +587,116 @@ def test_factorization_mutants_take_verify_turn(name):
     mutant = SSInstance("mutant", P, 1, inst.algebra, (st,))
     want = _outcome(verify_turn, st.before, st.rule, st.after, region)
     assert _outcome(lambda: run_instance(mutant, -20, 60, region)[0]) == want
+
+
+# -- the rule table against the closures it replaced ----------------------
+
+
+def _old_shift(tw, inc, x):
+    return inc + tw.sign * x * tw.free[0], inc + tw.sign * x * tw.free[1]
+
+
+def _old_odd_rule(p, k, conv):
+    tw = TOWERS[conv]
+    x = p ** (2 * k) - p ** (2 * k - 1)
+    dj, dm = _old_shift(tw, rho(p, 2 * k - 2 + tw.rho_shift), x)
+
+    def fn(alg, m):
+        a, J, b, M, d0, i0, e = m
+        if e != 1 or d0 or i0:
+            return []
+        j = J - M + x
+        if j == 0 or vp(p, j) != 2 * k - 2:
+            return []
+        return [((a, J + dj, b, M + dm, 0, 0, 0), 1)]
+
+    return FamilyRule(2 * rho(p, 2 * k - 1), f"{conv}-odd:{k}", fn)
+
+
+def _old_even_rule(p, k, conv):
+    tw = TOWERS[conv]
+    dj, dm = _old_shift(tw, rho(p, 2 * k - 1 + tw.rho_shift), p ** (2 * k))
+
+    def fn(alg, m):
+        a, J, b, M, d0, i0, e = m
+        if b or d0 or i0:
+            return []
+        if k < tw.first_block:
+            q, rem = divmod(tw.sign * (J - M), p)
+            if (q + (1 if rem else 0)) % p == 0:
+                return []
+        elif J == M or vp(p, J - M) != 2 * k - 1:
+            return []
+        return [((a, J + dj, 1, M + dm, 0, 0, e), 1)]
+
+    return FamilyRule(2 * rho(p, 2 * k), f"{conv}-even:{k}", fn)
+
+
+def _old_final_rule(p, n, conv):
+    tw = TOWERS[conv]
+    dj, dm = _old_shift(tw, rho(p, 2 * n - 1 + tw.rho_shift) + 1, p ** (2 * n))
+
+    def fn(alg, m):
+        a, J, b, M, d0, i0, e = m
+        if a != 1 or d0 or i0:
+            return []
+        if J != M and vp(p, J - M) < 2 * n:
+            return []
+        return [((0, J + dj, b, M + dm, 0, 0, e), 1)]
+
+    return FamilyRule(2 * rho(p, 2 * n) + 1, f"{conv}-final:{n}", fn)
+
+
+@pytest.mark.parametrize("conv", ["tate", "hofix"])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("p", [5, 7])
+def test_rule_table_matches_closures(p, n, conv):
+    # every rule after d2 has the name, length and values of the closure it
+    # replaced, on every monomial of its widened page
+    inst = tower_instance(p, n, conv)
+    alg = inst.algebra
+    old = [rule for k in range(1, n + 1) for rule in
+           (_old_odd_rule(p, k, conv), _old_even_rule(p, k, conv))]
+    old.append(_old_final_rule(p, n, conv))
+    assert len(inst.stages) == len(old) + 1
+    for st, want in zip(inst.stages[1:], old):
+        assert (st.rule.name, st.rule.r) == (want.name, want.r)
+        region = instance_region(p, n, -20, 60, conv).widen(st.rule.r)
+        fired = 0
+        for m in st.before.iter_region(region):
+            got = st.rule.apply(alg, m)
+            assert got == want.apply(alg, m), (want.name, alg.mono_str(m))
+            fired += bool(got)
+        assert fired, want.name
+
+
+PREDS = [("any",), ("zero",), ("res",), ("ceil_unit",), ("vp_eq", 0),
+         ("vp_eq", 1), ("vp_eq", 2), ("vp_ge", 0), ("vp_ge", 1),
+         ("vp_ge", 2)]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_residue_steps_match_pred_ok(p):
+    # the steps iter_region and monomials_at_total take are exactly those
+    # _pred_ok accepts, and for vp_eq a superset, ascending
+    for pred in PREDS:
+        for D in (1, -1, p * p - 1, 1 - p * p):
+            classes = _step_classes(p, pred, D)
+            for free0 in (-2 * p ** 3 - 1, -p * p, -1, 0, 1, p, 7 * p ** 3):
+                k_lo, k_hi = -p ** 3, 2 * p ** 3
+                got = list(_allowed_steps(classes, free0, D, k_lo, k_hi))
+                want = [k for k in range(k_lo, k_hi)
+                        if _pred_ok(pred, p, free0 + D * k)]
+                assert got == sorted(set(got)), (pred, D, free0)
+                if pred[0] == "vp_eq":
+                    assert set(want) <= set(got), (pred, D, free0)
+                else:
+                    assert got == want, (pred, D, free0)
+
+
+def test_pred_classes_reject_unknown_kinds():
+    for pred in (("zero",), ("bogus",), ("vp_le", 1)):
+        with pytest.raises(ValueError):
+            _pred_classes(pred, P)
+    with pytest.raises(ValueError):
+        _pred_ok(("bogus",), P, 1)
