@@ -6,6 +6,13 @@ dense exponent tuples aligned with the generator list; elements are maps
 from monomials to nonzero scalars.  The canonical monomial order (total
 degree, then exponent tuple) is fixed once so that every basis listed
 downstream is deterministic.
+
+Each algebra compiles its generator kinds into slot tables once: the
+exponent bound of each exterior or truncated slot (caps), the slots with
+lower bound 0 (nonneg: all but Laurent), the odd slots in descending order
+(odd_slots) and the divided slots (divided_slots).  Per-monomial work
+(valid_mono, mono_mul, the Leibniz sign in specseq) reads these tables,
+never a generator's kind.
 """
 from __future__ import annotations
 
@@ -74,6 +81,14 @@ class Algebra:
     t_weights: tuple[int, ...] = field(init=False, repr=False, compare=False)
     total_weights: tuple[int, ...] = field(init=False, repr=False,
                                            compare=False)
+    # the slot tables of the module docstring, and each generator's slot
+    caps: tuple[tuple[int, int], ...] = field(init=False, repr=False,
+                                              compare=False)
+    nonneg: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    odd_slots: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    divided_slots: tuple[int, ...] = field(init=False, repr=False,
+                                           compare=False)
+    slot_of: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not is_prime(self.p) or self.p < 3:
@@ -86,6 +101,17 @@ class Algebra:
         object.__setattr__(self, "t_weights", tuple(g.t for g in self.gens))
         object.__setattr__(self, "total_weights",
                            tuple(g.total for g in self.gens))
+        slots = tuple(enumerate(self.gens))
+        object.__setattr__(self, "caps", tuple(
+            (i, 2 if g.kind is Kind.EXTERIOR else g.height) for i, g in slots
+            if g.kind in (Kind.EXTERIOR, Kind.TRUNCATED)))
+        object.__setattr__(self, "nonneg", tuple(
+            i for i, g in slots if g.kind is not Kind.LAURENT))
+        object.__setattr__(self, "odd_slots", tuple(
+            i for i, g in reversed(slots) if g.odd))
+        object.__setattr__(self, "divided_slots", tuple(
+            i for i, g in slots if g.kind is Kind.DIVIDED))
+        object.__setattr__(self, "slot_of", {g.name: i for i, g in slots})
 
     # -- monomials ------------------------------------------------------
 
@@ -94,10 +120,7 @@ class Algebra:
         return (0,) * len(self.gens)
 
     def index(self, name: str) -> int:
-        for i, g in enumerate(self.gens):
-            if g.name == name:
-                return i
-        raise KeyError(name)
+        return self.slot_of[name]
 
     def mono(self, **exps: int) -> Monomial:
         e = [0] * len(self.gens)
@@ -109,12 +132,13 @@ class Algebra:
         return m
 
     def valid_mono(self, m: Monomial) -> bool:
-        for g, e in zip(self.gens, m):
-            if g.kind is Kind.EXTERIOR and e not in (0, 1):
+        if len(m) < len(self.gens):
+            m = tuple(m) + (0,) * (len(self.gens) - len(m))  # 0 fits every kind
+        for i in self.nonneg:
+            if m[i] < 0:
                 return False
-            if g.kind is Kind.TRUNCATED and not 0 <= e < g.height:
-                return False
-            if g.kind in (Kind.POLYNOMIAL, Kind.DIVIDED) and e < 0:
+        for i, cap in self.caps:
+            if m[i] >= cap:
                 return False
         return True
 
@@ -173,41 +197,32 @@ class Algebra:
     def mono_mul(self, m1: Monomial, m2: Monomial) -> tuple[Monomial, int] | None:
         """Product of two monomials: merged exponents with the Koszul sign
         and divided-power binomial; None when the product vanishes."""
-        coeff = 1
+        for i, cap in self.caps:
+            if m1[i] + m2[i] >= cap:
+                return None
         # moving each odd factor of m2 left past the higher-index odd part of m1
-        swaps = 0
-        tail_odd = 0
-        for i in range(len(self.gens) - 1, -1, -1):
-            g = self.gens[i]
-            if g.odd:
-                swaps += m2[i] * tail_odd
-                tail_odd += m1[i]
-        if swaps % 2:
-            coeff = -1
-        exps = []
-        for g, e1, e2 in zip(self.gens, m1, m2):
-            e = e1 + e2
-            if g.kind is Kind.EXTERIOR and e > 1:
-                return None
-            if g.kind is Kind.TRUNCATED and e >= g.height:
-                return None
-            if g.kind is Kind.DIVIDED and e1 and e2:
-                b = binom_mod_p(self.p, e1, e2)
-                if not b:
+        swaps = tail_odd = 0
+        for i in self.odd_slots:
+            swaps += m2[i] * tail_odd
+            tail_odd += m1[i]
+        coeff = -1 if swaps % 2 else 1
+        for i in self.divided_slots:
+            if m1[i] and m2[i]:
+                coeff *= binom_mod_p(self.p, m1[i], m2[i])
+                if not coeff:
                     return None
-                coeff = coeff * b
-            exps.append(e)
-        return tuple(exps), coeff % self.p
+        return tuple([e1 + e2 for e1, e2 in zip(m1, m2)]), coeff % self.p
 
     def mul(self, a: Element, b: Element) -> Element:
         out: Element = {}
+        mono_mul, p = self.mono_mul, self.p
         for m1, c1 in a.items():
             for m2, c2 in b.items():
-                r = self.mono_mul(m1, m2)
+                r = mono_mul(m1, m2)
                 if r is None:
                     continue
                 m, c = r
-                v = (out.get(m, 0) + c1 * c2 * c) % self.p
+                v = (out.get(m, 0) + c1 * c2 * c) % p
                 if v:
                     out[m] = v
                 else:
@@ -235,22 +250,17 @@ class Algebra:
                     f"total-degree enumeration needs positive finite degrees; "
                     f"generator {g.name} is unbounded")
         out: dict[int, list[Monomial]] = {d: [] for d in range(lo, hi + 1)}
+        weights, caps = self.total_weights, dict(self.caps)
 
         def rec(i: int, budget: int, acc: list[int]):
-            if i == len(self.gens):
-                m = tuple(acc)
-                d = self.total(m)
+            if i == len(weights):
+                d = hi - budget     # the monomial's total degree
                 if lo <= d <= hi:
-                    out[d].append(m)
+                    out[d].append(tuple(acc))
                 return
-            g = self.gens[i]
-            e_hi = budget // g.total
-            if g.kind is Kind.EXTERIOR:
-                e_hi = min(e_hi, 1)
-            elif g.kind is Kind.TRUNCATED:
-                e_hi = min(e_hi, g.height - 1)
-            for e in range(e_hi + 1):
-                rec(i + 1, budget - e * g.total, acc + [e])
+            w = weights[i]
+            for e in range(min(budget // w, caps.get(i, budget + 1) - 1) + 1):
+                rec(i + 1, budget - e * w, acc + [e])
 
         rec(0, hi, [])
         for d in out:
@@ -265,8 +275,9 @@ def _basis_in_bidegree(alg: Algebra, s: int, t: int) -> list[Monomial]:
     wild = any(g.kind is Kind.LAURENT or g.total <= 0 for g in alg.gens)
     s_nonneg = all(g.s >= 0 for g in alg.gens)
     t_nonneg = all(g.t >= 0 for g in alg.gens)
+    caps = dict(alg.caps)
     for i, g in enumerate(alg.gens):
-        if g.kind in (Kind.EXTERIOR, Kind.TRUNCATED):
+        if i in caps:
             finite.append(i)
         elif g.kind is Kind.LAURENT or g.total <= 0:
             solved.append(i)
@@ -342,10 +353,8 @@ def _basis_in_bidegree(alg: Algebra, s: int, t: int) -> list[Monomial]:
             return
         i = order[pos]
         g = alg.gens[i]
-        if g.kind is Kind.EXTERIOR:
-            e_hi = 1
-        elif g.kind is Kind.TRUNCATED:
-            e_hi = g.height - 1
+        if i in caps:
+            e_hi = caps[i] - 1
         elif not wild:
             e_hi = max((rem_s + rem_t) // g.total, -1)
         elif g.t > 0 and t_nonneg:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Protocol
 
 from .fp_linalg import Echelon
-from .graded import Algebra, Element, Generator, Kind, Monomial
+from .graded import Algebra, Element, Monomial
 
 Bidegree = tuple[int, int]
 
@@ -112,8 +112,9 @@ class FamilyRule:
 
     def apply(self, alg: Algebra, m: Monomial) -> Element:
         out: Element = {}
+        valid = alg.valid_mono
         for mono, c in self.fn(alg, m):
-            if not alg.valid_mono(mono):
+            if not valid(mono):
                 raise VerificationError(
                     f"rule {self.name} leaves the algebra on {alg.mono_str(m)}")
             v = (out.get(mono, 0) + c * self.unit) % alg.p
@@ -131,7 +132,8 @@ def apply_leibniz(rule: DerivationRule, alg: Algebra, m: Monomial) -> Element:
     """Leibniz expansion of a derivation-extended rule on one monomial."""
     out: Element = {}
     sign = 1
-    for i, (g, e) in enumerate(zip(alg.gens, m)):
+    odd = alg.odd_slots
+    for i, e in enumerate(m):
         if e:
             dfac = _d_power(rule, alg, i, e)
             if dfac:
@@ -141,7 +143,7 @@ def apply_leibniz(rule: DerivationRule, alg: Algebra, m: Monomial) -> Element:
                 term = alg.mul({prefix: sign % alg.p}, dfac)
                 term = alg.mul(term, {suffix: 1})
                 out = alg.add(out, term)
-            if (g.s + g.t) * e % 2:
+            if e % 2 and i in odd:
                 sign = -sign
     if rule.unit != 1:
         out = alg.scale(out, rule.unit)
@@ -165,6 +167,8 @@ def _monomial_plan(rule: DerivationRule, alg: Algebra
     if rule.power_rules:
         return None
     p = alg.p
+    caps = dict(alg.caps)
+    odd = set(alg.odd_slots)
     # per generator: None, or (c * unit, ((index, shift, cap), ...)) with
     # cap the exponent at which the product vanishes (None: unbounded)
     steps = []
@@ -177,13 +181,11 @@ def _monomial_plan(rule: DerivationRule, alg: Algebra
             return None
         (v, c), = val.items()
         shifts = {j: e for j, e in enumerate(v) if e}
-        if any(alg.gens[j].odd or alg.gens[j].kind is Kind.DIVIDED
-               for j in shifts):
+        if any(j in odd or j in alg.divided_slots for j in shifts):
             return None
         shifts[i] = shifts.get(i, 0) - 1
         steps.append((c * rule.unit % p, tuple(
-            (j, d, _vanishing_exponent(alg.gens[j])) for j, d in shifts.items())))
-    odd = tuple(g.odd for g in alg.gens)
+            (j, d, caps.get(j)) for j, d in shifts.items())))
 
     def apply(m: Monomial) -> Element:
         out: Element = {}
@@ -207,19 +209,11 @@ def _monomial_plan(rule: DerivationRule, alg: Algebra
                             out[key] = v
                         else:
                             out.pop(key, None)
-            if odd[i] and e % 2:
+            if e % 2 and i in odd:
                 sign = -sign
         return out
 
     return apply
-
-
-def _vanishing_exponent(g: Generator) -> int | None:
-    if g.kind is Kind.TRUNCATED:
-        return g.height
-    if g.kind is Kind.EXTERIOR:
-        return 2
-    return None
 
 
 def _d_power(rule: DerivationRule, alg: Algebra, i: int, e: int) -> Element:

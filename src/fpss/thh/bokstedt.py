@@ -9,7 +9,7 @@ algebras of height p.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable
 
@@ -62,18 +62,25 @@ class BokstedtPage:
     ring: RingId
     top: int
     last: bool = False
+    # on the last page: the sbxi slots that do not survive (any exponent
+    # kills) and the divided slots (an exponent >= p kills)
+    _dead: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _divided: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        survivors = _SURVIVING_SXI[self.ring]
+        gens = self.algebra.gens if self.last else ()
+        self._dead = tuple(i for i, g in enumerate(gens) if g.name.startswith(
+            "sbxi") and int(g.name[4:]) not in survivors)
+        self._divided = self.algebra.divided_slots if self.last else ()
 
     def _keep(self, m: Monomial) -> bool:
-        if not self.last:
-            return True
-        p = self.algebra.p
-        survivors = _SURVIVING_SXI[self.ring]
-        for g, e in zip(self.algebra.gens, m):
-            if not e:
-                continue
-            if g.name.startswith("sbxi") and int(g.name[4:]) not in survivors:
+        for i in self._dead:
+            if m[i]:
                 return False
-            if g.kind is Kind.DIVIDED and e >= p:
+        p = self.algebra.p
+        for i in self._divided:
+            if m[i] >= p:
                 return False
         return True
 
@@ -110,9 +117,7 @@ def bokstedt_rule(p: int, ring: RingId, top: int) -> DerivationRule:
     the next suspended even class times gamma_(j-p)."""
     alg = bokstedt_algebra(p, ring, top)
     power_rules = {}
-    for g in alg.gens:
-        if g.kind is not Kind.DIVIDED:
-            continue
+    for g in (alg.gens[i] for i in alg.divided_slots):
         k = int(g.name[5:])
         target = f"sbxi{k + 1}"
         name = g.name

@@ -65,21 +65,23 @@ def hochschild_boundary(alg: Algebra, tens: Tensor) -> dict[Tensor, int]:
 
     if n == 0:
         return out
+    mono_mul, unit = alg.mono_mul, alg.unit_mono
     for i in range(n):
-        prod = alg.mono_mul(tens[i], tens[i + 1])
+        prod = mono_mul(tens[i], tens[i + 1])
         if prod is None:
             continue
         m, c = prod
-        if i > 0 and m == alg.unit_mono:
+        if i > 0 and m == unit:
             continue  # degenerate; impossible with positive degrees
-        sign = -1 if i % 2 else 1
-        put(tens[:i] + (m,) + tens[i + 2:], sign * c)
-    prod = alg.mono_mul(tens[n], tens[0])
+        put(tens[:i] + (m,) + tens[i + 2:], -c if i % 2 else c)
+    prod = mono_mul(tens[n], tens[0])
     if prod is not None:
         m, c = prod
-        wrap = alg.total(tens[n]) * sum(alg.total(x) for x in tens[:n])
-        sign = -1 if (n + wrap) % 2 else 1
-        put((m,) + tens[1:n], sign * c)
+        # the last slot moves past all the others: total degree of the rest
+        # is that of the weight minus the last slot's
+        last = alg.total(tens[n])
+        wrap = last * (alg.total(_weight(tens)) - last)
+        put((m,) + tens[1:n], -c if (n + wrap) % 2 else c)
     return out
 
 

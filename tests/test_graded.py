@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from fpss.graded import (Algebra, Generator, Kind, PoincareSeries,
                          inject_elem, poincare_series, tensor)
+from fpss.numerics import binom_mod_p
 
 P = 5
 
@@ -209,3 +210,128 @@ def test_monomials_by_total():
     assert [len(table[d]) for d in range(6)] == [1, 1, 1, 1, 1, 1]
     ps = ps_from_monomials(alg, [m for ms in table.values() for m in ms], 0, 5)
     assert ps == poincare_series(alg, 0, 5)
+
+
+# -- slot tables against the per-generator code they replace -------------
+
+
+def per_generator_valid_mono(alg, m):
+    for g, e in zip(alg.gens, m):
+        if g.kind is Kind.EXTERIOR and e not in (0, 1):
+            return False
+        if g.kind is Kind.TRUNCATED and not 0 <= e < g.height:
+            return False
+        if g.kind in (Kind.POLYNOMIAL, Kind.DIVIDED) and e < 0:
+            return False
+    return True
+
+
+def per_generator_mono_mul(alg, m1, m2):
+    coeff = 1
+    swaps = 0
+    tail_odd = 0
+    for i in range(len(alg.gens) - 1, -1, -1):
+        if alg.gens[i].odd:
+            swaps += m2[i] * tail_odd
+            tail_odd += m1[i]
+    if swaps % 2:
+        coeff = -1
+    exps = []
+    for g, e1, e2 in zip(alg.gens, m1, m2):
+        e = e1 + e2
+        if g.kind is Kind.EXTERIOR and e > 1:
+            return None
+        if g.kind is Kind.TRUNCATED and e >= g.height:
+            return None
+        if g.kind is Kind.DIVIDED and e1 and e2:
+            b = binom_mod_p(alg.p, e1, e2)
+            if not b:
+                return None
+            coeff = coeff * b
+        exps.append(e)
+    return tuple(exps), coeff % alg.p
+
+
+def per_generator_mul(alg, a, b):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            r = per_generator_mono_mul(alg, m1, m2)
+            if r is None:
+                continue
+            m, c = r
+            v = (out.get(m, 0) + c1 * c2 * c) % alg.p
+            if v:
+                out[m] = v
+            else:
+                out.pop(m, None)
+    return out
+
+
+@st.composite
+def mixed_algebras(draw):
+    """An algebra over p = 3, 5 or 7 whose slots mix odd and even exterior
+    (the even one becomes truncated of height 2), polynomial, truncated of
+    height 2..p, Laurent and divided generators."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    gens = []
+    for k in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["odd-ext", "even-ext", "poly", "trunc",
+                                     "laurent", "divided"]))
+        s, t = draw(st.integers(-2, 2)), draw(st.integers(0, 6))
+        if kind == "odd-ext":
+            gens.append(ext(f"g{k}", s, t + (s + t + 1) % 2))
+        elif kind == "even-ext":
+            gens.append(ext(f"g{k}", s, t + (s + t) % 2))
+        elif kind == "poly":
+            gens.append(poly(f"g{k}", s, t))
+        elif kind == "trunc":
+            gens.append(trunc(f"g{k}", s, t, draw(st.integers(2, p))))
+        elif kind == "laurent":
+            gens.append(laurent(f"g{k}", s, t))
+        else:
+            gens.append(divided(f"g{k}", s, t))
+    return Algebra(p, tuple(gens))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_valid_mono_matches_per_generator_checks(data):
+    alg = data.draw(mixed_algebras())
+    n = len(alg.gens) + data.draw(st.integers(-1, 1))    # wrong lengths too
+    m = tuple(data.draw(st.integers(-3, alg.p + 1)) for _ in range(n))
+    assert alg.valid_mono(m) == per_generator_valid_mono(alg, m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mono_mul_matches_per_generator_product(data):
+    alg = data.draw(mixed_algebras())
+    # exponents from one below each slot's range to past its bound
+    monos = st.tuples(*(st.integers(-1, alg.p) for _ in alg.gens))
+    m1, m2 = data.draw(monos), data.draw(monos)
+    assert alg.mono_mul(m1, m2) == per_generator_mono_mul(alg, m1, m2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_mul_matches_per_generator_product(data):
+    alg = data.draw(mixed_algebras())
+    valid = st.tuples(*(st.integers(-2 if g.kind is Kind.LAURENT else 0,
+                                    alg.p) for g in alg.gens)).filter(
+        alg.valid_mono)
+    elems = st.dictionaries(valid, st.integers(1, alg.p - 1), max_size=4)
+    a, b = data.draw(elems), data.draw(elems)
+    got = alg.mul(a, b)
+    want = per_generator_mul(alg, a, b)
+    assert list(got.items()) == list(want.items())
+
+
+def test_index_looks_names_up():
+    alg = Algebra(P, (ext("a", 0, 1), poly("x", 0, 2), divided("g", 1, 1)))
+    assert [alg.index(g.name) for g in alg.gens] == [0, 1, 2]
+    with pytest.raises(KeyError) as err:
+        alg.index("y")
+    assert err.value.args == ("y",)
+    with pytest.raises(KeyError):
+        alg.mono(y=1)
