@@ -17,8 +17,8 @@ from .graded import Algebra, Generator, Kind, poincare_series
 from .numerics import is_prime
 from .report import Check, Report
 from .specseq import Region, VerificationError, dump_page
-from .tc import (k_Lp_checks, k_lp_presentation, k_presentation,
-                 r_fixed_points, rh_map_check, tc_presentation)
+from .tc import (fixed_point_check, k_Lp_checks, k_lp_presentation,
+                 k_presentation, rh_map_check, tc_presentation)
 from .thh.bokstedt import (bokstedt_e2_page, bokstedt_einf_page, bokstedt_run)
 from .thh.circle import (blocks_meeting, comparison_region, lemma_78_check,
                          lemma_79_check, s1_einf, s1_limits)
@@ -101,8 +101,8 @@ def run_verify_target(target: str, p: int, n: int, lo: int, hi: int) -> Report:
         report.add(Check("prop-8.2", ok, details[:10]))
     elif target == "prop-8.6":
         wlo = max(lo, 2 * p - 1)
-        ker, cok, notes = r_fixed_points(p, wlo, hi)
-        report.add(Check("prop-8.6", True, notes))
+        ok, details = fixed_point_check(p, wlo, hi)
+        report.add(Check("prop-8.6", ok, details[:10]))
     elif target == "thm-8.8":
         mod, problems = tc_presentation(p)
         report.add(Check("thm-8.8", not problems,

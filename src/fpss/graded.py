@@ -132,8 +132,8 @@ class Algebra:
         return m
 
     def valid_mono(self, m: Monomial) -> bool:
-        if len(m) < len(self.gens):
-            m = tuple(m) + (0,) * (len(self.gens) - len(m))  # 0 fits every kind
+        if len(m) != len(self.gens):
+            return False
         for i in self.nonneg:
             if m[i] < 0:
                 return False

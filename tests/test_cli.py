@@ -1,7 +1,14 @@
+import ast
+import dataclasses
 import json
+import pathlib
 import subprocess
 import sys
 
+import pytest
+
+import fpss.cli
+import fpss.tc as tc
 from fpss.cli import main
 
 
@@ -84,15 +91,57 @@ def test_verification_error_exit_one(capsys, monkeypatch):
 
 
 def test_tower_step_not_onto_exit_one(capsys, monkeypatch):
-    # a tower step that is not onto is a mismatch, not a crash
-    import fpss.tc as tc
+    # a tower step that is not onto is a mismatch, not a crash: with its
+    # tmu2 bound lowered to 1, B_3 holds no preimage of B_2's top classes
+    real = tc._summand
 
-    monkeypatch.setattr(tc, "_tower_step_onto",
-                        lambda p, kind, k, lo, hi: (False, "t^50"))
+    def lowered(p, kind, k):
+        sm = real(p, kind, k)
+        return dataclasses.replace(sm, c_hi=1) if (kind, k) == ("B", 3) \
+            else sm
+
+    monkeypatch.setattr(tc, "_summand", lowered)
     code, out, err = run_cli(capsys, "verify", "prop-8.6")
     assert code == 1 and not out
     assert err == ("verification error: tower step B_3 -> B_2 not onto: "
-                   "t^50\n")
+                   "t^27*mu2^2\n")
+
+
+def _moved(name, shift):
+    return lambda gens: [(n, d + shift if n == name else d) for n, d in gens]
+
+
+@pytest.mark.parametrize("mutate", [
+    _moved("lambda2", 2),                               # to degree 2p^2+1
+    lambda gens: [g for g in gens if g[0] != "eps1b"],  # an A generator
+    _moved("t^1", 2),                                   # a B limit degree
+    _moved("t^5*lambda2", 2),                           # a C limit degree
+], ids=["lambda2-degree", "drop-eps1b", "shift-B", "shift-C"])
+def test_prop_86_fails_on_mutated_closed_form(mutate, capsys, monkeypatch):
+    # each transcribed input of the closed form is compared with the page
+    real = tc._ker_generator_degrees
+    monkeypatch.setattr(tc, "_ker_generator_degrees",
+                        lambda p: mutate(real(p)))
+    code, out, err = run_cli(capsys, "verify", "prop-8.6")
+    assert code == 1 and not err
+    assert out.startswith("FAIL prop-8.6\n  degree ")
+    assert "in closed form" in out and "stabilize" not in out
+
+
+def test_no_check_reports_a_literal_verdict():
+    # a PASS must be computed: no Check(...) of the driver is handed the
+    # literal True as its verdict
+    tree = ast.parse(pathlib.Path(fpss.cli.__file__).read_text())
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "Check"]
+    assert len(calls) > 10
+    literal = []
+    for call in calls:
+        verdict = call.args[1] if len(call.args) > 1 else next(
+            (kw.value for kw in call.keywords if kw.arg == "passed"), None)
+        if isinstance(verdict, ast.Constant) and verdict.value is True:
+            literal.append(f"line {call.lineno}")
+    assert not literal, literal
 
 
 def test_structured_output_schema(capsys):

@@ -216,6 +216,8 @@ def test_monomials_by_total():
 
 
 def per_generator_valid_mono(alg, m):
+    if len(m) != len(alg.gens):
+        return False
     for g, e in zip(alg.gens, m):
         if g.kind is Kind.EXTERIOR and e not in (0, 1):
             return False
@@ -301,6 +303,13 @@ def test_valid_mono_matches_per_generator_checks(data):
     n = len(alg.gens) + data.draw(st.integers(-1, 1))    # wrong lengths too
     m = tuple(data.draw(st.integers(-3, alg.p + 1)) for _ in range(n))
     assert alg.valid_mono(m) == per_generator_valid_mono(alg, m)
+
+
+def test_valid_mono_rejects_wrong_lengths():
+    alg = Algebra(P, (ext("a", 0, 1), poly("x", 0, 2), divided("g", 1, 1)))
+    assert alg.valid_mono((0, 0, 0))
+    assert not alg.valid_mono((0, 0, 0, 7))
+    assert not alg.valid_mono((1,))
 
 
 @settings(max_examples=300, deadline=None)

@@ -4,12 +4,12 @@ import pytest
 
 import fpss.tc as tc
 from fpss.graded import ps_from_degree_list
-from fpss.tc import (PvGenerator, PvModule, _block_params, _block_series,
-                     _pack, _tower_step_onto, classify, k_Lp_checks,
-                     k_lp_presentation, k_presentation, page_member, r_endo,
-                     r_fixed_points, rh_map_check, tc_presentation,
-                     tf_decompose)
-from fpss.thh.tate import tate_ambient
+from fpss.numerics import rho, vp
+from fpss.tc import (PvGenerator, PvModule, _pack, classify,
+                     fixed_point_check, k_Lp_checks, k_lp_presentation,
+                     k_presentation, r_endo, r_fixed_points, rh_map_check,
+                     tc_presentation, tf_decompose)
+from fpss.thh.tate import IE0, IE1, IL, IM, IM0, IT, IU, tate_ambient
 
 P = 5
 L, E = 2 * P * P - 1, 2 * P - 1
@@ -19,16 +19,104 @@ def mono(e=0, b=0, j=0, c=0):
     return (0, j + c, b, c, 0, 0, e)
 
 
+# -- the hand-written circle page, kept as an oracle for circle.s1_einf ----
+
+
+def page_member(p, m):
+    """Exact membership in the full circle Tate page (all tower blocks)."""
+    if m[IU] or m[IE0] or m[IM0]:
+        return False
+    e, b, j, c = m[IE1], m[IL], m[IT] - m[IM], m[IM]
+    if c < 0:
+        return False
+    if j == 0:
+        return True
+    if j % p:
+        return c == 0 and e == 0 and 0 < (-j) % (p * p) < p
+    v = vp(p, j)
+    if v == 1:
+        return False
+    if v % 2 == 0 and e != 0:
+        return False
+    if v % 2 == 1 and b != 1:
+        return False
+    return c < rho(p, v - 1)
+
+
+def block_monomials_at(p, total, kmax):
+    """Circle-page monomials of one total degree, tower blocks up to kmax."""
+    L, E = 2 * p * p - 1, 2 * p - 1
+    step = 2 * p * p - 2
+    out = []
+    for b in (0, 1):
+        for e in (0, 1):
+            base = total - L * b - E * e
+            # the A block: j = 0
+            if base % step == 0 and base // step >= 0:
+                out.append(_pack(p, e, b, 0, base // step))
+            # residue classes: c = 0, p does not divide j
+            if e == 0 and base % 2 == 0:
+                j = -base // 2
+                if j % p and 0 < (-j) % (p * p) < p:
+                    out.append(_pack(p, e, b, j, 0))
+            # tower blocks
+            for v in range(2, 2 * kmax):
+                if v % 2 == 0 and e != 0:
+                    continue
+                if v % 2 == 1 and b != 1:
+                    continue
+                trunc = rho(p, v - 1)
+                pv = p ** v
+                # degree: -2 d p^v + step * c + const = total
+                d_lo = -(step * trunc + abs(base) + 2 * pv) // (2 * pv) - 2
+                d_hi = (abs(base) + step * trunc) // (2 * pv) + 2
+                for d in range(d_lo, d_hi + 1):
+                    if d == 0 or d % p == 0:
+                        continue
+                    num = base + 2 * d * pv
+                    if num % step:
+                        continue
+                    c = num // step
+                    if 0 <= c < trunc:
+                        out.append(_pack(p, e, b, d * pv, c))
+    return out
+
+
+def block_params(p, kind, k):
+    """(valuation, truncation, leading digits, (e, b) pairs) of the tower
+    block B_k or C_k of the circle page."""
+    if kind == "B":
+        return (2 * k - 2, rho(p, 2 * k - 3),
+                [d for d in range(1, p * p - p) if d % p], [(0, 0), (0, 1)])
+    return 2 * k - 1, rho(p, 2 * k - 2), range(1, p), [(0, 1), (1, 1)]
+
+
+@pytest.mark.parametrize("kmax", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_decomposition_matches_hand_written_page(p, kmax):
+    # every monomial of the old enumeration, in the same block, and no other
+    lo, hi = 2 * p - 1, 5 * p * p
+    want = {}
+    for total in range(lo, hi + 1):
+        for m in block_monomials_at(p, total, kmax):
+            assert m not in want and page_member(p, m)
+            want[m] = classify(p, m)
+    assert tf_decompose(p, lo, hi, kmax) == want
+
+
 def test_page_membership():
-    assert page_member(P, mono())                       # the unit
-    assert page_member(P, mono(e=1, b=1, c=3))          # A block
-    assert page_member(P, mono(j=-4))                   # residue class
-    assert not page_member(P, mono(j=-4, c=1))
-    assert not page_member(P, mono(j=5))                # valuation 1 is dead
-    assert page_member(P, mono(j=25, c=20))             # B_2, c < rho(1)
-    assert not page_member(P, mono(j=25, c=21))
-    assert page_member(P, mono(b=1, j=125, c=24))       # C_2, c < rho(2)
-    assert not page_member(P, mono(j=125, c=3))         # C needs lambda2
+    # degrees 38..958, so the window 9:1000 holds every example
+    blocks = tf_decompose(P, 9, 1000, 3)
+    assert mono(c=2) in blocks                          # A block
+    assert mono(e=1, b=1, c=3) in blocks
+    assert mono(b=1, j=-4) in blocks                    # residue class
+    assert mono(j=-4, c=1) not in blocks
+    assert mono(j=5, c=1) not in blocks                 # valuation 1 is dead
+    assert mono(j=25, c=20) in blocks                   # B_2, c < rho(1)
+    assert mono(j=25, c=21) not in blocks
+    assert mono(b=1, j=125, c=24) in blocks             # C_2, c < rho(2)
+    assert mono(j=125, c=8) not in blocks               # C needs lambda2
+    assert all(page_member(P, m) for m in blocks)
 
 
 def test_classification():
@@ -41,21 +129,24 @@ def test_classification():
 
 
 def test_r_endo_examples():
-    # identity on the A block (unit and a deep tmu2 multiple)
-    for m in (mono(), mono(e=1, b=1, c=3)):
-        assert r_endo(P, m) == m
+    # R keeps the total degree: the examples are in degrees 96, 149, 202
+    # and 429, and t^-4 (degree 8) dies before any lookup
+    on_page = tf_decompose(P, 9, 500, 3).__contains__
+    # identity on the A block (tmu2 powers and the top exterior class)
+    for m in (mono(c=2), mono(e=1, b=1, c=3)):
+        assert r_endo(P, m, on_page) == m
     # a height 3 block class drops to the height 2 block with the same
     # leading exponent: t^(2 p^4) with tmu2 power 60 lands on t^(2 p^2)
     # with power 10
     m = mono(b=1, j=2 * P ** 4, c=60)
-    assert r_endo(P, m) == mono(b=1, j=2 * P * P, c=10)
+    assert r_endo(P, m, on_page) == mono(b=1, j=2 * P * P, c=10)
     # height 2 classes die: the would-be target is a residue class with a
     # nonzero tmu2 power
-    assert r_endo(P, mono(b=1, j=25 * 2, c=10)) is None
+    assert r_endo(P, mono(b=1, j=25 * 2, c=10), on_page) is None
     # targets in the right half plane die
-    assert r_endo(P, mono(b=1, j=-25 * 2, c=0)) is None
+    assert r_endo(P, mono(b=1, j=-25 * 2, c=0), on_page) is None
     # residue classes die
-    assert r_endo(P, mono(j=-4)) is None
+    assert r_endo(P, mono(j=-4), on_page) is None
 
 
 def test_rh_map_clauses():
@@ -69,10 +160,17 @@ def test_rh_map_window_guard():
 
 
 def test_decomposition_counts():
-    dec = tf_decompose(P, 2 * P - 1, 200)
+    blocks = tf_decompose(P, 2 * P - 1, 200)
     # no residue or u classes carry the module generators on the circle page
-    assert all(kind in ("A", "B", "C", "D") for kind, _ in dec.parts)
-    assert dec.count("A") > 0 and dec.count("B", 2) > 0
+    assert set(kind for kind, _ in blocks.values()) == {"A", "B", "C", "D"}
+    assert ("A", 0) in blocks.values() and ("B", 2) in blocks.values()
+
+
+def test_fixed_point_check_passes():
+    for p, lo, hi in ((5, 9, 125), (7, 13, 400), (5, 50, 700)):
+        ok, details = fixed_point_check(p, lo, hi)
+        assert ok, details
+        assert details[0].startswith("B blocks stabilize at height")
 
 
 def test_r_fixed_points_series():
@@ -149,7 +247,7 @@ def _walk_windows(p, kind, k, windows):
     that is at most 2e7 steps; past that (p = 7, k = 5: up to 3.6e8 steps
     per block) it walks every degree of each window and solves for c."""
     L, E, step = 2 * p * p - 1, 2 * p - 1, 2 * p * p - 2
-    v, trunc, ds, combos = _block_params(p, kind, k)
+    v, trunc, ds, combos = block_params(p, kind, k)
     out = {w: [] for w in windows}
     full = trunc * len(ds) * len(combos) <= 2 * 10 ** 7
     lo_all, hi_all = min(w[0] for w in windows), max(w[1] for w in windows)
@@ -173,15 +271,16 @@ def _walk_windows(p, kind, k, windows):
 
 
 def _oracle_step(p, kind, k, classes):
-    """_tower_step_onto's verdict, computed on the given classes."""
-    v = _block_params(p, kind, k)[0]
+    """The first class without a tower preimage on the hand-written page."""
+    v = block_params(p, kind, k)[0]
+    on_page = lambda m: page_member(p, m)  # noqa: E731
     for e, b, d, c in classes:
         j = d * p ** v
         m = _pack(p, e, b, j, c)
         pre = _pack(p, e, b, j * p * p, c + j)
-        if not tc.page_member(p, pre) or tc.r_endo(p, pre) != m:
-            return False, tate_ambient(p, 0).mono_str(m)
-    return True, ""
+        if not page_member(p, pre) or tc.r_endo(p, pre, on_page) != m:
+            return m
+    return None
 
 
 def _windows(p):
@@ -198,34 +297,38 @@ def _windows(p):
 @pytest.mark.parametrize("p", [5, 7])
 def test_clipped_block_walks_match_full_walk(p, kind, k, monkeypatch):
     L, E, step = 2 * p * p - 1, 2 * p - 1, 2 * p * p - 2
-    v = _block_params(p, kind, k)[0]
+    v = block_params(p, kind, k)[0]
     expected = _walk_windows(p, kind, k, _windows(p))
     assert not expected[(2 * p * p, 2 * p * p)]
     assert expected[(2 * p - 1, 50 * p * p)]
     checked = []
     real_r_endo = tc.r_endo
 
-    def recording_r_endo(p_, m):
+    def recording_r_endo(p_, m, on_page):
         checked.append(m)
-        return real_r_endo(p_, m)
+        return real_r_endo(p_, m, on_page)
 
     monkeypatch.setattr(tc, "r_endo", recording_r_endo)
+    walks = {}
     for (lo, hi), classes in expected.items():
+        walks[lo, hi] = got = tc._block_classes(p, kind, k, lo, hi)
+        assert [m for _, m in got] == [_pack(p, e, b, d * p ** v, c)
+                                       for e, b, d, c in classes], (lo, hi)
         degrees = [-2 * d * p ** v + L * b + E * e + step * c
                    for e, b, d, c in classes]
-        assert _block_series(p, kind, k, lo, hi) == \
+        assert tc._series(got, lo, hi) == \
             ps_from_degree_list(degrees, lo, hi), (lo, hi)
-        # page_member passes on every preimage, so r_endo sees each one
+        # every preimage is on the page, so r_endo sees each one
         checked.clear()
-        assert _tower_step_onto(p, kind, k, lo, hi) == (True, ""), (lo, hi)
+        assert tc._not_onto(p, kind, k, got) is None, (lo, hi)
         assert checked == [_pack(p, e, b, d * p ** v * p * p,
                                  c + d * p ** v)
                            for e, b, d, c in classes], (lo, hi)
     # a failing step reports the first failing class of the full walk
-    monkeypatch.setattr(tc, "r_endo", lambda p_, m: None
-                        if m[1] % 3 == 0 else real_r_endo(p_, m))
+    monkeypatch.setattr(tc, "r_endo", lambda p_, m, on_page: None
+                        if m[1] % 3 == 0 else real_r_endo(p_, m, on_page))
     for (lo, hi), classes in expected.items():
-        assert _tower_step_onto(p, kind, k, lo, hi) == \
+        assert tc._not_onto(p, kind, k, walks[lo, hi]) == \
             _oracle_step(p, kind, k, classes), (lo, hi)
 
 

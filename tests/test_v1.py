@@ -1,6 +1,7 @@
 import pytest
 
 from fpss.comodule import RingId
+from fpss.thh.tate import module_triples, tate_ambient
 from fpss.thh.v1 import (h_thh_series, poincare_identity_check,
                          v1_thh_presentation)
 
@@ -33,3 +34,18 @@ def test_identity_detects_corruption():
     lhs = h_thh_series(P, RingId.ELL_MOD_P, 20)
     rhs = h_thh_series(P, RingId.ELL, 20)
     assert lhs != rhs
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_tower_e2_is_the_ell_mod_p_presentation(p):
+    # the towers' E2 page is A (x) M over V(1)_* THH(ell/p): the module
+    # monomials sit in the presentation's module degrees, and lambda2 and
+    # mu2 in its factors' degrees
+    alg = tate_ambient(p, 0)
+    pres = v1_thh_presentation(p, RingId.ELL_MOD_P)
+    module = sorted(alg.total((0, 0, 0, 0) + trip)
+                    for trip in module_triples(p))
+    assert module == sorted(pres.module_degrees) == list(range(2 * p))
+    factors = {name: degree for name, _, degree, _ in pres.factors}
+    ambient = {g.name: g.s + g.t for g in alg.gens}
+    assert factors == {name: ambient[name] for name in ("lambda2", "mu2")}
