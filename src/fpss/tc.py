@@ -26,8 +26,7 @@ from .graded import Monomial, PoincareSeries, ps_from_degree_list
 from .numerics import vp
 from .specseq import VerificationError
 from .thh.circle import s1_einf
-from .thh.tate import IE0, IE1, IL, IM, IM0, IT, IU, Summand, _pred_ok, \
-    tate_ambient
+from .thh.tate import IE0, IE1, IL, IM, IM0, IT, IU, Summand, tate_ambient
 
 
 def _coords(m: Monomial) -> tuple[int, int, int, int]:
@@ -158,14 +157,6 @@ def _ker_generator_degrees(p: int) -> list[tuple[str, int]]:
     return gens
 
 
-def _pv_series(gens: list[tuple[str, int]], p: int, lo: int, hi: int
-               ) -> PoincareSeries:
-    step = 2 * p * p - 2
-    return ps_from_degree_list((d + step * c for _, d in gens
-                                for c in _in_window(d, step, None, lo, hi)),
-                               lo, hi)
-
-
 def _summand(p: int, kind: str, k: int) -> Summand:
     """The summand of the circle page, picked by its predicate, that holds
     the A block (any k >= 2) or the tower block B_k or C_k with its D
@@ -174,14 +165,6 @@ def _summand(p: int, kind: str, k: int) -> Summand:
         ("vp_eq", 2 * k - 2 if kind == "B" else 2 * k - 1)
     sm, = (s for s in s1_einf(p, k, "tate").summands if s.pred == pred)
     return sm
-
-
-def _in_summand(p: int, sm: Summand, m: Monomial) -> bool:
-    """Whether the monomial is a class of one summand of the circle page."""
-    a, J, b, c, d0, i0, e = m
-    return 0 <= c and (sm.c_hi is None or c < sm.c_hi) and b in sm.lam \
-        and (d0, i0, e) in sm.module and a in sm.u \
-        and _pred_ok(sm.pred, p, J - c)
 
 
 def _in_window(base: int, step: int, trunc: int | None, lo: int, hi: int
@@ -193,23 +176,26 @@ def _in_window(base: int, step: int, trunc: int | None, lo: int, hi: int
 
 
 def _block_classes(p: int, kind: str, k: int, lo: int, hi: int
-                   ) -> list[tuple[int, Monomial]]:
+                   ) -> tuple[list[tuple[int, Monomial]], bool]:
     """The in-window classes of the A block or of B_k or C_k, each with its
     total degree: the summand's (eps1b, lambda2) rows and tmu2 bound, at
-    the leading digits that classify gives the block."""
+    the leading digits that classify gives the block.  Also whether the
+    bound clips a row: drops a class of it that lies in the window."""
     L, E = 2 * p * p - 1, 2 * p - 1
     step = 2 * p * p - 2
     sm = _summand(p, kind, k)
     js = [0] if kind == "A" else [d * p ** sm.pred[1]
                                   for d in _digits(p, kind)]
-    out = []
+    out, clipped = [], False
     for b in sm.lam:
         for _, _, e in sm.module:
             for j in js:
                 base = L * b + E * e - 2 * j
-                out += [(base + step * c, _pack(p, e, b, j, c))
-                        for c in _in_window(base, step, sm.c_hi, lo, hi)]
-    return out
+                cs = _in_window(base, step, sm.c_hi, lo, hi)
+                out += [(base + step * c, _pack(p, e, b, j, c)) for c in cs]
+                clipped = clipped or \
+                    len(_in_window(base, step, None, lo, hi)) > len(cs)
+    return out, clipped
 
 
 def _series(classes: list[tuple[int, Monomial]], lo: int, hi: int
@@ -221,10 +207,11 @@ def _not_onto(p: int, kind: str, k: int,
               classes: list[tuple[int, Monomial]]) -> Monomial | None:
     """The first class of B_k or C_k with no tower preimage in the height
     k+1 block, or None."""
+    page = s1_einf(p, k + 1, "tate")
     cur, nxt = _summand(p, kind, k), _summand(p, kind, k + 1)
 
     def on_page(m: Monomial) -> bool:
-        return _in_summand(p, cur, m) or _in_summand(p, nxt, m)
+        return page.in_summand(cur, m) or page.in_summand(nxt, m)
 
     for _, m in classes:
         if not _onto(p, m, on_page):
@@ -242,24 +229,23 @@ def r_fixed_points(p: int, lo: int, hi: int
         raise ValueError("fixed point bookkeeping needs degrees > 2p-2")
     alg = tate_ambient(p, 0)
     notes: list[str] = []
-    a_block = _block_classes(p, "A", 2, lo, hi)
+    a_block, _ = _block_classes(p, "A", 2, lo, hi)
     ker = list(a_block)
     for kind in ("B", "C"):
         # walks[i] is the block at height i + 2.  Every row of a block
-        # starts below the window, and its top rises by more than a tmu2
-        # period from one height to the next: a height whose in-window
-        # series the next one repeats has the limit's
-        walks = [_block_classes(p, kind, 2, lo, hi),
-                 _block_classes(p, kind, 3, lo, hi)]
-        series = [_series(w, lo, hi) for w in walks]
-        while series[-2] != series[-1]:
-            if len(walks) > 11:
+        # starts below the window, and the top of each row rises from one
+        # height to the next: from the first height whose tmu2 bound clips
+        # no row in the window, each block holds the limit's classes there
+        walks, clipped = [], True
+        while clipped:
+            if len(walks) > 10:
                 raise VerificationError(f"{kind} blocks do not stabilize")
-            walks.append(_block_classes(p, kind, len(walks) + 2, lo, hi))
-            series.append(_series(walks[-1], lo, hi))
-        k_stable = len(walks)
+            classes, clipped = _block_classes(p, kind, len(walks) + 2, lo, hi)
+            walks.append(classes)
+        k_stable = len(walks) + 1
         notes.append(f"{kind} blocks stabilize at height {k_stable}")
         ker += walks[-1]
+        walks.append(_block_classes(p, kind, k_stable + 1, lo, hi)[0])
         for kk in range(2, k_stable + 2):
             bad = _not_onto(p, kind, kk, walks[kk - 2])
             if bad is not None:
@@ -275,10 +261,10 @@ def fixed_point_check(p: int, lo: int, hi: int) -> tuple[bool, list[str]]:
     closed form: the A generators and the tower limits, free over the
     periodicity class."""
     ker, cok, notes = r_fixed_points(p, lo, hi)
-    gens = _ker_generator_degrees(p)
+    gens = [PvGenerator(*g) for g in _ker_generator_degrees(p)]
     problems = []
-    for name, got, want in (("ker", ker, _pv_series(gens, p, lo, hi)),
-                            ("coker", cok, _pv_series(gens[:4], p, lo, hi))):
+    for name, got, rows in (("ker", ker, gens), ("coker", cok, gens[:4])):
+        want = PvModule(p, name, tuple(rows)).series(lo, hi)
         problems += [f"degree {d}: {name}(R - 1) {n} on the page, "
                      f"{want.get(d)} in closed form"
                      for d, n in got.items() if n != want.get(d)]
@@ -320,11 +306,16 @@ class PvModule:
         return 2 * even - len(self.generators)
 
     def series(self, lo: int, hi: int) -> PoincareSeries:
-        step = self.v2_degree
-        return ps_from_degree_list(
-            (g.degree + step * c for g in self.generators
-             for c in _in_window(g.degree, step, None if g.free else g.height,
-                                 lo, hi)), lo, hi)
+        degrees = []
+        for g in self.generators:
+            d = g.degree
+            reps = 0
+            while d <= hi and (g.free or reps < g.height):
+                if d >= lo:
+                    degrees.append(d)
+                d += self.v2_degree
+                reps += 1
+        return ps_from_degree_list(degrees, lo, hi)
 
     def export(self) -> dict:
         return {

@@ -213,11 +213,20 @@ class TateForm:
         ft, fm = TOWERS[self.conv].free
         return ft, fm, -2 * ft, 2 * self.p * self.p * fm - 2 * ft
 
+    def in_summand(self, sm: Summand, m: Monomial) -> bool:
+        """Whether a monomial of the ambient algebra is a class of the
+        summand sm of this page."""
+        a, J, b, M, d0, i0, e = m
+        tw = TOWERS[self.conv]
+        ft, fm = tw.free
+        c = fm * J + ft * M     # exponent outside the free slot
+        return a in sm.u and b in sm.lam and (d0, i0, e) in sm.module \
+            and 0 <= c and (sm.c_hi is None or c < sm.c_hi) \
+            and _pred_ok(sm.pred, self.p, tw.sign * (J - M))
+
     def basis_at(self, s: int, t: int) -> tuple[Monomial, ...]:
         """One bidegree, enumerated on its own: the oracle for iter_region."""
         p = self.p
-        tw = TOWERS[self.conv]
-        ft, fm = tw.free
         out: list[Monomial] = []
         for sm in self.summands:
             for a in sm.u:
@@ -230,13 +239,9 @@ class TateForm:
                     for d0, i0, e in sm.module:
                         M, rem = divmod(t - self._vert_const(b, d0, i0, e),
                                         2 * p * p)
-                        if rem:
-                            continue
-                        c = fm * J + ft * M     # exponent outside the free slot
-                        if c < 0 or (sm.c_hi is not None and c >= sm.c_hi):
-                            continue
-                        if _pred_ok(sm.pred, p, tw.sign * (J - M)):
-                            out.append((a, J, b, M, d0, i0, e))
+                        m = (a, J, b, M, d0, i0, e)
+                        if not rem and self.in_summand(sm, m):
+                            out.append(m)
         out.sort(key=self.algebra.key)
         return tuple(out)
 

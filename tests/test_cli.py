@@ -107,6 +107,20 @@ def test_tower_step_not_onto_exit_one(capsys, monkeypatch):
                    "t^27*mu2^2\n")
 
 
+def test_prop_86_narrow_window_reaches_the_limit(capsys):
+    # at 1258 the one B row of that degree class tops out below the window
+    # at heights 2 and 3; the limit is reached at height 4
+    code, out, err = run_cli(capsys, "verify", "prop-8.6", "--window",
+                             "1258:1258")
+    assert code == 0 and not err
+    assert out == ("PASS prop-8.6\n"
+                   "  B blocks stabilize at height 4\n"
+                   "  B tower steps onto up to height 5\n"
+                   "  C blocks stabilize at height 2\n"
+                   "  C tower steps onto up to height 3\n"
+                   "PASS overall (1/1)\n")
+
+
 def _moved(name, shift):
     return lambda gens: [(n, d + shift if n == name else d) for n, d in gens]
 
