@@ -177,9 +177,9 @@ def cmd_verify(args) -> int:
     if args.id in TOWER_TARGETS | LEMMA_TARGETS and args.n < 1:
         print(f"--n >= 1 required for {args.id}, got {args.n}", file=sys.stderr)
         return USAGE_ERROR
-    if args.id == "prop-8.6" and hi < 2 * p - 1:
-        print(f"empty window {lo}:{hi}: prop-8.6 starts in degree {2 * p - 1}",
-              file=sys.stderr)
+    if args.id in ("prop-8.2", "prop-8.6") and hi < 2 * p - 1:
+        print(f"empty window {lo}:{hi}: {args.id} starts in degree "
+              f"{2 * p - 1}", file=sys.stderr)
         return USAGE_ERROR
     report = run_verify_target(args.id, p, args.n, lo, hi)
     config = {"command": "verify", "id": args.id, "prime": p, "n": args.n,

@@ -68,6 +68,7 @@ class DerivationRule:
 
     values[name] is d(gen); power_rules[name](e) is d(gen^e) for generators
     whose powers are not generated by the single value (divided powers).
+    apply_leibniz is the one evaluator.
     """
 
     r: int
@@ -75,22 +76,13 @@ class DerivationRule:
     values: dict[str, Element]
     power_rules: dict[str, Callable[[int], Element]] = field(default_factory=dict)
     unit: int = 1
-    # id(algebra) -> (algebra, its _monomial_plan)
-    _plans: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
 
     def scaled(self, unit: int) -> "DerivationRule":
         return DerivationRule(self.r, f"{self.name}*{unit}", self.values,
                               self.power_rules, unit)
 
     def apply(self, alg: Algebra, m: Monomial) -> Element:
-        """The Leibniz value on a monomial of the algebra; by exponent
-        arithmetic when the rule allows it, else by apply_leibniz."""
-        hit = self._plans.get(id(alg))
-        if hit is None or hit[0] is not alg:
-            hit = self._plans[id(alg)] = (alg, _monomial_plan(self, alg))
-        plan = hit[1]
-        return apply_leibniz(self, alg, m) if plan is None else plan(m)
+        return apply_leibniz(self, alg, m)
 
 
 @dataclass(frozen=True)
@@ -129,105 +121,48 @@ DiffRule = DerivationRule | FamilyRule
 
 
 def apply_leibniz(rule: DerivationRule, alg: Algebra, m: Monomial) -> Element:
-    """Leibniz expansion of a derivation-extended rule on one monomial."""
+    """The rule's value on one monomial m = x g^e y: the sum, over the
+    rule's generators g in slot order, of (-1)^|x| x d(g^e) y, where d(g^e)
+    is g's power rule or e g^(e-1) d(g).
+
+    Only the rule's own slots are visited.  |x| is the parity of the odd
+    exponents before g; each term of d(g) or of the power rule's value is
+    placed by two mono_mul calls, x g^(e-1) times the term, then times y,
+    and added into the value in place."""
     out: Element = {}
-    sign = 1
-    odd = alg.odd_slots
-    for i, e in enumerate(m):
-        if e:
-            dfac = _d_power(rule, alg, i, e)
-            if dfac:
-                # (prefix) * d(g^e) * (suffix), signed by the prefix degree
-                prefix = m[:i] + (0,) * (len(m) - i)
-                suffix = (0,) * (i + 1) + m[i + 1:]
-                term = alg.mul({prefix: sign % alg.p}, dfac)
-                term = alg.mul(term, {suffix: 1})
-                out = alg.add(out, term)
-            if e % 2 and i in odd:
-                sign = -sign
-    if rule.unit != 1:
-        out = alg.scale(out, rule.unit)
-    return out
-
-
-def _monomial_plan(rule: DerivationRule, alg: Algebra
-                   ) -> Callable[[Monomial], Element] | None:
-    """The rule on the algebra's monomials by exponent arithmetic, or None
-    when the rule has power rules or a value that is not one monomial in
-    even, non-divided generators.
-
-    Moving such a value v past any factor costs no Koszul sign and meets no
-    divided-power binomial, so d(x g^e y) = (-1)^|x| e c x g^(e-1) v y is
-    the monomial x g^e y with g lowered by one and v's exponents added,
-    times the prefix sign, e, c and the rule's unit.  It vanishes when an
-    exponent reaches its truncation height or the exterior bound.  This is
-    the Leibniz expansion of apply_leibniz term for term, in the same
-    order, on every valid monomial.
-    """
-    if rule.power_rules:
-        return None
-    p = alg.p
-    caps = dict(alg.caps)
-    odd = set(alg.odd_slots)
-    # per generator: None, or (c * unit, ((index, shift, cap), ...)) with
-    # cap the exponent at which the product vanishes (None: unbounded)
-    steps = []
-    for i, g in enumerate(alg.gens):
-        val = rule.values.get(g.name)
-        if not val:
-            steps.append(None)
+    p, mono_mul, odd = alg.p, alg.mono_mul, alg.odd_slots
+    values, power_rules = rule.values, rule.power_rules
+    for i in sorted({alg.slot_of[name] for name in (*values, *power_rules)}):
+        e = m[i]
+        if not e:
             continue
-        if len(val) != 1:
-            return None
-        (v, c), = val.items()
-        shifts = {j: e for j, e in enumerate(v) if e}
-        if any(j in odd or j in alg.divided_slots for j in shifts):
-            return None
-        shifts[i] = shifts.get(i, 0) - 1
-        steps.append((c * rule.unit % p, tuple(
-            (j, d, caps.get(j)) for j, d in shifts.items())))
-
-    def apply(m: Monomial) -> Element:
-        out: Element = {}
-        sign = 1
-        for i, e in enumerate(m):
-            if not e:
+        name = alg.gens[i].name
+        power = power_rules.get(name)
+        if power is None:
+            # g is even when e > 1: odd generators carry no higher power
+            terms, low, factor = values[name], e - 1, e
+        else:
+            terms, low, factor = power(e), 0, 1
+        if not terms:
+            continue
+        sign = -1 if sum(m[j] for j in odd if j < i) % 2 else 1
+        unit = sign * factor * rule.unit
+        prefix = m[:i] + (low,) + (0,) * (len(m) - i - 1)
+        suffix = (0,) * (i + 1) + m[i + 1:]
+        for v, c in terms.items():
+            head = mono_mul(prefix, v)
+            if head is None:
                 continue
-            step = steps[i]
-            if step is not None:
-                coeff = sign * e * step[0] % p
-                if coeff:
-                    exps = list(m)
-                    for j, shift, cap in step[1]:
-                        exps[j] += shift
-                        if cap is not None and exps[j] >= cap:
-                            break
-                    else:
-                        key = tuple(exps)
-                        v = (out.get(key, 0) + coeff) % p
-                        if v:
-                            out[key] = v
-                        else:
-                            out.pop(key, None)
-            if e % 2 and i in odd:
-                sign = -sign
-        return out
-
-    return apply
-
-
-def _d_power(rule: DerivationRule, alg: Algebra, i: int, e: int) -> Element:
-    g = alg.gens[i]
-    if g.name in rule.power_rules:
-        return rule.power_rules[g.name](e)
-    val = rule.values.get(g.name)
-    if not val:
-        return {}
-    if e == 1:
-        return dict(val)
-    # g has even degree here (odd generators cannot carry exponent > 1)
-    lower = (0,) * i + (e - 1,) + (0,) * (len(alg.gens) - i - 1)
-    return alg.scale(alg.mul({lower: 1}, val), e)
+            whole = mono_mul(head[0], suffix)
+            if whole is None:
+                continue
+            key = whole[0]
+            total = (out.get(key, 0) + unit * c * head[1] * whole[1]) % p
+            if total:
+                out[key] = total
+            else:
+                out.pop(key, None)
+    return out
 
 
 def rule_on_element(rule: DiffRule, alg: Algebra, x: Element) -> Element:

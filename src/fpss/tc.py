@@ -100,13 +100,16 @@ def tf_decompose(p: int, lo: int, hi: int, kmax: int = 5
 def rh_map_check(p: int, lo: int, hi: int, kmax: int = 5
                  ) -> tuple[bool, list[str]]:
     """Behavior of the restriction endomorphism, clause by clause:
-    identity on A; the height k+1 tower blocks map onto the height k blocks
-    with the same leading exponent; everything else dies."""
+    identity on A, whose in-window classes are those of the closed form
+    E(eps1b, lambda2) (x) P(tmu2); the height k+1 tower blocks map onto
+    the height k blocks with the same leading exponent; everything else
+    dies."""
     if lo <= 2 * p - 2:
         raise ValueError("restriction map bookkeeping needs degrees > 2p-2")
     alg = tate_ambient(p, 0)
     problems: list[str] = []
-    stats = {"A": 0, "onto": 0, "zero": 0}
+    stats = {"onto": 0, "zero": 0}
+    a_degrees = []
     # the preimages of the height kmax classes are in the next blocks
     blocks = tf_decompose(p, lo, hi, kmax + 1)
     on_page = blocks.__contains__
@@ -117,7 +120,7 @@ def rh_map_check(p: int, lo: int, hi: int, kmax: int = 5
         if kind == "A":
             if r != m:
                 problems.append(f"A class {alg.mono_str(m)} not fixed")
-            stats["A"] += 1
+            a_degrees.append(alg.total(m))
             continue
         if kind == "D" or k == 2:
             if r is not None:
@@ -137,7 +140,13 @@ def rh_map_check(p: int, lo: int, hi: int, kmax: int = 5
                 problems.append(
                     f"{kind}_{k} class {alg.mono_str(m)} has no tower "
                     f"preimage")
-    detail = [f"A fixed: {stats['A']}, killed: {stats['zero']}, "
+    a_gens = tuple(PvGenerator(*g) for g in _ker_generator_degrees(p)[:4])
+    want = PvModule(p, "A", a_gens).series(lo, hi)
+    problems += [f"degree {d}: A block {n} on the page, {want.get(d)} in "
+                 f"closed form"
+                 for d, n in ps_from_degree_list(a_degrees, lo, hi).items()
+                 if n != want.get(d)]
+    detail = [f"A fixed: {len(a_degrees)}, killed: {stats['zero']}, "
               f"onto targets: {stats['onto']}, blocks up to {kmax}"]
     return not problems, problems or detail
 

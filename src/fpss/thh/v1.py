@@ -53,20 +53,10 @@ def v1_thh_series(p: int, ring: RingId, hi: int) -> PoincareSeries:
     return v1_thh_presentation(p, ring).series(hi)
 
 
-def astar_series(p: int, hi: int) -> PoincareSeries:
-    out = ps_from_degree_list([0], 0, hi)
-    k = 1
-    while 2 * (p ** k - 1) <= hi:
-        out = out.mul(ps_one_generator(0, hi, 2 * (p ** k - 1), Kind.POLYNOMIAL))
-        k += 1
-    k = 0
-    while 2 * p ** k - 1 <= hi:
-        out = out.mul(ps_one_generator(0, hi, 2 * p ** k - 1, Kind.EXTERIOR))
-        k += 1
-    return out
-
-
 def _h_ring_series(p: int, ring: RingId, hi: int) -> PoincareSeries:
+    """Dimensions of the mod p homology of the ring: every xi_k and the
+    tau_k that TAU_SETS gives it.  The mod p ring has every tau_k, so its
+    series is that of the dual Steenrod algebra A_*."""
     out = ps_from_degree_list([0], 0, hi)
     k = 1
     while 2 * (p ** k - 1) <= hi:
@@ -112,7 +102,8 @@ def poincare_identity_check(p: int, ring: RingId, hi: int
     """Check the freeness identity coefficientwise up to the given degree."""
     v1_side = ps_from_degree_list([0, 1, 2 * p - 1, 2 * p], 0, hi)
     lhs = v1_side.mul(h_thh_series(p, ring, hi))
-    rhs = astar_series(p, hi).mul(v1_thh_series(p, ring, hi))
+    astar = _h_ring_series(p, RingId.HZP_MOD, hi)
+    rhs = astar.mul(v1_thh_series(p, ring, hi))
     problems = [
         f"degree {d}: smash side {a}, comodule side {b}"
         for (d, a), (_, b) in zip(lhs.items(), rhs.items()) if a != b

@@ -40,9 +40,10 @@ def test_verify_usage_errors(capsys):
                       ("lemma-7.8", "0"), ("lemma-7.8", "-3")):
         code, out, err = run_cli(capsys, "verify", target, "--n", n)
         assert code == 2 and "--n" in err and not out
-    # prop-8.6 starts in degree 2p-1, so 0:5 is empty at p=5
-    code, out, err = run_cli(capsys, "verify", "prop-8.6", "--window", "0:5")
-    assert code == 2 and "empty window" in err and not out
+    # prop-8.2 and prop-8.6 start in degree 2p-1, so 0:5 is empty at p=5
+    for target, window in (("prop-8.6", "0:5"), ("prop-8.2", "0:3")):
+        code, out, err = run_cli(capsys, "verify", target, "--window", window)
+        assert code == 2 and "empty window" in err and not out
 
 
 def test_verify_relaxed_prime_for_oracle(capsys):
@@ -140,6 +141,23 @@ def test_prop_86_fails_on_mutated_closed_form(mutate, capsys, monkeypatch):
     assert code == 1 and not err
     assert out.startswith("FAIL prop-8.6\n  degree ")
     assert "in closed form" in out and "stabilize" not in out
+
+
+def test_prop_82_fails_without_the_a_block(capsys, monkeypatch):
+    # with the A summand gone from the circle page no A class is left to be
+    # fixed; the closed form E(eps1b, lambda2) (x) P(tmu2) still asks for it
+    real = tc.s1_einf
+
+    def no_a_block(p, kmax, conv):
+        form = real(p, kmax, conv)
+        return dataclasses.replace(form, summands=tuple(
+            sm for sm in form.summands if sm.pred != ("zero",)))
+
+    monkeypatch.setattr(tc, "s1_einf", no_a_block)
+    code, out, err = run_cli(capsys, "verify", "prop-8.2")
+    assert code == 1 and not err
+    assert out.startswith("FAIL prop-8.2\n  degree ")
+    assert "A block 0 on the page, 1 in closed form" in out
 
 
 def test_no_check_reports_a_literal_verdict():

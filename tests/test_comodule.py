@@ -5,6 +5,8 @@ from fpss.comodule import (RingId, astar_algebra, coaction, coproduct_values,
                            primitive_lift_coefficients, smash_class,
                            thh_coaction_table, v1_smash_thh_table)
 from fpss.graded import tensor
+from fpss.thh.tate import tate_ambient
+from fpss.thh.v1 import v1_thh_presentation
 
 P = 5
 
@@ -132,6 +134,29 @@ def test_named_classes_are_primitive(ring, expected):
     assert expected <= set(classes)
     for name, cls in classes.items():
         assert is_primitive(table, cls), name
+
+
+@pytest.mark.parametrize("ring", list(RingId), ids=lambda r: r.value)
+@pytest.mark.parametrize("p", [5, 7])
+def test_named_classes_match_the_presentation(p, ring):
+    # each named class is homogeneous, in the degree of the presentation's
+    # factor of that name; for l/p the classes outside the presentation
+    # sit where the Tate ambient puts eps0, mu0 and eps1b
+    alg = v1_smash_thh_table(p, ring).target
+    want = {name: degree for name, _, degree, _ in
+            v1_thh_presentation(p, ring).factors}
+    if ring is RingId.ELL_MOD_P:
+        ambient = tate_ambient(p, 0)
+        for name, gen in (("eps0", "eps0"), ("mu0", "mu0"),
+                          ("eps1bar", "eps1b")):
+            want[name] = ambient.gens[ambient.slot_of[gen]].total
+        assert (want["eps0"], want["mu0"], want["eps1bar"]) == \
+            (1, 2, 2 * p - 1)
+    classes = eq_classes(p, ring)
+    assert set(classes) == set(want)
+    for name, cls in classes.items():
+        assert cls, name
+        assert {alg.total(m) for m in cls} == {want[name]}, name
 
 
 def test_bare_btau0_is_not_primitive():

@@ -1,0 +1,34 @@
+import ast
+import pathlib
+
+import fpss
+
+# functions and methods that src/fpss keeps for the tests alone, each an
+# independent oracle or a hook the tests drive
+TEST_HOOKS = {
+    "basis_at",     # a page's basis in one bidegree, against iter_region
+    "dense_rank",   # dense elimination, against Echelon
+    "scaled",       # a rule times a unit, for unit invariance
+}
+
+
+def test_no_function_is_left_for_its_tests_alone():
+    # a def whose name nothing in src/fpss loads or looks up as an
+    # attribute is used by the tests at most, so it goes unless it is a
+    # listed hook; names are matched by spelling, not by binding
+    defs, refs = {}, set()
+    for path in sorted(pathlib.Path(fpss.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs.setdefault(node.name, []).append(
+                    f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Name):
+                refs.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                refs.add(node.attr)
+    unused = {name: where for name, where in defs.items()
+              if name not in refs and not (name.startswith("__")
+                                           and name.endswith("__"))}
+    assert set(unused) <= TEST_HOOKS, \
+        {name: unused[name] for name in set(unused) - TEST_HOOKS}
+    assert TEST_HOOKS <= set(defs)

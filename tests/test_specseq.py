@@ -5,7 +5,7 @@ import pytest
 from fpss import specseq
 from fpss.graded import Algebra, Generator, Kind, Monomial
 from fpss.specseq import (DerivationRule, FamilyRule, Region,
-                          VerificationError, _monomial_plan, apply_leibniz,
+                          VerificationError, apply_leibniz,
                           bidegree_table, dump_page, verify_turn)
 
 P = 5
@@ -101,26 +101,39 @@ def derivation_monomials(alg):
             for l in range(-2, 3) for d in range(3)]
 
 
-def test_exponent_arithmetic_matches_leibniz():
-    # g^1 and w^e (e up to 6, so e = p vanishes) with one-monomial values;
-    # h^2 times d(g) reaches the truncation height
-    alg = derivation_algebra()
-    rule = DerivationRule(2, "d", {"g": alg.elem(2, h=1, l=-1),
-                                   "w": alg.elem(h=1)})
-    assert _monomial_plan(rule, alg) is not None
-    hits_height = alg.mono(g=1, h=2)
-    assert apply_leibniz(rule, alg, hits_height) == {}
-    for r in (rule, rule.scaled(2), rule.scaled(P)):
-        for m in derivation_monomials(alg):
-            assert r.apply(alg, m) == apply_leibniz(r, alg, m), \
-                (r.name, alg.mono_str(m))
+def leibniz_by_elements(rule, alg, m):
+    """The Leibniz expansion written with elements: every slot of m, d(g^e)
+    as the power rule or e g^(e-1) d(g) by mul, and each term as
+    prefix * d(g^e) * suffix by mul, summed with add."""
+    out = {}
+    sign = 1
+    n = len(m)
+    for i, e in enumerate(m):
+        name = alg.gens[i].name
+        if e and name in rule.power_rules:
+            dfac = rule.power_rules[name](e)
+        elif e and rule.values.get(name):
+            lower = (0,) * i + (e - 1,) + (0,) * (n - i - 1)
+            dfac = alg.scale(alg.mul({lower: 1}, rule.values[name]), e)
+        else:
+            dfac = {}
+        if dfac:
+            prefix = m[:i] + (0,) * (n - i)
+            suffix = (0,) * (i + 1) + m[i + 1:]
+            term = alg.mul({prefix: sign % alg.p}, dfac)
+            out = alg.add(out, alg.mul(term, {suffix: 1}))
+        if e % 2 and i in alg.odd_slots:
+            sign = -sign
+    return alg.scale(out, rule.unit)
 
 
-@pytest.mark.parametrize("case", ["two-term", "power-rules", "odd-value",
-                                  "divided-value"])
-def test_exponent_arithmetic_declines(case):
-    alg = derivation_algebra()
-    rule = {
+def derivation_rule(alg, case):
+    """One rule per value shape: single monomials on an odd (g) and an even
+    (w) generator, a two-term value, a power rule, an odd value and a
+    divided value."""
+    return {
+        "one-monomial": DerivationRule(2, "d", {"g": alg.elem(2, h=1, l=-1),
+                                                "w": alg.elem(h=1)}),
         "two-term": DerivationRule(2, "d", {"g": alg.add(alg.elem(h=1),
                                                           alg.elem(l=1))}),
         "power-rules": DerivationRule(2, "d", {"g": alg.elem(h=1)},
@@ -128,9 +141,28 @@ def test_exponent_arithmetic_declines(case):
         "odd-value": DerivationRule(2, "d", {"w": alg.elem(b=1)}),
         "divided-value": DerivationRule(2, "d", {"g": alg.elem(D=1)}),
     }[case]
-    assert _monomial_plan(rule, alg) is None
-    for m in derivation_monomials(alg):
-        assert rule.apply(alg, m) == apply_leibniz(rule, alg, m)
+
+
+def test_leibniz_vanishes_at_truncation_height():
+    # h^2 times d(g) = 2 h l^-1 reaches h's height 3
+    alg = derivation_algebra()
+    rule = derivation_rule(alg, "one-monomial")
+    assert apply_leibniz(rule, alg, alg.mono(g=1, h=2)) == {}
+
+
+@pytest.mark.parametrize("case", ["one-monomial", "two-term", "power-rules",
+                                  "odd-value", "divided-value"])
+def test_leibniz_matches_element_expansion(case):
+    # w^e up to e = 6 (so e = p vanishes) and odd classes before and after
+    # the derived ones; the values and their order match the expansion
+    alg = derivation_algebra()
+    rule = derivation_rule(alg, case)
+    for r in (rule, rule.scaled(2), rule.scaled(P)):
+        for m in derivation_monomials(alg):
+            got = r.apply(alg, m)
+            assert list(got.items()) == \
+                list(leibniz_by_elements(r, alg, m).items()), \
+                (r.name, alg.mono_str(m))
 
 
 def mutation_algebra():

@@ -8,9 +8,8 @@ from fpss import specseq
 from fpss.numerics import rho, vp
 from fpss.specseq import (DerivationRule, FamilyRule, Region,
                           VerificationError, _echelon_mismatches,
-                          _matching_certifies, _monomial_plan, _turn_tables,
-                          _TurnValues, apply_leibniz, bidegree_table,
-                          verify_turn)
+                          _matching_certifies, _turn_tables, _TurnValues,
+                          bidegree_table, verify_turn)
 import fpss.thh.tate as tate
 from fpss.thh.circle import comparison_region, s1_einf, s1_limits
 from fpss.thh.tate import (BOTH, IE1, IL, IM, IT, IU, PLAIN, TOWERS, SSInstance,
@@ -274,25 +273,6 @@ def test_matching_agrees_with_echelon(p, lo, hi, n, conv):
         args = (inst.algebra, values, bases, closed, bds, st.rule.r)
         assert _matching_certifies(*args), st.rule.name
         assert _echelon_mismatches(*args) == [], st.rule.name
-
-
-@pytest.mark.parametrize("conv", ["tate", "hofix"])
-@pytest.mark.parametrize("n", [1, 2])
-@pytest.mark.parametrize("p", [5, 7])
-def test_d2_exponent_arithmetic_matches_leibniz(p, n, conv):
-    # the d2 rule takes the exponent-arithmetic path; on every monomial of
-    # the widened E2 region it gives the Leibniz expansion, scaled or not
-    inst = tower_instance(p, n, conv)
-    alg = inst.algebra
-    st = inst.stages[0]
-    assert _monomial_plan(st.rule, alg) is not None
-    region = instance_region(p, n, -20, 60, conv).widen(st.rule.r)
-    monos = list(st.before.iter_region(region))
-    assert monos
-    for rule in (st.rule, st.rule.scaled(2)):
-        for m in monos:
-            assert rule.apply(alg, m) == apply_leibniz(rule, alg, m), \
-                (rule.name, alg.mono_str(m))
 
 
 def test_monomials_at_total_is_fast():
