@@ -26,7 +26,7 @@ from .graded import Monomial, PoincareSeries, ps_from_degree_list
 from .numerics import vp
 from .specseq import VerificationError
 from .thh.circle import s1_einf
-from .thh.tate import IE0, IE1, IL, IM, IM0, IT, IU, Summand, tate_ambient
+from .thh.tate import IE1, IL, IM, IT, Summand, in_window, tate_ambient
 
 
 def _coords(m: Monomial) -> tuple[int, int, int, int]:
@@ -176,14 +176,6 @@ def _summand(p: int, kind: str, k: int) -> Summand:
     return sm
 
 
-def _in_window(base: int, step: int, trunc: int | None, lo: int, hi: int
-               ) -> range:
-    """The tmu2 powers 0 <= c < trunc with base + step * c in [lo, hi]."""
-    top = (hi - base) // step + 1
-    return range(max(0, -((base - lo) // step)),
-                 top if trunc is None else min(trunc, top))
-
-
 def _block_classes(p: int, kind: str, k: int, lo: int, hi: int
                    ) -> tuple[list[tuple[int, Monomial]], bool]:
     """The in-window classes of the A block or of B_k or C_k, each with its
@@ -200,10 +192,10 @@ def _block_classes(p: int, kind: str, k: int, lo: int, hi: int
         for _, _, e in sm.module:
             for j in js:
                 base = L * b + E * e - 2 * j
-                cs = _in_window(base, step, sm.c_hi, lo, hi)
+                cs = in_window(base, step, sm.c_hi, lo, hi)
                 out += [(base + step * c, _pack(p, e, b, j, c)) for c in cs]
                 clipped = clipped or \
-                    len(_in_window(base, step, None, lo, hi)) > len(cs)
+                    len(in_window(base, step, None, lo, hi)) > len(cs)
     return out, clipped
 
 

@@ -28,15 +28,27 @@ lambda2, t, mu2) and M the 2p module monomials, and d = x delta with
 delta(eps0 mu0^(i-1)) = mu0^i on M and x = t.  Since x is not a zero
 divisor on A, the homology is A (x) H(M, delta) plus (A/xA) (x) im delta
 in every degree: A (x) {1, eps1b} for Tate, where t is a unit, plus the
-head mu0^i in tmu2 power 0 for homotopy fixed points.  run_instance
-compares that formula with the closed form over the region and falls
-back to verify_turn for every other turn, or when a precondition fails.
+head mu0^i in tmu2 power 0 for homotopy fixed points.  That formula is
+a list of summands, compared with the closed form cell by cell.
+
+Every later turn is one RuleRow, certified on summand cells in every
+degree.  A page is a union of cells: a key (u, lambda2 and module
+exponents), a tmu2 power c and a set of free-exponent residues modulo a
+common period P of the predicates.  Along c each key is constant between
+the summands' tmu2 bounds.  The row's value translates these coordinates
+by a constant, so its sources go one to one onto their images, and when
+the images are page classes that are not sources themselves, the
+homology is the page without sources and images (algebraic discrete
+Morse theory on summands: Skoldberg, Trans. AMS 358, 2006).  run_instance
+sends a turn to verify_turn only when a certificate's precondition fails
+or the closed form disagrees.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import Callable, Iterable, NamedTuple
 
 from ..graded import Algebra, Generator, Kind, Monomial
@@ -146,6 +158,14 @@ def _allowed_steps(classes: tuple[int, int, list[int]] | None, free0: int,
         [k - shift + M for k in base if k < shift]
     return (q + r for q in range(k_lo - k_lo % M, k_hi, M) for r in ks
             if k_lo <= q + r < k_hi)
+
+
+def in_window(base: int, step: int, trunc: int | None, lo: int, hi: int
+              ) -> range:
+    """The tmu2 powers 0 <= c < trunc with base + step * c in [lo, hi]."""
+    top = (hi - base) // step + 1
+    return range(max(0, -((base - lo) // step)),
+                 top if trunc is None else min(trunc, top))
 
 
 @dataclass(frozen=True)
@@ -262,6 +282,16 @@ class TateForm:
                 for b in sm.lam:
                     for d0, i0, e in sm.module:
                         base = self._vert_const(b, d0, i0, e) - a
+                        if not f_s:
+                            for c, frees in self._fixed_column_steps(
+                                    sm, classes, a, base, region):
+                                s = -a - 2 * c
+                                t0 = base + step * c - s
+                                for free in frees:
+                                    yield (s, t0 + f_tot * free), (
+                                        a, c + ft * free, b, c + fm * free,
+                                        d0, i0, e)
+                            continue
                         c = 0
                         while sm.c_hi is None or c < sm.c_hi:
                             rest = base + step * c  # total at free exponent 0
@@ -291,6 +321,46 @@ class TateForm:
                                         a, c + ft * free, b, c + fm * free,
                                         d0, i0, e)
                             c += 1
+
+    def _fixed_column_steps(self, sm: Summand,
+                            classes: tuple[int, int, list[int]] | None,
+                            a: int, base: int, region: Region
+                            ) -> Iterable[tuple[int, list[int]]]:
+        """The tmu2 powers c of one summand row in the region, ascending,
+        each with its free exponents, ascending, when the free class has
+        column 0 (mu2).
+
+        The column -a - 2c bounds c, and the allowed free exponents are
+        listed once.  Each c takes those whose total degree is in the
+        window; the window moves down as c grows, so from an empty one the
+        walk skips to the first c that reaches the next exponent below."""
+        p = self.p
+        _, _, _, f_tot = self._free_degrees()
+        step = 2 * p * p - 2
+        c = max(0, -((a + region.s_hi) // 2))
+        c_top = (-a - region.s_lo) // 2 + 1
+        if sm.c_hi is not None:
+            c_top = min(c_top, sm.c_hi)
+        if c >= c_top:
+            return
+        free_lo = -((base + step * (c_top - 1) - region.lo) // f_tot)
+        frees = [free_lo + k for k in _allowed_steps(
+            classes, free_lo, 1, 0,
+            (region.hi - base - step * c) // f_tot - free_lo + 1)]
+        if sm.pred[0] == "vp_eq":
+            frees = [x for x in frees if _pred_ok(sm.pred, p, x)]
+        while c < c_top:
+            rest = base + step * c      # total degree at free exponent 0
+            i = bisect_left(frees, -((rest - region.lo) // f_tot))
+            j = bisect_right(frees, (region.hi - rest) // f_tot)
+            if i < j:
+                yield c, frees[i:j]
+                c += 1
+            elif i:
+                c = max(c + 1, -((base + f_tot * frees[i - 1] - region.lo)
+                                 // step))
+            else:
+                return
 
     def monomials_at_total(self, total: int) -> list[Monomial]:
         """All basis monomials of one total degree; needs every summand to be
@@ -426,12 +496,20 @@ def rule_rows(p: int, n: int, conv: str) -> list[RuleRow]:
                            2 * rho(p, 2 * n) + 1)]
 
 
+def _row_delta(conv: str, row: RuleRow) -> Monomial:
+    """The exponent change of the row's value: the exterior slot flipped
+    (u, lambda2 or eps1b), the tmu2 power raised by inc and the free
+    exponent moved by shift."""
+    du, dl, de = (1 - 2 * row.src if row.slot == i else 0
+                  for i in (IU, IL, IE1))
+    dt, dm = (row.inc + f * row.shift for f in TOWERS[conv].free)
+    return (du, dt, dl, dm, 0, 0, de)
+
+
 def family_rule(p: int, conv: str, row: RuleRow) -> FamilyRule:
     """The rule of one row: its guard, then one constant exponent shift."""
-    tw = TOWERS[conv]
-    slot, src, pred, sign = row.slot, row.src, row.pred, tw.sign
-    du, dl, de = (1 - 2 * src if slot == i else 0 for i in (IU, IL, IE1))
-    dt, dm = (row.inc + f * row.shift for f in tw.free)
+    slot, src, pred, sign = row.slot, row.src, row.pred, TOWERS[conv].sign
+    du, dt, dl, dm, _, _, de = _row_delta(conv, row)
 
     def fn(alg: Algebra, m: Monomial):
         a, J, b, M, d0, i0, e = m
@@ -452,6 +530,7 @@ class Stage:
     rule: DiffRule
     before: TateForm
     after: TateForm
+    row: RuleRow | None     # the row the rule is built from; None for d2
 
 
 @dataclass(frozen=True)
@@ -480,12 +559,12 @@ class SSInstance:
 def tower_instance(p: int, n: int, conv: str) -> SSInstance:
     """The height n tower of one convention, stage by stage."""
     stages = [Stage(2, d2_rule(p, n), tower_form(p, n, conv, "E2"),
-                    tower_form(p, n, conv, "E3"))]
+                    tower_form(p, n, conv, "E3"), None)]
     for row in rule_rows(p, n, conv):
         rule = family_rule(p, conv, row)
         stage = "Einf" if row.family == "final" else row.family
         stages.append(Stage(rule.r, rule, stages[-1].after,
-                            tower_form(p, n, conv, stage, row.k)))
+                            tower_form(p, n, conv, stage, row.k), row))
     return SSInstance(f"{conv}:cp:{n}", p, n, tate_ambient(p, n),
                       tuple(stages))
 
@@ -551,11 +630,16 @@ def _factorization_certifies(before: TateForm, rule: DiffRule,
     if dc:
         sums.append(Summand(BOTH, BOTH, tuple(m for m in sm.module if m in hit),
                             1, ("any",)))
-    want = set(TateForm("H", r + 1, alg, before.conv, tuple(sums))
-               .iter_region(region))
-    got = list(after.iter_region(region))
-    if len(got) != len(want) or set(got) != want:
+    cells = _cell_tables((TateForm("H", r + 1, alg, before.conv, tuple(sums)),
+                          after))
+    if cells is None:
         return None
+    (want, got), cuts, _ = cells
+    for c in cuts:
+        for key in want.keys() | got.keys():
+            h = _cell(want, key, c)
+            if h is None or h != _cell(got, key, c):
+                return None
     return PageComparison(f"{before.label} -> {after.label}",
                           _bidegree_count(before, region), [])
 
@@ -589,15 +673,156 @@ def _bidegree_count(form: TateForm, region: Region) -> int:
     return count
 
 
+# the exponent slots that key a cell: u, lambda2 and the module
+KEY = (IU, IL, IE0, IM0, IE1)
+
+Cells = dict[tuple[int, ...], list[tuple[int | None, frozenset[int]]]]
+
+
+def _period(pred: Pred, p: int) -> int | None:
+    """A period of the predicate in the free exponent; None for zero, which
+    holds at one exponent only, and for unknown kinds."""
+    kind = pred[0]
+    if kind == "vp_eq":
+        return p ** (pred[1] + 1)
+    if kind == "vp_ge":
+        return p ** pred[1]
+    if kind in ("res", "ceil_unit"):
+        return p * p
+    return 1 if kind == "any" else None
+
+
+@lru_cache(maxsize=None)
+def _residues(pred: Pred, p: int, P: int) -> frozenset[int]:
+    """The free exponents mod P that the predicate accepts; P must be a
+    multiple of its period."""
+    return frozenset(x for x in range(P) if _pred_ok(pred, p, x))
+
+
+def _cell_tables(forms: tuple[TateForm, ...]
+                 ) -> tuple[list[Cells], set[int], int] | None:
+    """Each page's cells, their tmu2 cuts B and the common period P of
+    every predicate; None when a predicate has no period.
+
+    A page's cells map each key (u, lambda2, eps0, mu0, eps1b) to the tmu2
+    bound and free-exponent residues mod P of every summand that holds it.
+    B is 0 and every tmu2 bound: each key is constant between cuts."""
+    p = forms[0].p
+    periods = [_period(sm.pred, p) for form in forms for sm in form.summands]
+    if None in periods:
+        return None
+    P = lcm(*periods)
+    tables, cuts = [], {0}
+    for form in forms:
+        cells: Cells = {}
+        for sm in form.summands:
+            res = _residues(sm.pred, p, P)
+            if sm.c_hi is not None:
+                cuts.add(sm.c_hi)
+            for a in sm.u:
+                for b in sm.lam:
+                    for trip in sm.module:
+                        cells.setdefault((a, b) + trip, []).append(
+                            (sm.c_hi, res))
+        tables.append(cells)
+    return tables, cuts, P
+
+
+def _cell(cells: Cells, key: tuple[int, ...], c: int
+          ) -> frozenset[int] | None:
+    """The free-exponent residues of one key at tmu2 power c; None where
+    two summands overlap."""
+    out: frozenset[int] = frozenset()
+    if c < 0:
+        return out
+    for c_hi, res in cells.get(key, ()):
+        if c_hi is None or c < c_hi:
+            if out & res:
+                return None
+            out |= res
+    return out
+
+
+def _summand_certifies(before: TateForm, row: RuleRow, unit: int,
+                       after: TateForm, region: Region
+                       ) -> PageComparison | None:
+    """verify_turn's result for the turn of family_rule(row) times unit,
+    certified on the summands in every degree; None when a precondition
+    fails or a cell disagrees.
+
+    The row sends a page class with key K (slot exponent src, no eps0 or
+    mu0), tmu2 power c and an accepted free exponent x to the class K + dK,
+    c + inc, x + shift, times a unit: a matching.  The row flips the
+    exterior slot it guards on, so no image is a source and d after d
+    vanishes.  When every image is a page class, the homology is the page
+    without sources and images, and it must be the closed form.  Both are
+    checked per key on the cuts B and B + inc: between two cuts the page,
+    the closed form, the sources and the images arriving from c - inc are
+    constant.  The region only counts the bidegrees that hold a class of
+    the page."""
+    p, conv, alg = before.p, before.conv, before.algebra
+    if after.algebra != alg or after.conv != conv or not unit % p or \
+            row.slot not in (IU, IL, IE1):
+        return None
+    delta = _row_delta(conv, row)
+    if alg.bidegree(delta) != (-row.r, row.r - 1):
+        return None
+    cells = _cell_tables((before, after))
+    if cells is None:
+        return None
+    (page, closed), cuts, P = cells
+    guard_period = _period(row.pred, p)
+    if guard_period is None or P % guard_period:
+        return None
+    guard = _residues(row.pred, p, P)
+    ft, fm = TOWERS[conv].free
+    inc = fm * delta[IT] + ft * delta[IM]
+    shift = TOWERS[conv].sign * (delta[IT] - delta[IM])
+    dkey = [delta[i] for i in KEY]
+    j = KEY.index(row.slot)
+    sources = {key for key in page if key[j] == row.src and not key[2]
+               and not key[3]}
+    image_of = {tuple(k + d for k, d in zip(key, dkey)): key
+                for key in sources}
+    keys = page.keys() | closed.keys() | image_of.keys()
+    empty: frozenset[int] = frozenset()
+    for c in cuts | {b + inc for b in cuts}:
+        for key in keys:
+            here, want = _cell(page, key, c), _cell(closed, key, c)
+            pre = image_of.get(key)
+            hit = empty if pre is None else _cell(page, pre, c - inc)
+            if here is None or want is None or hit is None:
+                return None
+            hit = frozenset((x + shift) % P for x in hit & guard)
+            src = here & guard if key in sources else empty
+            if not hit <= here or here - src - hit != want:
+                return None
+    return PageComparison(f"{before.label} -> {after.label}",
+                          _region_bidegrees(before, region), [])
+
+
+def _region_bidegrees(form: TateForm, region: Region) -> int:
+    """The bidegrees of the region that hold a class of the page, marked on
+    a grid of columns by total degrees from one _iter_placed pass."""
+    width = region.hi - region.lo + 1
+    seen = bytearray(max(0, width) * max(0, region.s_hi - region.s_lo + 1))
+    for (s, t), _ in form._iter_placed(region):
+        seen[(s - region.s_lo) * width + s + t - region.lo] = 1
+    return seen.count(1)
+
+
 def run_instance(inst: SSInstance, lo: int, hi: int,
                  region: Region | None = None) -> list[PageComparison]:
     """Re-seed every stage from its closed form, turn the page, and certify
-    the homology against the next closed form: by factorization where it
-    applies (the d2 turn), else by verify_turn."""
+    the homology against the next closed form: d2 by factorization, every
+    later turn on summand cells, and by verify_turn where they decline."""
     conv = inst.stages[0].before.conv
     if region is None:
         region = instance_region(inst.p, inst.n, lo, hi, conv)
-    return [_factorization_certifies(st.before, st.rule, st.after, region)
+    return [(_factorization_certifies(st.before, st.rule, st.after, region)
+             if st.row is None else
+             _summand_certifies(st.before, st.row, st.rule.unit, st.after,
+                                region))
             or verify_turn(st.before, st.rule, st.after, region)
             for st in inst.stages]
 

@@ -12,11 +12,12 @@ from fpss.specseq import (DerivationRule, FamilyRule, Region,
                           bidegree_table, verify_turn)
 import fpss.thh.tate as tate
 from fpss.thh.circle import comparison_region, s1_einf, s1_limits
-from fpss.thh.tate import (BOTH, IE1, IL, IM, IT, IU, PLAIN, TOWERS, SSInstance,
-                           Summand, TateForm, _allowed_steps,
+from fpss.thh.tate import (BOTH, IE0, IE1, IL, IM, IT, IU, PLAIN, TOWERS,
+                           SSInstance, Summand, TateForm, _allowed_steps,
                            _factorization_certifies, _pred_classes, _pred_ok,
-                           _step_classes, instance_region, module_triples,
-                           run_instance, tower_form, tower_instance)
+                           _step_classes, _summand_certifies, family_rule,
+                           instance_region, module_triples, run_instance,
+                           tower_form, tower_instance)
 
 P = 5
 
@@ -379,6 +380,29 @@ def test_iter_region_matches_scan(p, n, conv):
                 (form.label, region)
 
 
+def test_iter_region_lists_hofix_free_exponents_once(monkeypatch):
+    # the free class has column 0 on homotopy fixed point pages, so each
+    # summand row lists its allowed free exponents once instead of once
+    # per tmu2 power down to the column floor
+    calls = [0]
+    real = _allowed_steps
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(tate, "_allowed_steps", counting)
+    region = instance_region(P, 2, -2 * P * P, 5 * P * P, "hofix")
+    forms = instance_forms(tower_instance(P, 2, "hofix"))
+    for form in forms + [s1_einf(P, kmax, "hofix") for kmax in (2, 4)]:
+        calls[0] = 0
+        yielded = sum(1 for _ in form.iter_region(region))
+        rows = sum(len(sm.u) * len(sm.lam) * len(sm.module)
+                   for sm in form.summands)
+        assert yielded > 0, form.label
+        assert calls[0] <= rows, (form.label, calls[0], rows)
+
+
 def test_iter_region_steps_only_allowed_residues(monkeypatch):
     # the free exponent steps through the predicate's residue classes, so
     # _pred_ok rejects at most as many candidates as it accepts
@@ -425,22 +449,32 @@ def test_factorization_agrees_with_verify_turn(p, lo, hi, n, conv):
 
 
 def test_factorization_decides_only_d2(monkeypatch):
-    # every default tower run certifies stage 0 by factorization and sends
-    # every later stage to verify_turn
+    # every default tower run certifies stage 0 by factorization and every
+    # later stage on summand cells; verify_turn is never called
     calls = []
-    real = tate.verify_turn
 
-    def counting(before, rule, after, region):
-        calls.append(rule.name)
-        return real(before, rule, after, region)
+    def spy(name):
+        real = getattr(tate, name)
 
-    monkeypatch.setattr(tate, "verify_turn", counting)
-    for conv in ("tate", "hofix"):
-        inst = tower_instance(P, 2, conv)
-        calls.clear()
-        results = run_instance(inst, -2 * P * P, 5 * P * P)
-        assert all(c.passed for c in results)
-        assert calls == [st.rule.name for st in inst.stages[1:]], conv
+        def counting(*args):
+            got = real(*args)
+            calls.append((name, got is not None and got.passed))
+            return got
+        return counting
+
+    for name in ("_factorization_certifies", "_summand_certifies",
+                 "verify_turn"):
+        monkeypatch.setattr(tate, name, spy(name))
+    for p in (5, 7):
+        for n in (1, 2):
+            for conv in ("tate", "hofix"):
+                inst = tower_instance(p, n, conv)
+                calls.clear()
+                results = run_instance(inst, -2 * p * p, 5 * p * p)
+                assert all(c.passed for c in results)
+                assert calls == [("_factorization_certifies", True)] + [
+                    ("_summand_certifies", True)] * (len(inst.stages) - 1), \
+                    (p, n, conv)
 
 
 def test_factorization_is_fast():
@@ -451,6 +485,16 @@ def test_factorization_is_fast():
         region = instance_region(P, 2, -2 * P * P, 5 * P * P, conv)
         assert _factorization_certifies(st.before, st.rule, st.after, region)
     assert time.perf_counter() - t0 < 0.5
+
+
+def test_tower_turns_are_fast():
+    # both conventions at p = 5, n = 2 on the default window, every stage
+    t0 = time.perf_counter()
+    for conv in ("tate", "hofix"):
+        results = run_instance(tower_instance(P, 2, conv), -2 * P * P,
+                               5 * P * P)
+        assert all(c.passed for c in results)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def _drop_eps1b(st, alg):
@@ -504,6 +548,10 @@ FACTOR_MUTANTS = {
     "hofix E3 without its head": ("hofix", _drop_head),
     "E3 listing a class twice": ("hofix", lambda st, alg: replace(
         st, after=replace(st.after, summands=st.after.summands * 2))),
+    # mu0 = t^-1 d2(eps0) is a boundary, in a module key E3 does not have
+    "E3 with mu0": ("tate", lambda st, alg: _with_after(
+        *st.after.summands, Summand(BOTH, BOTH, ((0, 1, 0),), None,
+                                    ("any",)))(st, alg)),
     "value on a passive generator": ("tate", _with_rule(
         values=lambda alg: {"lambda2": alg.elem(t=1, mu2=1)})),
     # u t^(p^2) lambda2 has the bidegree of a length 2p^2+1 differential
@@ -567,6 +615,131 @@ def test_factorization_mutants_take_verify_turn(name):
     mutant = SSInstance("mutant", P, 1, inst.algebra, (st,))
     want = _outcome(verify_turn, st.before, st.rule, st.after, region)
     assert _outcome(lambda: run_instance(mutant, -20, 60, region)[0]) == want
+
+
+# -- the summand certificate ----------------------------------------------
+
+
+@pytest.mark.parametrize("conv", ["tate", "hofix"])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("p, lo, hi", FACTOR_WINDOWS)
+def test_summand_certificate_agrees_with_verify_turn(p, lo, hi, n, conv):
+    # every turn after d2 certifies on summand cells, with verify_turn's
+    # label, bidegree count and (empty) mismatch list, for the rule and a
+    # rescaling
+    inst = tower_instance(p, n, conv)
+    region = instance_region(p, n, lo, hi, conv)
+    for st in inst.stages[1:]:
+        for rule in (st.rule, st.rule.scaled(2)) if p == 7 else (st.rule,):
+            got = _summand_certifies(st.before, st.row, rule.unit, st.after,
+                                     region)
+            assert got is not None and got.passed, rule.name
+            assert got == verify_turn(st.before, rule, st.after, region), \
+                rule.name
+
+
+def test_summand_certificate_agrees_at_height_3():
+    # the window -20:60 keeps verify_turn's share to about 5 s
+    inst = tower_instance(P, 3, "tate")
+    region = instance_region(P, 3, -20, 60, "tate")
+    for st in inst.stages[1:]:
+        got = _summand_certifies(st.before, st.row, st.rule.unit, st.after,
+                                 region)
+        assert got is not None and got.passed, st.rule.name
+        assert got == verify_turn(st.before, st.rule, st.after, region), \
+            st.rule.name
+
+
+def _next_pred(pred):
+    return ("res",) if pred == ("ceil_unit",) else (pred[0], pred[1] + 1)
+
+
+# one mutant per row field, each a wrong rule; the slot moves to another
+# exterior slot (final rows) or out of the cell key (odd and even rows)
+ROW_MUTANTS = {
+    "slot": lambda row: row._replace(
+        slot={IU: IL, IL: IT, IE1: IE0}[row.slot]),
+    "src": lambda row: row._replace(src=1 - row.src),
+    "pred": lambda row: row._replace(pred=_next_pred(row.pred)),
+    "inc": lambda row: row._replace(inc=row.inc + 1),
+    "shift": lambda row: row._replace(shift=row.shift + 1),
+    "r": lambda row: row._replace(r=row.r + 1),
+}
+
+
+# one mutant per closed-form summand field, each a wrong closed form when
+# applied to the summand a page ends with: vp_ge, or the top of Einf
+SUMMAND_MUTANTS = {
+    "u": lambda sm: replace(sm, u=(0,) if sm.u == BOTH else BOTH),
+    "lam": lambda sm: replace(sm, lam=(1,)),
+    "module": lambda sm: replace(sm, module=PLAIN),
+    # Einf's top summand made unbounded: wrong only from tmu2 power inc on,
+    # a cut that no summand bound gives
+    "c_hi": lambda sm: replace(sm, c_hi=1 if sm.c_hi is None else None),
+    "pred": lambda sm: replace(sm, pred=_next_pred(sm.pred)),
+}
+
+
+def _declines_then_fails(st, region):
+    # the certificate declines and run_instance does not pass the stage
+    assert _summand_certifies(st.before, st.row, st.rule.unit, st.after,
+                              region) is None, st.rule.name
+    mutant = SSInstance("mutant", P, 2, st.before.algebra, (st,))
+    got = _outcome(lambda: run_instance(mutant, region.lo, region.hi,
+                                        region)[0])
+    assert isinstance(got, tuple) or not got.passed, st.rule.name
+
+
+@pytest.mark.parametrize("conv", ["tate", "hofix"])
+@pytest.mark.parametrize("field", sorted(ROW_MUTANTS))
+def test_summand_row_mutants_take_verify_turn(field, conv):
+    # every row of the p = 5, n = 2 tower, with its rule rebuilt
+    region = instance_region(P, 2, -2 * P * P, 5 * P * P, conv)
+    for st in tower_instance(P, 2, conv).stages[1:]:
+        row = ROW_MUTANTS[field](st.row)
+        rule = family_rule(P, conv, row)
+        _declines_then_fails(replace(st, r=rule.r, rule=rule, row=row),
+                             region)
+
+
+@pytest.mark.parametrize("conv", ["tate", "hofix"])
+@pytest.mark.parametrize("field", sorted(SUMMAND_MUTANTS))
+def test_summand_form_mutants_take_verify_turn(field, conv):
+    # the last summand of every closed form after d2 at p = 5, n = 2
+    region = instance_region(P, 2, -2 * P * P, 5 * P * P, conv)
+    for st in tower_instance(P, 2, conv).stages[1:]:
+        *head, last = st.after.summands
+        after = replace(st.after, summands=(*head,
+                                            SUMMAND_MUTANTS[field](last)))
+        _declines_then_fails(replace(st, after=after), region)
+
+
+@pytest.mark.parametrize("conv", ["tate", "hofix"])
+@pytest.mark.parametrize("keep", ["unhit", "sources"])
+def test_summand_certificate_needs_images_on_the_page(keep, conv):
+    # the final turn on a page without the u = 0 classes it hits: the page
+    # without sources is still the closed form, but the images leave the
+    # page, into the keys of the page (unhit) or into no key of either
+    # page (sources)
+    st = tower_instance(P, 2, conv).stages[-1]
+    *head, top = st.before.summands
+    sources = replace(top, u=(1,))
+    if keep == "unhit":
+        unhit = replace(top, u=(0,), c_hi=st.after.summands[-1].c_hi)
+        before, after = (*head, sources, unhit), st.after.summands
+    else:
+        before, after = (sources,), ()
+    st = replace(st, before=replace(st.before, summands=before),
+                 after=replace(st.after, summands=after))
+    region = instance_region(P, 2, -2 * P * P, 5 * P * P, conv)
+    _declines_then_fails(st, region)
+
+
+def test_summand_certificate_declines_a_zero_unit():
+    for conv in ("tate", "hofix"):
+        region = instance_region(P, 2, -2 * P * P, 5 * P * P, conv)
+        for st in tower_instance(P, 2, conv).stages[1:]:
+            _declines_then_fails(replace(st, rule=st.rule.scaled(P)), region)
 
 
 # -- the rule table against the closures it replaced ----------------------
