@@ -13,7 +13,6 @@ The suspended-class values are fixed input data; everything verified here
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -104,7 +103,6 @@ def coproduct_values(astar: Algebra) -> dict[str, Element]:
     return out
 
 
-@dataclass(frozen=True)
 class CoactionTable:
     """Comodule coaction data: target algebra, A (x) target container, and
     the coaction value of every target generator.
@@ -113,19 +111,17 @@ class CoactionTable:
     is checked on construction.
     """
 
-    astar: Algebra
-    target: Algebra
-    tens: Algebra
-    inj_a: object
-    inj_t: object
-    values: dict[str, Element]
+    __slots__ = ("astar", "target", "tens", "inj_a", "inj_t", "values")
 
-    def __post_init__(self) -> None:
-        for g in self.target.gens:
-            if g.name not in self.values:
+    def __init__(self, astar: Algebra, target: Algebra, tens: Algebra,
+                 inj_a, inj_t, values: dict[str, Element]) -> None:
+        self.astar, self.target, self.tens = astar, target, tens
+        self.inj_a, self.inj_t, self.values = inj_a, inj_t, values
+        for g in target.gens:
+            if g.name not in values:
                 raise ValueError(f"coaction table missing generator {g.name}")
-            got = counit_left(self, self.values[g.name])
-            want = {self.target.mono(**{g.name: 1}): 1}
+            got = counit_left(self, values[g.name])
+            want = {target.mono(**{g.name: 1}): 1}
             if got != want:
                 raise ValueError(f"coaction of {g.name} is not counital")
 

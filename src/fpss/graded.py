@@ -16,7 +16,6 @@ never a generator's kind.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from operator import mul
 
@@ -31,7 +30,6 @@ class Kind(Enum):
     DIVIDED = "divided"
 
 
-@dataclass(frozen=True)
 class Generator:
     """A named generator with column degree s and internal degree t.
 
@@ -39,15 +37,26 @@ class Generator:
     element gamma_j, which sits in bidegree (j*s, j*t).
     """
 
-    name: str
-    s: int
-    t: int
-    kind: Kind
-    height: int = 0
+    __slots__ = ("name", "s", "t", "kind", "height")
 
-    def __post_init__(self) -> None:
-        if self.kind is Kind.TRUNCATED and self.height < 2:
-            raise ValueError(f"truncated generator {self.name} needs height >= 2")
+    def __init__(self, name: str, s: int, t: int, kind: Kind,
+                 height: int = 0) -> None:
+        if kind is Kind.TRUNCATED and height < 2:
+            raise ValueError(f"truncated generator {name} needs height >= 2")
+        self.name, self.s, self.t, self.kind, self.height = \
+            name, s, t, kind, height
+
+    def _value(self) -> tuple:
+        return self.name, self.s, self.t, self.kind, self.height
+
+    def __eq__(self, other) -> bool:
+        return type(other) is Generator and self._value() == other._value()
+
+    def __hash__(self) -> int:
+        return hash(self._value())
+
+    def __repr__(self) -> str:
+        return f"Generator{self._value()!r}"
 
     @property
     def total(self) -> int:
@@ -70,48 +79,46 @@ def _normalize_gen(g: Generator) -> Generator:
     return g
 
 
-@dataclass(frozen=True)
 class Algebra:
-    """Tensor product of one-generator pieces over F_p, in a fixed order."""
+    """Tensor product of one-generator pieces over F_p, in a fixed order.
 
-    p: int
-    gens: tuple[Generator, ...]
-    # per-generator column, internal and total degrees, aligned with gens
-    s_weights: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    t_weights: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    total_weights: tuple[int, ...] = field(init=False, repr=False,
-                                           compare=False)
-    # the slot tables of the module docstring, and each generator's slot
-    caps: tuple[tuple[int, int], ...] = field(init=False, repr=False,
-                                              compare=False)
-    nonneg: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    odd_slots: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    divided_slots: tuple[int, ...] = field(init=False, repr=False,
-                                           compare=False)
-    slot_of: dict[str, int] = field(init=False, repr=False, compare=False)
+    Equality and hash are those of (p, gens), gens normalized; the other
+    slots are tables derived from them."""
 
-    def __post_init__(self) -> None:
-        if not is_prime(self.p) or self.p < 3:
-            raise ValueError(f"ground field needs an odd prime, got {self.p}")
-        names = [g.name for g in self.gens]
+    __slots__ = ("p", "gens", "s_weights", "t_weights", "total_weights",
+                 "caps", "nonneg", "odd_slots", "divided_slots", "slot_of")
+
+    def __init__(self, p: int, gens: tuple[Generator, ...]) -> None:
+        if not is_prime(p) or p < 3:
+            raise ValueError(f"ground field needs an odd prime, got {p}")
+        names = [g.name for g in gens]
         if len(set(names)) != len(names):
             raise ValueError("generator names must be unique")
-        object.__setattr__(self, "gens", tuple(_normalize_gen(g) for g in self.gens))
-        object.__setattr__(self, "s_weights", tuple(g.s for g in self.gens))
-        object.__setattr__(self, "t_weights", tuple(g.t for g in self.gens))
-        object.__setattr__(self, "total_weights",
-                           tuple(g.total for g in self.gens))
+        self.p, self.gens = p, tuple(_normalize_gen(g) for g in gens)
+        # per-generator column, internal and total degrees, aligned with gens
+        self.s_weights = tuple(g.s for g in self.gens)
+        self.t_weights = tuple(g.t for g in self.gens)
+        self.total_weights = tuple(g.total for g in self.gens)
+        # the slot tables of the module docstring, and each generator's slot
         slots = tuple(enumerate(self.gens))
-        object.__setattr__(self, "caps", tuple(
+        self.caps = tuple(
             (i, 2 if g.kind is Kind.EXTERIOR else g.height) for i, g in slots
-            if g.kind in (Kind.EXTERIOR, Kind.TRUNCATED)))
-        object.__setattr__(self, "nonneg", tuple(
-            i for i, g in slots if g.kind is not Kind.LAURENT))
-        object.__setattr__(self, "odd_slots", tuple(
-            i for i, g in reversed(slots) if g.odd))
-        object.__setattr__(self, "divided_slots", tuple(
-            i for i, g in slots if g.kind is Kind.DIVIDED))
-        object.__setattr__(self, "slot_of", {g.name: i for i, g in slots})
+            if g.kind in (Kind.EXTERIOR, Kind.TRUNCATED))
+        self.nonneg = tuple(i for i, g in slots if g.kind is not Kind.LAURENT)
+        self.odd_slots = tuple(i for i, g in reversed(slots) if g.odd)
+        self.divided_slots = tuple(
+            i for i, g in slots if g.kind is Kind.DIVIDED)
+        self.slot_of = {g.name: i for i, g in slots}
+
+    def __eq__(self, other) -> bool:
+        return type(other) is Algebra and self.p == other.p and \
+            self.gens == other.gens
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.gens))
+
+    def __repr__(self) -> str:
+        return f"Algebra(p={self.p}, gens={self.gens!r})"
 
     # -- monomials ------------------------------------------------------
 
@@ -406,17 +413,25 @@ def inject_elem(inj, a: Element) -> Element:
 # -- Poincare series ----------------------------------------------------
 
 
-@dataclass(frozen=True)
 class PoincareSeries:
     """Dimension-per-total-degree table over a closed degree window."""
 
-    lo: int
-    hi: int
-    dims: tuple[int, ...]
+    __slots__ = ("lo", "hi", "dims")
 
-    def __post_init__(self) -> None:
-        if len(self.dims) != self.hi - self.lo + 1:
+    def __init__(self, lo: int, hi: int, dims: tuple[int, ...]) -> None:
+        if len(dims) != hi - lo + 1:
             raise ValueError("window/dims length mismatch")
+        self.lo, self.hi, self.dims = lo, hi, dims
+
+    def __eq__(self, other) -> bool:
+        return type(other) is PoincareSeries and (
+            self.lo, self.hi, self.dims) == (other.lo, other.hi, other.dims)
+
+    def __hash__(self) -> int:
+        return hash((self.lo, self.hi, self.dims))
+
+    def __repr__(self) -> str:
+        return f"PoincareSeries(lo={self.lo}, hi={self.hi}, dims={self.dims})"
 
     def get(self, d: int) -> int:
         if self.lo <= d <= self.hi:

@@ -1,23 +1,24 @@
 """Shared result types for verification runs."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
-
-@dataclass
 class Check:
-    id: str
-    passed: bool
-    details: list[str] = field(default_factory=list)
-    conditional: bool = False
+    __slots__ = ("id", "passed", "details", "conditional")
+
+    def __init__(self, id: str, passed: bool, details: list[str] | None = None,
+                 conditional: bool = False):
+        self.id, self.passed, self.conditional = id, passed, conditional
+        self.details = [] if details is None else details
 
     def status(self) -> str:
         return "PASS" if self.passed else "FAIL"
 
 
-@dataclass
 class Report:
-    checks: list[Check] = field(default_factory=list)
+    __slots__ = ("checks",)
+
+    def __init__(self) -> None:
+        self.checks: list[Check] = []
 
     def add(self, check: Check) -> None:
         self.checks.append(check)

@@ -22,8 +22,8 @@ which bidegrees get verified.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Protocol
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, NamedTuple, Protocol
 
 from .fp_linalg import Echelon
 from .graded import Algebra, Element, Monomial
@@ -36,8 +36,7 @@ class VerificationError(Exception):
     a tower whose in-window limit the endgame cannot certify."""
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(NamedTuple):
     """Trust region: total degrees in [lo, hi], columns in [s_lo, s_hi]."""
 
     lo: int
@@ -61,8 +60,7 @@ class Page(Protocol):
     def iter_region(self, region: Region) -> Iterable[Monomial]: ...
 
 
-@dataclass(frozen=True)
-class DerivationRule:
+class DerivationRule(NamedTuple):
     """Differential extended from generator values by the Leibniz rule
     d(xy) = d(x) y + (-1)^|x| x d(y), |x| the total degree.
 
@@ -74,7 +72,7 @@ class DerivationRule:
     r: int
     name: str
     values: dict[str, Element]
-    power_rules: dict[str, Callable[[int], Element]] = field(default_factory=dict)
+    power_rules: Mapping[str, Callable[[int], Element]] = MappingProxyType({})
     unit: int = 1
 
     def scaled(self, unit: int) -> "DerivationRule":
@@ -85,8 +83,7 @@ class DerivationRule:
         return apply_leibniz(self, alg, m)
 
 
-@dataclass(frozen=True)
-class FamilyRule:
+class FamilyRule(NamedTuple):
     """Differential given directly on monomials.
 
     fn(algebra, monomial) returns a list of (monomial, coefficient) pairs;
@@ -220,12 +217,18 @@ def bidegree_table(page: Page, region: Region
             for bd, ms in buckets.items()}
 
 
-@dataclass
 class BidegreeMismatch:
-    bidegree: Bidegree
-    expected: int
-    got: int
-    detail: str
+    __slots__ = ("bidegree", "expected", "got", "detail")
+
+    def __init__(self, bidegree: Bidegree, expected: int, got: int,
+                 detail: str) -> None:
+        self.bidegree, self.expected, self.got, self.detail = \
+            bidegree, expected, got, detail
+
+    def __eq__(self, other) -> bool:
+        return type(other) is BidegreeMismatch and (
+            self.bidegree, self.expected, self.got, self.detail) == (
+            other.bidegree, other.expected, other.got, other.detail)
 
     def __str__(self) -> str:
         s, t = self.bidegree
@@ -233,11 +236,22 @@ class BidegreeMismatch:
                 f"{'; ' + self.detail if self.detail else ''}")
 
 
-@dataclass
 class PageComparison:
-    label: str
-    bidegrees_checked: int
-    mismatches: list[BidegreeMismatch]
+    __slots__ = ("label", "bidegrees_checked", "mismatches")
+
+    def __init__(self, label: str, bidegrees_checked: int,
+                 mismatches: list[BidegreeMismatch]) -> None:
+        self.label, self.bidegrees_checked, self.mismatches = \
+            label, bidegrees_checked, mismatches
+
+    def __eq__(self, other) -> bool:
+        return type(other) is PageComparison and (
+            self.label, self.bidegrees_checked, self.mismatches) == (
+            other.label, other.bidegrees_checked, other.mismatches)
+
+    def __repr__(self) -> str:
+        return (f"PageComparison({self.label!r}, {self.bidegrees_checked}, "
+                f"{[str(m) for m in self.mismatches]})")
 
     @property
     def passed(self) -> bool:

@@ -19,8 +19,7 @@ the classes of the window itself.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .graded import Monomial, PoincareSeries, ps_from_degree_list
 from .numerics import vp
@@ -275,8 +274,7 @@ def fixed_point_check(p: int, lo: int, hi: int) -> tuple[bool, list[str]]:
 # -- presentations ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PvGenerator:
+class PvGenerator(NamedTuple):
     label: str
     degree: int
     free: bool = True
@@ -284,8 +282,7 @@ class PvGenerator:
     row: int = 1
 
 
-@dataclass(frozen=True)
-class PvModule:
+class PvModule(NamedTuple):
     """Presentation over the polynomial algebra on the periodicity class."""
 
     p: int

@@ -9,7 +9,6 @@ algebras of height p.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable
 
@@ -51,28 +50,22 @@ def bokstedt_algebra(p: int, ring: RingId, top: int) -> Algebra:
     return Algebra(p, tuple(gens))
 
 
-@dataclass
 class BokstedtPage:
     """Lazy page over the windowed ambient algebra, possibly filtered to the
     subalgebra that survives the differential."""
 
-    label: str
-    r: int
-    algebra: Algebra
-    ring: RingId
-    top: int
-    last: bool = False
-    # on the last page: the sbxi slots that do not survive (any exponent
-    # kills) and the divided slots (an exponent >= p kills)
-    _dead: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _divided: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("label", "r", "algebra", "top", "_dead", "_divided")
 
-    def __post_init__(self) -> None:
-        survivors = _SURVIVING_SXI[self.ring]
-        gens = self.algebra.gens if self.last else ()
+    def __init__(self, label: str, r: int, algebra: Algebra, ring: RingId,
+                 top: int, last: bool = False) -> None:
+        self.label, self.r, self.algebra, self.top = label, r, algebra, top
+        # on the last page: the sbxi slots that do not survive (any exponent
+        # kills) and the divided slots (an exponent >= p kills)
+        survivors = _SURVIVING_SXI[ring]
+        gens = algebra.gens if last else ()
         self._dead = tuple(i for i, g in enumerate(gens) if g.name.startswith(
             "sbxi") and int(g.name[4:]) not in survivors)
-        self._divided = self.algebra.divided_slots if self.last else ()
+        self._divided = algebra.divided_slots if last else ()
 
     def _keep(self, m: Monomial) -> bool:
         for i in self._dead:
@@ -92,12 +85,12 @@ class BokstedtPage:
     def iter_region(self, region: Region) -> Iterable[Monomial]:
         # every generator has positive total degree, so one pass over the
         # total-degree window enumerates the whole region
-        s_hi = min(region.s_hi, self.top)
-        by_total = self.algebra.basis_monomials_by_total(
-            max(region.lo, 0), region.hi)
+        lo, hi, s_lo, s_hi = region
+        s_hi = min(s_hi, self.top)
+        by_total = self.algebra.basis_monomials_by_total(max(lo, 0), hi)
         for monos in by_total.values():
             for m in monos:
-                if region.s_lo <= self.algebra.sdeg(m) <= s_hi and self._keep(m):
+                if s_lo <= self.algebra.sdeg(m) <= s_hi and self._keep(m):
                     yield m
 
 

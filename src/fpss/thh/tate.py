@@ -46,7 +46,6 @@ or the closed form disagrees.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm
 from typing import Callable, Iterable, NamedTuple
@@ -168,8 +167,7 @@ def in_window(base: int, step: int, trunc: int | None, lo: int, hi: int
                  top if trunc is None else min(trunc, top))
 
 
-@dataclass(frozen=True)
-class Summand:
+class Summand(NamedTuple):
     u: tuple[int, ...]
     lam: tuple[int, ...]
     module: tuple[tuple[int, int, int], ...]
@@ -177,8 +175,7 @@ class Summand:
     pred: Pred
 
 
-@dataclass(frozen=True)
-class Tower:
+class Tower(NamedTuple):
     """The data that tells one tower convention from the other."""
 
     free: tuple[int, int]   # (t, mu2) exponents of the free class
@@ -209,8 +206,7 @@ TOWERS = {
 }
 
 
-@dataclass
-class TateForm:
+class TateForm(NamedTuple):
     """Closed-form page: disjoint summands over the ambient algebra."""
 
     label: str
@@ -275,9 +271,11 @@ class TateForm:
         ft, fm, f_s, f_tot = self._free_degrees()
         step, stride = 2 * p * p - 2, abs(f_tot)    # total degrees
         D = stride // f_tot         # free exponent change per total stride
+        lo, hi, s_lo, s_hi = region
         for sm in self.summands:
-            classes = _step_classes(p, sm.pred, D)
-            recheck = sm.pred[0] == "vp_eq"
+            c_hi, pred = sm.c_hi, sm.pred
+            classes = _step_classes(p, pred, D)
+            recheck = pred[0] == "vp_eq"
             for a in sm.u:
                 for b in sm.lam:
                     for d0, i0, e in sm.module:
@@ -293,29 +291,28 @@ class TateForm:
                                         d0, i0, e)
                             continue
                         c = 0
-                        while sm.c_hi is None or c < sm.c_hi:
+                        while c_hi is None or c < c_hi:
                             rest = base + step * c  # total at free exponent 0
                             # the column falls with c; along the free class it
                             # moves with the total degree (t) or not at all
                             # (mu2), so it peaks at total degree hi
-                            if -a - 2 * c + f_s * (region.hi - rest) // f_tot \
-                                    < region.s_lo:
+                            if -a - 2 * c + f_s * (hi - rest) // f_tot < s_lo:
                                 break
                             # step k is total first + stride k: the free
                             # exponent free0 + D k, the column s0 + g k
-                            first = region.lo + (rest - region.lo) % stride
+                            first = lo + (rest - lo) % stride
                             free0 = (first - rest) // f_tot
                             s0, g = -a - 2 * c + f_s * free0, f_s * D
-                            k_lo, k_hi = 0, (region.hi - first) // stride + 1
+                            k_lo, k_hi = 0, (hi - first) // stride + 1
                             if g:
-                                k_lo = max(k_lo, -((s0 - region.s_lo) // g))
-                                k_hi = min(k_hi, (region.s_hi - s0) // g + 1)
-                            elif not region.s_lo <= s0 <= region.s_hi:
+                                k_lo = max(k_lo, -((s0 - s_lo) // g))
+                                k_hi = min(k_hi, (s_hi - s0) // g + 1)
+                            elif not s_lo <= s0 <= s_hi:
                                 k_hi = 0
                             for k in _allowed_steps(classes, free0, D, k_lo,
                                                     k_hi):
                                 free = free0 + D * k
-                                if not recheck or _pred_ok(sm.pred, p, free):
+                                if not recheck or _pred_ok(pred, p, free):
                                     s = s0 + g * k
                                     yield (s, first + stride * k - s), (
                                         a, c + ft * free, b, c + fm * free,
@@ -337,28 +334,28 @@ class TateForm:
         p = self.p
         _, _, _, f_tot = self._free_degrees()
         step = 2 * p * p - 2
-        c = max(0, -((a + region.s_hi) // 2))
-        c_top = (-a - region.s_lo) // 2 + 1
+        lo, hi, s_lo, s_hi = region
+        c = max(0, -((a + s_hi) // 2))
+        c_top = (-a - s_lo) // 2 + 1
         if sm.c_hi is not None:
             c_top = min(c_top, sm.c_hi)
         if c >= c_top:
             return
-        free_lo = -((base + step * (c_top - 1) - region.lo) // f_tot)
+        free_lo = -((base + step * (c_top - 1) - lo) // f_tot)
         frees = [free_lo + k for k in _allowed_steps(
             classes, free_lo, 1, 0,
-            (region.hi - base - step * c) // f_tot - free_lo + 1)]
+            (hi - base - step * c) // f_tot - free_lo + 1)]
         if sm.pred[0] == "vp_eq":
             frees = [x for x in frees if _pred_ok(sm.pred, p, x)]
         while c < c_top:
             rest = base + step * c      # total degree at free exponent 0
-            i = bisect_left(frees, -((rest - region.lo) // f_tot))
-            j = bisect_right(frees, (region.hi - rest) // f_tot)
+            i = bisect_left(frees, -((rest - lo) // f_tot))
+            j = bisect_right(frees, (hi - rest) // f_tot)
             if i < j:
                 yield c, frees[i:j]
                 c += 1
             elif i:
-                c = max(c + 1, -((base + f_tot * frees[i - 1] - region.lo)
-                                 // step))
+                c = max(c + 1, -((base + f_tot * frees[i - 1] - lo) // step))
             else:
                 return
 
@@ -524,8 +521,7 @@ def family_rule(p: int, conv: str, row: RuleRow) -> FamilyRule:
 # -- instances ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Stage:
+class Stage(NamedTuple):
     r: int
     rule: DiffRule
     before: TateForm
@@ -533,8 +529,7 @@ class Stage:
     row: RuleRow | None     # the row the rule is built from; None for d2
 
 
-@dataclass(frozen=True)
-class SSInstance:
+class SSInstance(NamedTuple):
     id: str
     p: int
     n: int
@@ -663,9 +658,9 @@ def _bidegree_count(form: TateForm, region: Region) -> int:
             v = form._vert_const(b, d0, i0, e)
             lowest[v % P2] = min(lowest.get(v % P2, v), v)
     count = 0
-    s_hi = min(region.s_hi, 0) if fm else region.s_hi
-    for s in range(region.s_lo, s_hi + 1):
-        t_lo, t_hi = region.lo - s, region.hi - s
+    lo, hi, s_lo, s_hi = region
+    for s in range(s_lo, (min(s_hi, 0) if fm else s_hi) + 1):
+        t_lo, t_hi = lo - s, hi - s
         for res, low in lowest.items():
             start = max(t_lo, low) if ft else t_lo
             if start <= t_hi:
@@ -695,8 +690,11 @@ def _period(pred: Pred, p: int) -> int | None:
 @lru_cache(maxsize=None)
 def _residues(pred: Pred, p: int, P: int) -> frozenset[int]:
     """The free exponents mod P that the predicate accepts; P must be a
-    multiple of its period."""
-    return frozenset(x for x in range(P) if _pred_ok(pred, p, x))
+    multiple of its period.  Only the residues of _pred_classes are
+    tested."""
+    M, classes = _pred_classes(pred, p)
+    return frozenset(x for r in classes for x in range(r, P, M)
+                     if _pred_ok(pred, p, x))
 
 
 def _cell_tables(forms: tuple[TateForm, ...]
@@ -804,10 +802,11 @@ def _summand_certifies(before: TateForm, row: RuleRow, unit: int,
 def _region_bidegrees(form: TateForm, region: Region) -> int:
     """The bidegrees of the region that hold a class of the page, marked on
     a grid of columns by total degrees from one _iter_placed pass."""
-    width = region.hi - region.lo + 1
-    seen = bytearray(max(0, width) * max(0, region.s_hi - region.s_lo + 1))
+    lo, hi, s_lo, s_hi = region
+    width = hi - lo + 1
+    seen = bytearray(max(0, width) * max(0, s_hi - s_lo + 1))
     for (s, t), _ in form._iter_placed(region):
-        seen[(s - region.s_lo) * width + s + t - region.lo] = 1
+        seen[(s - s_lo) * width + s + t - lo] = 1
     return seen.count(1)
 
 

@@ -9,14 +9,13 @@ coefficientwise; both sides are enumerated here from independent data.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..comodule import TAU_SETS, RingId
 from ..graded import Kind, PoincareSeries, ps_from_degree_list, ps_one_generator
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(NamedTuple):
     """Tensor of one-generator factors and a finite module-generator list."""
 
     label: str

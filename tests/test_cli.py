@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import json
 import pathlib
 import subprocess
@@ -98,8 +97,7 @@ def test_tower_step_not_onto_exit_one(capsys, monkeypatch):
 
     def lowered(p, kind, k):
         sm = real(p, kind, k)
-        return dataclasses.replace(sm, c_hi=1) if (kind, k) == ("B", 3) \
-            else sm
+        return sm._replace(c_hi=1) if (kind, k) == ("B", 3) else sm
 
     monkeypatch.setattr(tc, "_summand", lowered)
     code, out, err = run_cli(capsys, "verify", "prop-8.6")
@@ -150,7 +148,7 @@ def test_prop_82_fails_without_the_a_block(capsys, monkeypatch):
 
     def no_a_block(p, kmax, conv):
         form = real(p, kmax, conv)
-        return dataclasses.replace(form, summands=tuple(
+        return form._replace(summands=tuple(
             sm for sm in form.summands if sm.pred != ("zero",)))
 
     monkeypatch.setattr(tc, "s1_einf", no_a_block)

@@ -1,9 +1,10 @@
 import pytest
 
-from fpss.comodule import (RingId, astar_algebra, coaction, coproduct_values,
-                           counit_left, eq_classes, is_primitive,
-                           primitive_lift_coefficients, smash_class,
-                           thh_coaction_table, v1_smash_thh_table)
+from fpss.comodule import (CoactionTable, RingId, astar_algebra, coaction,
+                           coproduct_values, counit_left, eq_classes,
+                           is_primitive, primitive_lift_coefficients,
+                           smash_class, thh_coaction_table,
+                           v1_smash_thh_table)
 from fpss.graded import tensor
 from fpss.thh.tate import tate_ambient
 from fpss.thh.v1 import v1_thh_presentation
@@ -167,3 +168,14 @@ def test_bare_btau0_is_not_primitive():
 
 def test_primitive_lift_coefficient_is_forced():
     assert primitive_lift_coefficients(P) == [P - 1]
+
+
+def test_coaction_table_needs_every_generator_counital():
+    table = thh_coaction_table(P, RingId.HZP_MOD)
+    name = table.target.gens[0].name
+    fields = (table.astar, table.target, table.tens, table.inj_a, table.inj_t)
+    missing = {k: v for k, v in table.values.items() if k != name}
+    with pytest.raises(ValueError, match=f"missing generator {name}"):
+        CoactionTable(*fields, missing)
+    with pytest.raises(ValueError, match=f"{name} is not counital"):
+        CoactionTable(*fields, {**missing, name: {}})

@@ -344,3 +344,39 @@ def test_index_looks_names_up():
     assert err.value.args == ("y",)
     with pytest.raises(KeyError):
         alg.mono(y=1)
+
+
+def test_records_validate_on_construction():
+    with pytest.raises(ValueError, match="height >= 2"):
+        trunc("x", 0, 2, 1)
+    for p in (2, 9):
+        with pytest.raises(ValueError, match="odd prime"):
+            Algebra(p, (ext("a", 0, 1),))
+    with pytest.raises(ValueError, match="unique"):
+        Algebra(P, (ext("a", 0, 1), poly("a", 0, 2)))
+    with pytest.raises(ValueError, match="length mismatch"):
+        PoincareSeries(0, 3, (1, 0, 1))
+
+
+def test_generators_and_series_compare_by_value():
+    assert poly("x", 0, 2) == poly("x", 0, 2)
+    assert hash(poly("x", 0, 2)) == hash(poly("x", 0, 2))
+    assert trunc("x", 0, 2, 3) != trunc("x", 0, 2, 4)
+    assert poly("x", 0, 2) != divided("x", 0, 2)
+    series = PoincareSeries(0, 2, (1, 0, 1))
+    assert series == PoincareSeries.from_counts(0, 2, {0: 1, 2: 1})
+    assert hash(series) == hash(PoincareSeries(0, 2, (1, 0, 1)))
+    assert series != PoincareSeries(1, 3, (1, 0, 1))
+
+
+def test_algebra_equality_ignores_the_slot_tables():
+    # an even exterior generator normalizes to truncated height 2, and the
+    # algebra equals one built that way; the derived tables do not compare
+    alg = Algebra(P, (ext("x", 0, 2), poly("y", 0, 4)))
+    same = Algebra(P, (trunc("x", 0, 2, 2), poly("y", 0, 4)))
+    assert alg.gens[0] == trunc("x", 0, 2, 2)
+    assert alg == same and hash(alg) == hash(same)
+    same.slot_of, same.caps = {}, ()
+    assert alg == same and hash(alg) == hash(same)
+    assert alg != Algebra(7, alg.gens)
+    assert alg != Algebra(P, alg.gens[::-1])

@@ -1,5 +1,7 @@
 import ast
 import pathlib
+import subprocess
+import sys
 
 import fpss
 
@@ -32,3 +34,29 @@ def test_no_function_is_left_for_its_tests_alone():
     assert set(unused) <= TEST_HOOKS, \
         {name: unused[name] for name in set(unused) - TEST_HOOKS}
     assert TEST_HOOKS <= set(defs)
+
+
+def test_no_module_imports_dataclasses():
+    # every record is a NamedTuple or a slotted class: generating dataclass
+    # methods cost about a fifth of the package's import time
+    found = []
+    for path in sorted(pathlib.Path(fpss.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "dataclasses" for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    src = str(pathlib.Path(fpss.__file__).parent.parent)
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import fpss.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-I", "-c", code, src], text=True,
+                         capture_output=True, timeout=60, check=True)
+    assert out.stdout.strip() == "[]", out.stdout + out.stderr

@@ -4,6 +4,7 @@ import pytest
 
 from fpss import specseq
 from fpss.graded import Algebra, Generator, Kind, Monomial
+from fpss.report import Check, Report
 from fpss.specseq import (DerivationRule, FamilyRule, Region,
                           VerificationError, apply_leibniz,
                           bidegree_table, dump_page, verify_turn)
@@ -454,3 +455,12 @@ def test_leibniz_product_rule(data):
     rhs = alg.add(alg.mul(rule.apply(alg, m1), {m2: 1}),
                   alg.scale(alg.mul({m1: 1}, rule.apply(alg, m2)), sign))
     assert lhs == rhs
+
+
+def test_checks_and_reports_do_not_share_lists():
+    first, second = Check("a", True), Check("b", False)
+    first.details.append("detail")
+    assert second.details == []
+    one, other = Report(), Report()
+    one.add(first)
+    assert [c.id for c in one.checks] == ["a"] and other.checks == []

@@ -1,6 +1,5 @@
 import time
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -498,14 +497,14 @@ def test_tower_turns_are_fast():
 
 
 def _drop_eps1b(st, alg):
-    sums = tuple(replace(sm, module=PLAIN) if sm.pred == ("vp_ge", 0) else sm
+    sums = tuple(sm._replace(module=PLAIN) if sm.pred == ("vp_ge", 0) else sm
                  for sm in st.after.summands)
-    return replace(st, after=replace(st.after, summands=sums))
+    return st._replace(after=st.after._replace(summands=sums))
 
 
 def _drop_head(st, alg):
-    return replace(st, after=replace(st.after,
-                                     summands=st.after.summands[1:]))
+    return st._replace(after=st.after._replace(
+        summands=st.after.summands[1:]))
 
 
 def _with_rule(r=2, values=lambda alg: {}, power_rules=lambda alg: {},
@@ -514,7 +513,7 @@ def _with_rule(r=2, values=lambda alg: {}, power_rules=lambda alg: {},
     def mutate(st, alg):
         vals = {"eps0": alg.elem(t=1, mu0=1)} if d2 else {}
         vals.update(values(alg))
-        return replace(st, rule=DerivationRule(r, "mutant", vals,
+        return st._replace(rule=DerivationRule(r, "mutant", vals,
                                                power_rules(alg)))
     return mutate
 
@@ -522,14 +521,14 @@ def _with_rule(r=2, values=lambda alg: {}, power_rules=lambda alg: {},
 def _with_e2(**changes):
     def mutate(st, alg):
         sm, = st.before.summands
-        return replace(st, before=replace(st.before,
-                                          summands=(replace(sm, **changes),)))
+        return st._replace(before=st.before._replace(
+            summands=(sm._replace(**changes),)))
     return mutate
 
 
 def _with_after(*sums):
     def mutate(st, alg):
-        return replace(st, after=replace(st.after, summands=sums))
+        return st._replace(after=st.after._replace(summands=sums))
     return mutate
 
 
@@ -546,8 +545,8 @@ EPS0_MU0 = tuple((1, j, 0) for j in range(P))
 FACTOR_MUTANTS = {
     "E3 without eps1b": ("tate", _drop_eps1b),
     "hofix E3 without its head": ("hofix", _drop_head),
-    "E3 listing a class twice": ("hofix", lambda st, alg: replace(
-        st, after=replace(st.after, summands=st.after.summands * 2))),
+    "E3 listing a class twice": ("hofix", lambda st, alg: st._replace(
+        after=st.after._replace(summands=st.after.summands * 2))),
     # mu0 = t^-1 d2(eps0) is a boundary, in a module key E3 does not have
     "E3 with mu0": ("tate", lambda st, alg: _with_after(
         *st.after.summands, Summand(BOTH, BOTH, ((0, 1, 0),), None,
@@ -670,13 +669,13 @@ ROW_MUTANTS = {
 # one mutant per closed-form summand field, each a wrong closed form when
 # applied to the summand a page ends with: vp_ge, or the top of Einf
 SUMMAND_MUTANTS = {
-    "u": lambda sm: replace(sm, u=(0,) if sm.u == BOTH else BOTH),
-    "lam": lambda sm: replace(sm, lam=(1,)),
-    "module": lambda sm: replace(sm, module=PLAIN),
+    "u": lambda sm: sm._replace(u=(0,) if sm.u == BOTH else BOTH),
+    "lam": lambda sm: sm._replace(lam=(1,)),
+    "module": lambda sm: sm._replace(module=PLAIN),
     # Einf's top summand made unbounded: wrong only from tmu2 power inc on,
     # a cut that no summand bound gives
-    "c_hi": lambda sm: replace(sm, c_hi=1 if sm.c_hi is None else None),
-    "pred": lambda sm: replace(sm, pred=_next_pred(sm.pred)),
+    "c_hi": lambda sm: sm._replace(c_hi=1 if sm.c_hi is None else None),
+    "pred": lambda sm: sm._replace(pred=_next_pred(sm.pred)),
 }
 
 
@@ -698,7 +697,7 @@ def test_summand_row_mutants_take_verify_turn(field, conv):
     for st in tower_instance(P, 2, conv).stages[1:]:
         row = ROW_MUTANTS[field](st.row)
         rule = family_rule(P, conv, row)
-        _declines_then_fails(replace(st, r=rule.r, rule=rule, row=row),
+        _declines_then_fails(st._replace(r=rule.r, rule=rule, row=row),
                              region)
 
 
@@ -709,9 +708,9 @@ def test_summand_form_mutants_take_verify_turn(field, conv):
     region = instance_region(P, 2, -2 * P * P, 5 * P * P, conv)
     for st in tower_instance(P, 2, conv).stages[1:]:
         *head, last = st.after.summands
-        after = replace(st.after, summands=(*head,
+        after = st.after._replace(summands=(*head,
                                             SUMMAND_MUTANTS[field](last)))
-        _declines_then_fails(replace(st, after=after), region)
+        _declines_then_fails(st._replace(after=after), region)
 
 
 @pytest.mark.parametrize("conv", ["tate", "hofix"])
@@ -723,14 +722,14 @@ def test_summand_certificate_needs_images_on_the_page(keep, conv):
     # page (sources)
     st = tower_instance(P, 2, conv).stages[-1]
     *head, top = st.before.summands
-    sources = replace(top, u=(1,))
+    sources = top._replace(u=(1,))
     if keep == "unhit":
-        unhit = replace(top, u=(0,), c_hi=st.after.summands[-1].c_hi)
+        unhit = top._replace(u=(0,), c_hi=st.after.summands[-1].c_hi)
         before, after = (*head, sources, unhit), st.after.summands
     else:
         before, after = (sources,), ()
-    st = replace(st, before=replace(st.before, summands=before),
-                 after=replace(st.after, summands=after))
+    st = st._replace(before=st.before._replace(summands=before),
+                     after=st.after._replace(summands=after))
     region = instance_region(P, 2, -2 * P * P, 5 * P * P, conv)
     _declines_then_fails(st, region)
 
@@ -739,7 +738,8 @@ def test_summand_certificate_declines_a_zero_unit():
     for conv in ("tate", "hofix"):
         region = instance_region(P, 2, -2 * P * P, 5 * P * P, conv)
         for st in tower_instance(P, 2, conv).stages[1:]:
-            _declines_then_fails(replace(st, rule=st.rule.scaled(P)), region)
+            _declines_then_fails(st._replace(rule=st.rule.scaled(P)),
+                                 region)
 
 
 # -- the rule table against the closures it replaced ----------------------
@@ -845,6 +845,21 @@ def test_residue_steps_match_pred_ok(p):
                     assert set(want) <= set(got), (pred, D, free0)
                 else:
                     assert got == want, (pred, D, free0)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_residues_match_the_full_scan(p):
+    # _residues tests only the classes of _pred_classes; the set is the
+    # residues mod P that _pred_ok accepts, for every P = p^2 .. p^4 that
+    # the predicate's period divides
+    for k in (2, 3, 4):
+        P = p ** k
+        for pred in PREDS + [("vp_eq", 3), ("vp_ge", 3), ("vp_ge", 4)]:
+            period = tate._period(pred, p)
+            if period is None or P % period:
+                continue
+            assert tate._residues(pred, p, P) == frozenset(
+                x for x in range(P) if _pred_ok(pred, p, x)), (pred, P)
 
 
 def test_pred_classes_reject_unknown_kinds():
