@@ -237,6 +237,14 @@ class BidegreeMismatch:
 
 
 class PageComparison:
+    """One turn's result: its label, its coverage count and its mismatches.
+
+    From verify_turn (and so the Bokstedt run) the count is the bidegrees
+    of the region where the page or the closed form holds a class.  From
+    the tower certificates of thh.tate it is the summand cells compared,
+    pairs of a key and a tmu2 cut where the page or the closed form holds
+    a class; those certify every degree, so their count does not depend on
+    a window."""
     __slots__ = ("label", "bidegrees_checked", "mismatches")
 
     def __init__(self, label: str, bidegrees_checked: int,

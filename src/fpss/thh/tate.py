@@ -573,17 +573,19 @@ def instance_region(p: int, n: int, lo: int, hi: int, conv: str) -> Region:
 
 
 def _factorization_certifies(before: TateForm, rule: DiffRule,
-                             after: TateForm, region: Region
-                             ) -> PageComparison | None:
-    """verify_turn's result for a turn d = x delta on one summand A (x) M,
-    certified from the 2p module monomials; None when a precondition fails.
+                             after: TateForm) -> PageComparison | None:
+    """A passing comparison for a turn d = x delta on one summand A (x) M,
+    certified from the 2p module monomials; None when a precondition fails
+    or a cell disagrees.
 
     A is every u, lambda2, tmu2 power and free exponent; the rule is a
     derivation with values on the module generators only, so d(a m) =
     +-a d(m), and d(m) = x delta(m) with one passive monomial x.  When
     delta is a monomial matching on M with delta delta = 0 and x is a unit
     on A or raises the tmu2 power by one, the homology is A (x) H(M, delta)
-    plus (A/xA) (x) im delta, in every degree."""
+    plus (A/xA) (x) im delta, in every degree.  These summands must have
+    the closed form's cells; the count is the cells compared that hold a
+    class."""
     alg = before.algebra
     if not (isinstance(rule, DerivationRule) and not rule.power_rules
             and len(before.summands) == 1 and after.algebra == alg):
@@ -630,42 +632,14 @@ def _factorization_certifies(before: TateForm, rule: DiffRule,
     if cells is None:
         return None
     (want, got), cuts, _ = cells
+    compared = 0
     for c in cuts:
         for key in want.keys() | got.keys():
             h = _cell(want, key, c)
             if h is None or h != _cell(got, key, c):
                 return None
-    return PageComparison(f"{before.label} -> {after.label}",
-                          _bidegree_count(before, region), [])
-
-
-def _bidegree_count(form: TateForm, region: Region) -> int:
-    """The bidegrees of the region that hold a class of a one-summand page
-    with both u and lambda2 values, unbounded tmu2 power and any free
-    exponent, counted per column and residue of t mod 2p^2.
-
-    The tmu2 slot's exponent, mu2 (Tate) or t (homotopy fixed points), is
-    >= 0 and the other is free: every column holds the same internal
-    degrees, from the lowest of each residue class up (Tate), or every
-    column s <= 0 holds the whole classes (homotopy fixed points)."""
-    p = form.p
-    P2 = 2 * p * p
-    ft, fm = TOWERS[form.conv].free
-    sm, = form.summands
-    lowest: dict[int, int] = {}
-    for b in sm.lam:
-        for d0, i0, e in sm.module:
-            v = form._vert_const(b, d0, i0, e)
-            lowest[v % P2] = min(lowest.get(v % P2, v), v)
-    count = 0
-    lo, hi, s_lo, s_hi = region
-    for s in range(s_lo, (min(s_hi, 0) if fm else s_hi) + 1):
-        t_lo, t_hi = lo - s, hi - s
-        for res, low in lowest.items():
-            start = max(t_lo, low) if ft else t_lo
-            if start <= t_hi:
-                count += (t_hi - res) // P2 - (start - 1 - res) // P2
-    return count
+            compared += bool(h)
+    return PageComparison(f"{before.label} -> {after.label}", compared, [])
 
 
 # the exponent slots that key a cell: u, lambda2 and the module
@@ -742,9 +716,8 @@ def _cell(cells: Cells, key: tuple[int, ...], c: int
 
 
 def _summand_certifies(before: TateForm, row: RuleRow, unit: int,
-                       after: TateForm, region: Region
-                       ) -> PageComparison | None:
-    """verify_turn's result for the turn of family_rule(row) times unit,
+                       after: TateForm) -> PageComparison | None:
+    """A passing comparison for the turn of family_rule(row) times unit,
     certified on the summands in every degree; None when a precondition
     fails or a cell disagrees.
 
@@ -756,8 +729,8 @@ def _summand_certifies(before: TateForm, row: RuleRow, unit: int,
     without sources and images, and it must be the closed form.  Both are
     checked per key on the cuts B and B + inc: between two cuts the page,
     the closed form, the sources and the images arriving from c - inc are
-    constant.  The region only counts the bidegrees that hold a class of
-    the page."""
+    constant.  The count is the cells compared where the page or the closed
+    form holds a class."""
     p, conv, alg = before.p, before.conv, before.algebra
     if after.algebra != alg or after.conv != conv or not unit % p or \
             row.slot not in (IU, IL, IE1):
@@ -784,6 +757,7 @@ def _summand_certifies(before: TateForm, row: RuleRow, unit: int,
                 for key in sources}
     keys = page.keys() | closed.keys() | image_of.keys()
     empty: frozenset[int] = frozenset()
+    compared = 0
     for c in cuts | {b + inc for b in cuts}:
         for key in keys:
             here, want = _cell(page, key, c), _cell(closed, key, c)
@@ -795,33 +769,22 @@ def _summand_certifies(before: TateForm, row: RuleRow, unit: int,
             src = here & guard if key in sources else empty
             if not hit <= here or here - src - hit != want:
                 return None
-    return PageComparison(f"{before.label} -> {after.label}",
-                          _region_bidegrees(before, region), [])
-
-
-def _region_bidegrees(form: TateForm, region: Region) -> int:
-    """The bidegrees of the region that hold a class of the page, marked on
-    a grid of columns by total degrees from one _iter_placed pass."""
-    lo, hi, s_lo, s_hi = region
-    width = hi - lo + 1
-    seen = bytearray(max(0, width) * max(0, s_hi - s_lo + 1))
-    for (s, t), _ in form._iter_placed(region):
-        seen[(s - s_lo) * width + s + t - lo] = 1
-    return seen.count(1)
+            compared += bool(here or want)
+    return PageComparison(f"{before.label} -> {after.label}", compared, [])
 
 
 def run_instance(inst: SSInstance, lo: int, hi: int,
                  region: Region | None = None) -> list[PageComparison]:
     """Re-seed every stage from its closed form, turn the page, and certify
     the homology against the next closed form: d2 by factorization, every
-    later turn on summand cells, and by verify_turn where they decline."""
+    later turn on summand cells, and by verify_turn where they decline.
+    The region, instance_region's by default, serves verify_turn only."""
     conv = inst.stages[0].before.conv
     if region is None:
         region = instance_region(inst.p, inst.n, lo, hi, conv)
-    return [(_factorization_certifies(st.before, st.rule, st.after, region)
+    return [(_factorization_certifies(st.before, st.rule, st.after)
              if st.row is None else
-             _summand_certifies(st.before, st.row, st.rule.unit, st.after,
-                                region))
+             _summand_certifies(st.before, st.row, st.rule.unit, st.after))
             or verify_turn(st.before, st.rule, st.after, region)
             for st in inst.stages]
 

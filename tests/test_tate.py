@@ -175,10 +175,14 @@ def test_unit_bidegree_of_final_page():
     assert [einf.algebra.mono_str(m) for m in einf.basis_at(0, 0)] == ["1"]
 
 
-def test_empty_window_is_vacuous():
-    results = run_instance(tower_instance(P, 1, "tate"), 5, 4)
-    assert all(c.passed for c in results)
-    assert all(c.bidegrees_checked == 0 for c in results)
+def test_certificates_do_not_depend_on_the_window():
+    # the tower certificates hold in every degree, so an empty window
+    # gives the default window's results
+    for conv in ("tate", "hofix"):
+        inst = tower_instance(P, 1, conv)
+        results = run_instance(inst, 5, 4)
+        assert all(c.passed and c.bidegrees_checked for c in results)
+        assert results == run_instance(inst, -2 * P * P, 5 * P * P)
 
 
 def test_verifier_catches_corrupted_rule():
@@ -432,19 +436,27 @@ def test_iter_region_steps_only_allowed_residues(monkeypatch):
 FACTOR_WINDOWS = [(5, -50, 125), (5, -40, 160), (7, -20, 60)]
 
 
+def _agrees_with_verify_turn(got, st, rule, region):
+    # verify_turn's label and (empty) mismatch list, and a positive cell
+    # count in place of its bidegree count
+    assert got is not None and got.passed, rule.name
+    assert got.bidegrees_checked > 0, rule.name
+    want = verify_turn(st.before, rule, st.after, region)
+    assert (got.label, got.passed, got.mismatches) == (
+        want.label, want.passed, want.mismatches), rule.name
+
+
 @pytest.mark.parametrize("conv", ["tate", "hofix"])
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("p, lo, hi", FACTOR_WINDOWS)
 def test_factorization_agrees_with_verify_turn(p, lo, hi, n, conv):
-    # the d2 turn certifies by factorization, with verify_turn's label,
-    # bidegree count and (empty) mismatch list, for the rule and a rescaling
+    # the d2 turn certifies by factorization, for the rule and a rescaling
     st = tower_instance(p, n, conv).stages[0]
     region = instance_region(p, n, lo, hi, conv)
     rules = (st.rule, st.rule.scaled(2)) if p == 7 else (st.rule,)
     for rule in rules:
-        got = _factorization_certifies(st.before, rule, st.after, region)
-        assert got is not None and got.passed, rule.name
-        assert got == verify_turn(st.before, rule, st.after, region), rule.name
+        got = _factorization_certifies(st.before, rule, st.after)
+        _agrees_with_verify_turn(got, st, rule, region)
 
 
 def test_factorization_decides_only_d2(monkeypatch):
@@ -465,7 +477,7 @@ def test_factorization_decides_only_d2(monkeypatch):
                  "verify_turn"):
         monkeypatch.setattr(tate, name, spy(name))
     for p in (5, 7):
-        for n in (1, 2):
+        for n in (1, 2, 3):
             for conv in ("tate", "hofix"):
                 inst = tower_instance(p, n, conv)
                 calls.clear()
@@ -476,13 +488,47 @@ def test_factorization_decides_only_d2(monkeypatch):
                     (p, n, conv)
 
 
+def test_default_tower_runs_enumerate_no_page(monkeypatch):
+    # the certificates read summands only: no page is walked monomial by
+    # monomial, not even to count its bidegrees
+    calls = []
+
+    def spy(real):
+        def counting(*args):
+            calls.append(real.__name__)
+            return real(*args)
+        return counting
+
+    monkeypatch.setattr(TateForm, "_iter_placed",
+                        spy(TateForm._iter_placed))
+    monkeypatch.setattr(specseq, "bidegree_table",
+                        spy(specseq.bidegree_table))
+    for p in (5, 7):
+        for n in (1, 2, 3):
+            for conv in ("tate", "hofix"):
+                results = run_instance(tower_instance(p, n, conv),
+                                       -2 * p * p, 5 * p * p)
+                assert all(c.passed for c in results), (p, n, conv)
+                assert calls == [], (p, n, conv)
+
+
+def test_height_3_towers_are_fast():
+    # Tate at p = 7 and homotopy fixed points at p = 5 on the default
+    # window, from the closed forms
+    t0 = time.perf_counter()
+    for p, conv in ((7, "tate"), (5, "hofix")):
+        results = run_instance(tower_instance(p, 3, conv), -2 * p * p,
+                               5 * p * p)
+        assert all(c.passed for c in results), conv
+    assert time.perf_counter() - t0 < 2.0
+
+
 def test_factorization_is_fast():
     # both conventions at p = 5, n = 2 on the default window
     t0 = time.perf_counter()
     for conv in ("tate", "hofix"):
         st = tower_instance(P, 2, conv).stages[0]
-        region = instance_region(P, 2, -2 * P * P, 5 * P * P, conv)
-        assert _factorization_certifies(st.before, st.rule, st.after, region)
+        assert _factorization_certifies(st.before, st.rule, st.after)
     assert time.perf_counter() - t0 < 0.5
 
 
@@ -609,8 +655,8 @@ def test_factorization_mutants_take_verify_turn(name):
     inst = tower_instance(P, 1, conv)
     st = mutate(inst.stages[0], inst.algebra)
     region = instance_region(P, 1, -20, 60, conv)
-    assert _outcome(_factorization_certifies, st.before, st.rule, st.after,
-                    region) is None
+    assert _outcome(_factorization_certifies, st.before, st.rule,
+                    st.after) is None
     mutant = SSInstance("mutant", P, 1, inst.algebra, (st,))
     want = _outcome(verify_turn, st.before, st.rule, st.after, region)
     assert _outcome(lambda: run_instance(mutant, -20, 60, region)[0]) == want
@@ -623,18 +669,14 @@ def test_factorization_mutants_take_verify_turn(name):
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("p, lo, hi", FACTOR_WINDOWS)
 def test_summand_certificate_agrees_with_verify_turn(p, lo, hi, n, conv):
-    # every turn after d2 certifies on summand cells, with verify_turn's
-    # label, bidegree count and (empty) mismatch list, for the rule and a
+    # every turn after d2 certifies on summand cells, for the rule and a
     # rescaling
     inst = tower_instance(p, n, conv)
     region = instance_region(p, n, lo, hi, conv)
     for st in inst.stages[1:]:
         for rule in (st.rule, st.rule.scaled(2)) if p == 7 else (st.rule,):
-            got = _summand_certifies(st.before, st.row, rule.unit, st.after,
-                                     region)
-            assert got is not None and got.passed, rule.name
-            assert got == verify_turn(st.before, rule, st.after, region), \
-                rule.name
+            got = _summand_certifies(st.before, st.row, rule.unit, st.after)
+            _agrees_with_verify_turn(got, st, rule, region)
 
 
 def test_summand_certificate_agrees_at_height_3():
@@ -642,11 +684,8 @@ def test_summand_certificate_agrees_at_height_3():
     inst = tower_instance(P, 3, "tate")
     region = instance_region(P, 3, -20, 60, "tate")
     for st in inst.stages[1:]:
-        got = _summand_certifies(st.before, st.row, st.rule.unit, st.after,
-                                 region)
-        assert got is not None and got.passed, st.rule.name
-        assert got == verify_turn(st.before, st.rule, st.after, region), \
-            st.rule.name
+        got = _summand_certifies(st.before, st.row, st.rule.unit, st.after)
+        _agrees_with_verify_turn(got, st, st.rule, region)
 
 
 def _next_pred(pred):
@@ -681,8 +720,8 @@ SUMMAND_MUTANTS = {
 
 def _declines_then_fails(st, region):
     # the certificate declines and run_instance does not pass the stage
-    assert _summand_certifies(st.before, st.row, st.rule.unit, st.after,
-                              region) is None, st.rule.name
+    assert _summand_certifies(st.before, st.row, st.rule.unit,
+                              st.after) is None, st.rule.name
     mutant = SSInstance("mutant", P, 2, st.before.algebra, (st,))
     got = _outcome(lambda: run_instance(mutant, region.lo, region.hi,
                                         region)[0])
