@@ -194,6 +194,8 @@ def _instance_page(args, p: int, lo: int, hi: int):
     if parts[0] == "bokstedt" and len(parts) == 2:
         ring = RingId.parse(parts[1])
         region = Region(max(lo, 0), hi, 0, hi + 1)
+        if isinstance(page, int) and page < 2:
+            raise ValueError(f"no page {page} for {args.id}")
         if page == "inf" or (isinstance(page, int) and page >= p):
             return bokstedt_einf_page(p, ring, hi + 1), region
         return bokstedt_e2_page(p, ring, hi + 1), region

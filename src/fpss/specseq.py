@@ -14,7 +14,9 @@ Trans. AMS 358, 2006; Joellenbeck-Welker, Mem. AMS 197, 2009).  The turn
 then passes exactly when the closed form is that set.  Any turn the
 certificate does not pass goes to the Echelon path, which decides it from
 the same tables and values: a rule with two-term values, a wrong closed
-form, d after d nonzero, or a value that raises.
+form, d after d nonzero, or a value that raises.  No default CLI turn
+reaches verify_turn now: the tower and Bokstedt certificates of thh take
+them all, and verify_turn is their fallback.
 
 Closed-form pages enumerate any bidegree exactly, so homology computed
 against them has no truncation error and the trust region only selects
@@ -239,12 +241,12 @@ class BidegreeMismatch:
 class PageComparison:
     """One turn's result: its label, its coverage count and its mismatches.
 
-    From verify_turn (and so the Bokstedt run) the count is the bidegrees
-    of the region where the page or the closed form holds a class.  From
-    the tower certificates of thh.tate it is the summand cells compared,
-    pairs of a key and a tmu2 cut where the page or the closed form holds
-    a class; those certify every degree, so their count does not depend on
-    a window."""
+    From verify_turn the count is the bidegrees of the region where the
+    page or the closed form holds a class.  From the tower certificates of
+    thh.tate it is the summand cells compared, pairs of a key and a tmu2
+    cut where the page or the closed form holds a class; from the Bokstedt
+    certificate it is the generator slots compared, those of total degree
+    at most the window's top.  Those certify every degree."""
     __slots__ = ("label", "bidegrees_checked", "mismatches")
 
     def __init__(self, label: str, bidegrees_checked: int,

@@ -5,7 +5,8 @@ the homology algebra tensor an exterior algebra on suspensions of the
 even generators tensor a divided power algebra on suspensions of the odd
 ones.  One differential family of length p-1 sends gamma_j classes to the
 next exterior suspension times gamma_(j-p), leaving truncated polynomial
-algebras of height p.
+algebras of height p.  The turn is certified by factors in every degree
+(_kunneth_certifies), with verify_turn as the fallback.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from typing import Iterable
 
 from ..comodule import TAU_SETS, RingId
 from ..graded import Algebra, Generator, Kind, Monomial
-from ..specseq import DerivationRule, Region, verify_turn
+from ..specseq import DerivationRule, PageComparison, Region, verify_turn
 
 # which suspended xi-classes survive to the last page
 _SURVIVING_SXI = {
@@ -134,4 +135,52 @@ def bokstedt_run(p: int, ring: RingId, lo: int, hi: int):
     einf = bokstedt_einf_page(p, ring, hi + 1)
     rule = bokstedt_rule(p, ring, hi + 1)
     region = Region(lo, hi, 0, hi + 1)
-    return verify_turn(e2, rule, einf, region)
+    return _kunneth_certifies(e2, rule, einf, region) or \
+        verify_turn(e2, rule, einf, region)
+
+
+def _kunneth_certifies(e2, rule, einf, region: Region
+                       ) -> PageComparison | None:
+    """A passing comparison for a turn E2 = P (x) (x)_k F_k, F_k = Gamma(g_k)
+    (x) E(x_k), in every degree; None when a precondition fails.
+
+    The rule has power rules only, on even divided slots: d(g_k[j]) is 0
+    for j < p and c g_k[j-p] x_k, c a unit, from p on, with a square-zero
+    x_k per factor.  So H(F_k) = span{g_k[i] : i < p} and, by Kunneth over
+    F_p, the closed form must kill exactly the x_k and cut each g_k at p.
+    Read up to degree hi + 1, the rules reach every x_k of degree <= hi;
+    the count is the slots of degree <= hi."""
+    alg, hi, r = e2.algebra, region.hi, rule.r
+    if not (isinstance(rule, DerivationRule) and not rule.values and set(
+            rule.power_rules) <= {alg.gens[i].name for i in alg.divided_slots}
+            and isinstance(e2, BokstedtPage) and isinstance(einf, BokstedtPage)
+            and not (e2._dead or e2._divided) and einf.algebra == alg
+            and min(e2.top, einf.top) > hi):
+        return None
+    p, caps, partners = alg.p, dict(alg.caps), set()
+    for i in alg.divided_slots:
+        g, xs = alg.gens[i], set()
+        for j in range(1, (hi + 1) // g.total + 1):
+            m = alg.mono(**{g.name: j})
+            try:
+                val = rule.apply(alg, m)
+            except Exception:   # verify_turn raises or records it
+                return None
+            if (j < p) == bool(val) or len(val) > 1:
+                return None     # zero exactly below p, one term from p on
+            if val:
+                v, = val
+                rest = [k for k, e in enumerate(v) if e and k != i]
+                s, t = alg.bidegree(m)
+                if v[i] != j - p or len(rest) != 1 or caps.get(rest[0]) != 2 \
+                        or alg.bidegree(v) != (s - r, t + r - 1):
+                    return None
+                xs.add(rest[0])
+        if g.odd or len(xs) > 1 or xs & partners:
+            return None
+        partners |= xs
+    low = {i for i, g in enumerate(alg.gens) if g.total <= hi}
+    if set(einf._dead) & low != partners or einf._divided != alg.divided_slots:
+        return None
+    return PageComparison(f"{e2.label} -> {einf.label}", len(low), [])
+

@@ -207,6 +207,21 @@ def test_tables_output(capsys):
     code, out, _ = run_cli(capsys, "tables", "bokstedt:zp", "--page", "inf",
                            "--window", "0:6")
     assert code == 0
+    # the Bokstedt spectral sequence starts at E2: pages 2..p-1 are E2,
+    # pages >= p are the final page, and a page below 2 is a usage error
+    e2, final = (run_cli(capsys, "tables", "bokstedt:zp", "--page", page,
+                         "--window", "0:12")[1].splitlines()[1:]
+                 for page in ("2", "inf"))
+    assert e2 != final
+    for page, want in (("4", e2), ("5", final), ("9", final)):
+        code, got, _ = run_cli(capsys, "tables", "bokstedt:zp", "--page", page,
+                               "--window", "0:12")
+        assert code == 0 and got.splitlines()[1:] == want, page
+    for page in ("1", "0", "-3"):
+        code, got, err = run_cli(capsys, "tables", "bokstedt:zp", "--page",
+                                 page, "--window", "0:12")
+        assert code == 2 and not got, page
+        assert f"no page {page} for bokstedt:zp" in err
     code, _, _ = run_cli(capsys, "tables", "unknown:thing")
     assert code == 2
     # malformed tower ids are usage errors, never pages or crashes
