@@ -33,25 +33,27 @@ a list of summands, compared with the closed form cell by cell.
 
 Every later turn is one RuleRow, certified on summand cells in every
 degree.  A page is a union of cells: a key (u, lambda2 and module
-exponents), a tmu2 power c and a set of free-exponent residues modulo a
-common period P of the predicates.  Along c each key is constant between
-the summands' tmu2 bounds.  The row's value translates these coordinates
-by a constant, so its sources go one to one onto their images, and when
-the images are page classes that are not sources themselves, the
-homology is the page without sources and images (algebraic discrete
-Morse theory on summands: Skoldberg, Trans. AMS 358, 2006).  run_instance
-sends a turn to verify_turn only when a certificate's precondition fails
-or the closed form disagrees.
+exponents), a tmu2 power c and disjoint p-adic balls {x : x = r mod p^j}
+of free exponents, the predicates' balls (_balls).  Balls are nested or
+disjoint, so their meet, difference and translation are never finer than
+the predicates'.  Along c each key is constant between the summands' tmu2
+bounds.  The row's value translates these coordinates by a constant, so
+its sources go one to one onto their images, and when the images are page
+classes that are not sources themselves, the homology is the page without
+sources and images (algebraic discrete Morse theory on summands:
+Skoldberg, Trans. AMS 358, 2006).  run_instance sends a turn to
+verify_turn only when a certificate's precondition fails or the closed
+form disagrees.
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 from typing import Callable, Iterable, NamedTuple
 
 from ..graded import Algebra, Generator, Kind, Monomial
-from ..numerics import rho, vp
+from ..numerics import rho
 from ..specseq import (DerivationRule, DiffRule, FamilyRule, PageComparison,
                        Region, verify_turn)
 
@@ -89,58 +91,53 @@ PLAIN_E = ((0, 0, 0), (0, 0, 1))
 Pred = tuple
 
 
-def _pred_ok(pred: Pred, p: int, x: int) -> bool:
+@lru_cache(maxsize=None)
+def _balls(pred: Pred, p: int) -> tuple[int, tuple[int, ...]] | None:
+    """The free exponents the predicate accepts, as p-adic balls: a modulus
+    M, a power of p, and the sorted residues r of the balls x = r mod M;
+    None for zero, which accepts the exponent 0 only."""
     kind = pred[0]
     if kind == "any":
-        return True
+        return 1, (0,)
     if kind == "zero":
-        return x == 0
+        return None
     if kind == "vp_eq":
-        return x != 0 and vp(p, x) == pred[1]
+        # x = i p^v mod p^(v+1) with 0 < i < p
+        q = p ** pred[1]
+        return q * p, tuple(range(q, q * p, q))
     if kind == "vp_ge":
-        return x == 0 or vp(p, x) >= pred[1]
+        return p ** pred[1], (0,)
     if kind == "res":
         # x = -i mod p^2 with 0 < i < p
-        return 0 < (-x) % (p * p) < p
+        return p * p, tuple(range(p * p - p + 1, p * p))
     if kind == "ceil_unit":
         # p does not divide ceil(x / p): x mod p^2 is not 0, -1, ..., -(p-1)
-        return 0 < x % (p * p) <= p * p - p
+        return p * p, tuple(range(1, p * p - p + 1))
     raise ValueError(f"unknown predicate {pred}")
 
 
-def _pred_classes(pred: Pred, p: int) -> tuple[int, tuple[int, ...]]:
-    """A modulus and the residues modulo it of every free exponent the
-    predicate accepts (and of some it rejects: vp_eq also needs x != 0 and
-    no higher valuation)."""
-    kind = pred[0]
-    if kind in ("vp_eq", "vp_ge"):
-        return p ** pred[1], (0,)
-    if kind == "res":
-        return p * p, tuple(-i % (p * p) for i in range(1, p))
-    if kind == "ceil_unit":
-        return p * p, tuple(range(1, p * p - p + 1))
-    if kind == "any":
-        return 1, (0,)
-    raise ValueError(f"no residue classes for predicate {pred}")
+def _pred_ok(pred: Pred, p: int, x: int) -> bool:
+    balls = _balls(pred, p)
+    return x == 0 if balls is None else x % balls[0] in balls[1]
 
 
+@lru_cache(maxsize=None)
 def _step_classes(p: int, pred: Pred, D: int
-                  ) -> tuple[int, int, list[int]] | None:
+                  ) -> tuple[int, int, tuple[int, ...]] | None:
     """Per summand: the predicate's modulus M, the inverse of D modulo M and
-    the steps k modulo M, ascending, at which the free exponent D k lies in
-    an allowed residue class; None for a zero predicate.
-
-    D is a unit modulo M, so each allowed residue pins k to one class.  The
-    classes are exact for any, vp_ge, res and ceil_unit; only a vp_eq step
-    still needs _pred_ok."""
-    if pred[0] == "zero":
+    the steps k modulo M, ascending and listed over two periods [0, 2M), at
+    which the free exponent D k lies in one of its balls; None for a zero
+    predicate.  D is a unit modulo M, so each ball pins k to one class."""
+    balls = _balls(pred, p)
+    if balls is None:
         return None
-    M, residues = _pred_classes(pred, p)
+    M, residues = balls
     inv = pow(D, -1, M)
-    return M, inv, sorted(res * inv % M for res in residues)
+    ks = sorted(r * inv % M for r in residues)
+    return M, inv, tuple(ks + [k + M for k in ks])
 
 
-def _allowed_steps(classes: tuple[int, int, list[int]] | None, free0: int,
+def _allowed_steps(classes: tuple[int, int, tuple[int, ...]] | None, free0: int,
                    D: int, k_lo: int, k_hi: int) -> Iterable[int]:
     """The steps k_lo <= k < k_hi, ascending, at which the free exponent
     free0 + D k lies in a residue class of _step_classes; a zero predicate
@@ -148,15 +145,19 @@ def _allowed_steps(classes: tuple[int, int, list[int]] | None, free0: int,
     if classes is None:
         k, rem = divmod(-free0, D)
         return range(k, k + 1) if not rem and k_lo <= k < k_hi else range(0)
-    M, inv, base = classes
+    M, inv, ks = classes
     shift = free0 * inv % M
-    if len(base) == 1:
-        return range(k_lo + (base[0] - shift - k_lo) % M, k_hi, M)
-    # the classes of free0 + D k: base shifted down by shift, still ascending
-    ks = [k - shift for k in base if k >= shift] + \
-        [k - shift + M for k in base if k < shift]
-    return (q + r for q in range(k_lo - k_lo % M, k_hi, M) for r in ks
-            if k_lo <= q + r < k_hi)
+    if len(ks) == 2:
+        return range(k_lo + (ks[0] - shift - k_lo) % M, k_hi, M)
+    # k is allowed where k + shift is a class; most windows are shorter than
+    # a period, and then one slice of the two periods lists them
+    lo, hi = k_lo + shift, k_hi + shift
+    q = lo - lo % M
+    if hi - q <= 2 * M:
+        return [q - shift + k for k in ks[bisect_left(ks, lo - q):
+                                          bisect_left(ks, hi - q)]]
+    return (q0 - shift + k for q0 in range(q, hi, M)
+            for k in ks[:len(ks) // 2] if lo <= q0 + k < hi)
 
 
 def in_window(base: int, step: int, trunc: int | None, lo: int, hi: int
@@ -275,7 +276,6 @@ class TateForm(NamedTuple):
         for sm in self.summands:
             c_hi, pred = sm.c_hi, sm.pred
             classes = _step_classes(p, pred, D)
-            recheck = pred[0] == "vp_eq"
             for a in sm.u:
                 for b in sm.lam:
                     for d0, i0, e in sm.module:
@@ -311,16 +311,14 @@ class TateForm(NamedTuple):
                                 k_hi = 0
                             for k in _allowed_steps(classes, free0, D, k_lo,
                                                     k_hi):
-                                free = free0 + D * k
-                                if not recheck or _pred_ok(pred, p, free):
-                                    s = s0 + g * k
-                                    yield (s, first + stride * k - s), (
-                                        a, c + ft * free, b, c + fm * free,
-                                        d0, i0, e)
+                                free, s = free0 + D * k, s0 + g * k
+                                yield (s, first + stride * k - s), (
+                                    a, c + ft * free, b, c + fm * free,
+                                    d0, i0, e)
                             c += 1
 
     def _fixed_column_steps(self, sm: Summand,
-                            classes: tuple[int, int, list[int]] | None,
+                            classes: tuple[int, int, tuple[int, ...]] | None,
                             a: int, base: int, region: Region
                             ) -> Iterable[tuple[int, list[int]]]:
         """The tmu2 powers c of one summand row in the region, ascending,
@@ -345,8 +343,6 @@ class TateForm(NamedTuple):
         frees = [free_lo + k for k in _allowed_steps(
             classes, free_lo, 1, 0,
             (hi - base - step * c) // f_tot - free_lo + 1)]
-        if sm.pred[0] == "vp_eq":
-            frees = [x for x in frees if _pred_ok(sm.pred, p, x)]
         while c < c_top:
             rest = base + step * c      # total degree at free exponent 0
             i = bisect_left(frees, -((rest - lo) // f_tot))
@@ -374,7 +370,6 @@ class TateForm(NamedTuple):
         out: list[Monomial] = []
         for sm in self.summands:
             classes = _step_classes(p, sm.pred, D)
-            recheck = sm.pred[0] == "vp_eq"
             for a in sm.u:
                 for b in sm.lam:
                     for d0, i0, e in sm.module:
@@ -395,11 +390,9 @@ class TateForm(NamedTuple):
                         free0 = (rest - step * c0) // f_tot
                         for k in _allowed_steps(classes, free0, D, 0,
                                                 -((c0 - sm.c_hi) // L)):
-                            free = free0 + D * k
-                            if not recheck or _pred_ok(sm.pred, p, free):
-                                c = c0 + L * k
-                                out.append((a, c + ft * free, b, c + fm * free,
-                                            d0, i0, e))
+                            free, c = free0 + D * k, c0 + L * k
+                            out.append((a, c + ft * free, b, c + fm * free,
+                                        d0, i0, e))
         out.sort(key=self.algebra.key)
         return out
 
@@ -631,12 +624,12 @@ def _factorization_certifies(before: TateForm, rule: DiffRule,
                           after))
     if cells is None:
         return None
-    (want, got), cuts, _ = cells
+    (want, got), cuts = cells
     compared = 0
     for c in cuts:
         for key in want.keys() | got.keys():
-            h = _cell(want, key, c)
-            if h is None or h != _cell(got, key, c):
+            h, g = _cell(want, key, c), _cell(got, key, c)
+            if h is None or g is None or not _same(h, g, alg.p):
                 return None
             compared += bool(h)
     return PageComparison(f"{before.label} -> {after.label}", compared, [])
@@ -645,73 +638,103 @@ def _factorization_certifies(before: TateForm, rule: DiffRule,
 # the exponent slots that key a cell: u, lambda2 and the module
 KEY = (IU, IL, IE0, IM0, IE1)
 
-Cells = dict[tuple[int, ...], list[tuple[int | None, frozenset[int]]]]
+# a p-adic ball {x : x = r mod q}, q a power of p and 0 <= r < q
+Ball = tuple[int, int]
+Cells = dict[tuple[int, ...], list[tuple[int | None, list[Ball]]]]
 
 
-def _period(pred: Pred, p: int) -> int | None:
-    """A period of the predicate in the free exponent; None for zero, which
-    holds at one exponent only, and for unknown kinds."""
-    kind = pred[0]
-    if kind == "vp_eq":
-        return p ** (pred[1] + 1)
-    if kind == "vp_ge":
-        return p ** pred[1]
-    if kind in ("res", "ceil_unit"):
-        return p * p
-    return 1 if kind == "any" else None
+def _ball_list(pred: Pred, p: int) -> list[Ball] | None:
+    """The predicate's balls, disjoint; None for zero."""
+    balls = _balls(pred, p)
+    return None if balls is None else [(balls[0], r) for r in balls[1]]
 
 
-@lru_cache(maxsize=None)
-def _residues(pred: Pred, p: int, P: int) -> frozenset[int]:
-    """The free exponents mod P that the predicate accepts; P must be a
-    multiple of its period.  Only the residues of _pred_classes are
-    tested."""
-    M, classes = _pred_classes(pred, p)
-    return frozenset(x for r in classes for x in range(r, P, M)
-                     if _pred_ok(pred, p, x))
+def _meet(A: list[Ball], B: list[Ball]) -> list[Ball]:
+    """The intersection of two lists of disjoint balls.  Two balls are
+    nested or disjoint, and nested ones meet in the smaller."""
+    out = []
+    for qa, ra in A:
+        for qb, rb in B:
+            if qa <= qb:
+                if rb % qa == ra:
+                    out.append((qb, rb))
+            elif ra % qb == rb:
+                out.append((qa, ra))
+    return out
+
+
+def _minus(A: list[Ball], B: list[Ball], p: int) -> list[Ball]:
+    """A without B, as disjoint balls: a ball of A inside a ball of B goes,
+    one holding a smaller ball of B splits into its p children, and any
+    other stays whole."""
+    if not A or not B:
+        return A
+    out, todo = [], list(A)
+    while todo:
+        q, r = todo.pop()
+        split = False
+        for qb, rb in B:
+            if qb <= q:
+                if r % qb == rb:
+                    break
+            elif rb % q == r:
+                split = True
+        else:
+            if split:
+                todo += [(q * p, r + i * q) for i in range(p)]
+            else:
+                out.append((q, r))
+    return out
+
+
+def _same(A: list[Ball], B: list[Ball], p: int) -> bool:
+    """Whether two lists of disjoint balls hold the same points."""
+    return A == B or not _minus(A, B, p) and not _minus(B, A, p)
+
+
+def _moved(A: list[Ball], shift: int) -> list[Ball]:
+    """A translated by shift."""
+    return [(q, (r + shift) % q) for q, r in A]
 
 
 def _cell_tables(forms: tuple[TateForm, ...]
-                 ) -> tuple[list[Cells], set[int], int] | None:
-    """Each page's cells, their tmu2 cuts B and the common period P of
-    every predicate; None when a predicate has no period.
+                 ) -> tuple[list[Cells], set[int]] | None:
+    """Each page's cells and their tmu2 cuts B; None when a predicate is
+    zero.
 
     A page's cells map each key (u, lambda2, eps0, mu0, eps1b) to the tmu2
-    bound and free-exponent residues mod P of every summand that holds it.
-    B is 0 and every tmu2 bound: each key is constant between cuts."""
+    bound and free-exponent balls of every summand that holds it.  B is 0
+    and every tmu2 bound: each key is constant between cuts."""
     p = forms[0].p
-    periods = [_period(sm.pred, p) for form in forms for sm in form.summands]
-    if None in periods:
-        return None
-    P = lcm(*periods)
     tables, cuts = [], {0}
     for form in forms:
         cells: Cells = {}
         for sm in form.summands:
-            res = _residues(sm.pred, p, P)
+            balls = _ball_list(sm.pred, p)
+            if balls is None:
+                return None
             if sm.c_hi is not None:
                 cuts.add(sm.c_hi)
             for a in sm.u:
                 for b in sm.lam:
                     for trip in sm.module:
                         cells.setdefault((a, b) + trip, []).append(
-                            (sm.c_hi, res))
+                            (sm.c_hi, balls))
         tables.append(cells)
-    return tables, cuts, P
+    return tables, cuts
 
 
-def _cell(cells: Cells, key: tuple[int, ...], c: int
-          ) -> frozenset[int] | None:
-    """The free-exponent residues of one key at tmu2 power c; None where
-    two summands overlap."""
-    out: frozenset[int] = frozenset()
+def _cell(cells: Cells, key: tuple[int, ...], c: int) -> list[Ball] | None:
+    """The free-exponent balls of one key at tmu2 power c; None where two
+    summands overlap."""
+    out: list[Ball] = []
     if c < 0:
         return out
-    for c_hi, res in cells.get(key, ()):
+    for c_hi, balls in cells.get(key, ()):
         if c_hi is None or c < c_hi:
-            if out & res:
+            if out and _meet(out, balls):
                 return None
-            out |= res
+            out += balls
     return out
 
 
@@ -739,13 +762,10 @@ def _summand_certifies(before: TateForm, row: RuleRow, unit: int,
     if alg.bidegree(delta) != (-row.r, row.r - 1):
         return None
     cells = _cell_tables((before, after))
-    if cells is None:
+    guard = _ball_list(row.pred, p)
+    if cells is None or guard is None:
         return None
-    (page, closed), cuts, P = cells
-    guard_period = _period(row.pred, p)
-    if guard_period is None or P % guard_period:
-        return None
-    guard = _residues(row.pred, p, P)
+    (page, closed), cuts = cells
     ft, fm = TOWERS[conv].free
     inc = fm * delta[IT] + ft * delta[IM]
     shift = TOWERS[conv].sign * (delta[IT] - delta[IM])
@@ -756,18 +776,20 @@ def _summand_certifies(before: TateForm, row: RuleRow, unit: int,
     image_of = {tuple(k + d for k, d in zip(key, dkey)): key
                 for key in sources}
     keys = page.keys() | closed.keys() | image_of.keys()
-    empty: frozenset[int] = frozenset()
     compared = 0
     for c in cuts | {b + inc for b in cuts}:
         for key in keys:
             here, want = _cell(page, key, c), _cell(closed, key, c)
             pre = image_of.get(key)
-            hit = empty if pre is None else _cell(page, pre, c - inc)
+            hit = [] if pre is None else _cell(page, pre, c - inc)
             if here is None or want is None or hit is None:
                 return None
-            hit = frozenset((x + shift) % P for x in hit & guard)
-            src = here & guard if key in sources else empty
-            if not hit <= here or here - src - hit != want:
+            if not (here or want or hit):
+                continue
+            hit = _moved(_meet(hit, guard), shift)
+            src = _meet(here, guard) if key in sources else []
+            if _minus(hit, here, p) or \
+                    not _same(_minus(_minus(here, src, p), hit, p), want, p):
                 return None
             compared += bool(here or want)
     return PageComparison(f"{before.label} -> {after.label}", compared, [])

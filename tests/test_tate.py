@@ -13,7 +13,8 @@ import fpss.thh.tate as tate
 from fpss.thh.circle import comparison_region, s1_einf, s1_limits
 from fpss.thh.tate import (BOTH, IE0, IE1, IL, IM, IT, IU, PLAIN, TOWERS,
                            SSInstance, Summand, TateForm, _allowed_steps,
-                           _factorization_certifies, _pred_classes, _pred_ok,
+                           _ball_list, _balls, _factorization_certifies,
+                           _meet, _minus, _moved, _pred_ok, _same,
                            _step_classes, _summand_certifies, family_rule,
                            instance_region, module_triples, run_instance,
                            tower_form, tower_instance)
@@ -407,8 +408,8 @@ def test_iter_region_lists_hofix_free_exponents_once(monkeypatch):
 
 
 def test_iter_region_steps_only_allowed_residues(monkeypatch):
-    # the free exponent steps through the predicate's residue classes, so
-    # _pred_ok rejects at most as many candidates as it accepts
+    # the free exponent steps through the predicate's balls, which are
+    # exact, so _pred_ok is never asked
     for conv in ("tate", "hofix"):
         calls, yielded = [0], [0]
 
@@ -429,7 +430,7 @@ def test_iter_region_steps_only_allowed_residues(monkeypatch):
         monkeypatch.undo()
         assert ok, problems[:3]
         assert yielded[0] > 0
-        assert calls[0] <= 2 * yielded[0], (conv, calls[0], yielded[0])
+        assert calls[0] == 0, (conv, calls[0], yielded[0])
 
 
 # the default CLI window at p = 5, the acceptance window, the next prime
@@ -521,6 +522,46 @@ def test_height_3_towers_are_fast():
                                5 * p * p)
         assert all(c.passed for c in results), conv
     assert time.perf_counter() - t0 < 2.0
+
+
+@pytest.mark.parametrize("p, n", [(5, 5), (7, 4)])
+def test_large_heights_are_fast(p, n):
+    # the cells are p-adic balls, so the certificates' cost does not grow
+    # with p^(2n): both conventions on the default window
+    t0 = time.perf_counter()
+    for conv in ("tate", "hofix"):
+        results = run_instance(tower_instance(p, n, conv), -2 * p * p,
+                               5 * p * p)
+        assert all(c.passed for c in results), conv
+    assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("conv", ["tate", "hofix"])
+def test_large_height_closed_form_mutants_decline(conv):
+    # at p = 5, n = 4 the balls go down to modulus p^8: every turn after d2
+    # declines a closed form without its last B block, and one with a C
+    # block of valuation 2k instead of 2k - 1 (verify_turn is not run at
+    # this height)
+    tried = 0
+    for st in tower_instance(P, 4, conv).stages[1:]:
+        assert _summand_certifies(st.before, st.row, st.rule.unit, st.after)
+        sums = st.after.summands
+        blocks = [i for i, sm in enumerate(sums) if sm.pred[0] == "vp_eq"]
+        b_blocks = [i for i in blocks if sums[i].pred[1] % 2 == 0]
+        # the Tate page after d4 has the head and no block
+        mutants = [sums[:b_blocks[-1]] + sums[b_blocks[-1] + 1:]] \
+            if b_blocks else []
+        for i in blocks:
+            if sums[i].pred[1] % 2:
+                wrong = sums[i]._replace(pred=("vp_eq", sums[i].pred[1] + 1))
+                mutants.append(sums[:i] + (wrong,) + sums[i + 1:])
+        tried += len(mutants)
+        for summands in mutants:
+            after = st.after._replace(summands=summands)
+            assert _summand_certifies(st.before, st.row, st.rule.unit,
+                                      after) is None, (st.rule.name, summands)
+    # per turn, the last B block and every C block, down to vp_eq(7)
+    assert tried == {"tate": 20, "hofix": 29}[conv]
 
 
 def test_factorization_is_fast():
@@ -870,40 +911,109 @@ PREDS = [("any",), ("zero",), ("res",), ("ceil_unit",), ("vp_eq", 0),
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_residue_steps_match_pred_ok(p):
     # the steps iter_region and monomials_at_total take are exactly those
-    # _pred_ok accepts, and for vp_eq a superset, ascending
+    # the valuation scan accepts, ascending
     for pred in PREDS:
         for D in (1, -1, p * p - 1, 1 - p * p):
             classes = _step_classes(p, pred, D)
             for free0 in (-2 * p ** 3 - 1, -p * p, -1, 0, 1, p, 7 * p ** 3):
-                k_lo, k_hi = -p ** 3, 2 * p ** 3
-                got = list(_allowed_steps(classes, free0, D, k_lo, k_hi))
-                want = [k for k in range(k_lo, k_hi)
-                        if _pred_ok(pred, p, free0 + D * k)]
-                assert got == sorted(set(got)), (pred, D, free0)
-                if pred[0] == "vp_eq":
-                    assert set(want) <= set(got), (pred, D, free0)
-                else:
-                    assert got == want, (pred, D, free0)
+                # windows longer than two periods, and shorter ones
+                for k_lo, k_hi in ((-p ** 3, 2 * p ** 3), (-1, p),
+                                   (p - 1, p * p + 2), (2, 3), (5, 5)):
+                    got = list(_allowed_steps(classes, free0, D, k_lo, k_hi))
+                    want = [k for k in range(k_lo, k_hi)
+                            if _scan_ok(pred, p, free0 + D * k)]
+                    assert got == want, (pred, D, free0, k_lo, k_hi)
+
+
+def _scan_ok(pred, p, x):
+    """The predicates as the paper states them, by valuation."""
+    kind = pred[0]
+    if kind == "any":
+        return True
+    if kind == "zero":
+        return x == 0
+    if kind == "vp_eq":
+        return x != 0 and vp(p, x) == pred[1]
+    if kind == "vp_ge":
+        return x == 0 or vp(p, x) >= pred[1]
+    if kind == "res":
+        return 0 < (-x) % (p * p) < p
+    assert kind == "ceil_unit"
+    return -(-x // p) % p != 0
+
+
+BALL_PREDS = PREDS + [("vp_eq", 3), ("vp_ge", 3), ("vp_ge", 4)]
 
 
 @pytest.mark.parametrize("p", [5, 7])
 def test_residues_match_the_full_scan(p):
-    # _residues tests only the classes of _pred_classes; the set is the
-    # residues mod P that _pred_ok accepts, for every P = p^2 .. p^4 that
-    # the predicate's period divides
+    # for every kind, the ball table is the set of free exponents mod p^k
+    # that the valuation scan accepts, for every p^k its modulus divides;
+    # zero has no balls, and _pred_ok agrees with the scan off [0, p^k)
     for k in (2, 3, 4):
-        P = p ** k
-        for pred in PREDS + [("vp_eq", 3), ("vp_ge", 3), ("vp_ge", 4)]:
-            period = tate._period(pred, p)
-            if period is None or P % period:
+        N = p ** k
+        for pred in BALL_PREDS:
+            want = frozenset(x for x in range(N) if _scan_ok(pred, p, x))
+            balls = _balls(pred, p)
+            if balls is None:
+                assert pred == ("zero",) and want == {0}
                 continue
-            assert tate._residues(pred, p, P) == frozenset(
-                x for x in range(P) if _pred_ok(pred, p, x)), (pred, P)
+            M, residues = balls
+            assert list(residues) == sorted(set(residues)), pred
+            if N % M:
+                continue
+            assert frozenset(x for x in range(N) if x % M in residues) \
+                == want, (pred, N)
+    for pred in BALL_PREDS:
+        for x in range(-2 * p ** 4, p ** 4, p - 1):
+            assert _pred_ok(pred, p, x) == _scan_ok(pred, p, x), (pred, x)
 
 
-def test_pred_classes_reject_unknown_kinds():
-    for pred in (("zero",), ("bogus",), ("vp_le", 1)):
+def test_balls_reject_unknown_kinds():
+    for pred in (("bogus",), ("vp_le", 1)):
         with pytest.raises(ValueError):
-            _pred_classes(pred, P)
+            _balls(pred, P)
+    assert _balls(("zero",), P) is None
     with pytest.raises(ValueError):
         _pred_ok(("bogus",), P, 1)
+
+
+def _points(balls, N):
+    """The oracle: a list of balls as the frozenset of its points mod N."""
+    return frozenset(x for q, r in balls for x in range(r, N, q))
+
+
+def _disjoint(balls, N):
+    return sum(N // q for q, _ in balls) == len(_points(balls, N))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_ball_algebra_matches_residue_sets(p):
+    # meet, difference, translation and equality against frozensets mod
+    # p^4, on the balls of every predicate kind, shifted, on unions of two
+    # of them as cells hold them, and on single balls nested either way
+    N = p ** 4
+    sets = []
+    for pred in BALL_PREDS:
+        balls = _ball_list(pred, p)
+        if balls is None:
+            continue
+        for shift in (0, 1, p + 2, -p * p):
+            sets.append(_moved(balls, shift))
+    sets += [_ball_list(("vp_eq", 1), p) + _ball_list(("vp_ge", 2), p),
+             _ball_list(("res",), p) + _moved(_ball_list(("vp_ge", 3), p), 1)]
+    sets += [[(q, r)] for q in (1, p, p ** 3) for r in (0, 1, p + 1)
+             if r < q]
+    points = [_points(A, N) for A in sets]
+    for A, pa in zip(sets, points):
+        assert _disjoint(A, N), A
+        for shift in (1, -p, p ** 3 + 2):
+            moved = _moved(A, shift)
+            assert _points(moved, N) == frozenset((x + shift) % N
+                                                  for x in pa)
+        for B, pb in zip(sets, points):
+            meet, rest = _meet(A, B), _minus(A, B, p)
+            assert _points(meet, N) == pa & pb, (A, B)
+            assert _points(rest, N) == pa - pb, (A, B)
+            assert _disjoint(meet, N) and _disjoint(rest, N), (A, B)
+            assert _same(A, B, p) == (pa == pb), (A, B)

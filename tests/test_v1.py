@@ -1,9 +1,9 @@
 import pytest
 
 from fpss.comodule import RingId
+from fpss.thh import bokstedt, v1
 from fpss.thh.tate import module_triples, tate_ambient
-from fpss.thh.v1 import (h_thh_series, poincare_identity_check,
-                         v1_thh_presentation)
+from fpss.thh.v1 import poincare_identity_check, v1_thh_presentation
 
 P = 5
 
@@ -29,11 +29,20 @@ def test_identity_trivial_window():
     assert ok
 
 
-def test_identity_detects_corruption():
-    # dropping the module factor from the smash side must fail
-    lhs = h_thh_series(P, RingId.ELL_MOD_P, 20)
-    rhs = h_thh_series(P, RingId.ELL, 20)
-    assert lhs != rhs
+def test_identity_detects_corruption(monkeypatch):
+    # the smash side reads the final Bokstedt page: the page of ell in
+    # place of ell/p's (no module factor) must fail, and so must a page
+    # on which sbxi1 survives
+    real = bokstedt.bokstedt_einf_page
+    monkeypatch.setattr(v1, "bokstedt_einf_page", lambda p, ring, top: real(
+        p, RingId.ELL, top))
+    ok, problems = poincare_identity_check(P, RingId.ELL_MOD_P, 20)
+    assert not ok and problems
+    monkeypatch.undo()
+    assert poincare_identity_check(P, RingId.ELL_MOD_P, 20)[0]
+    monkeypatch.setitem(bokstedt._SURVIVING_SXI, RingId.ELL_MOD_P, (1, 2))
+    ok, problems = poincare_identity_check(P, RingId.ELL_MOD_P, 20)
+    assert not ok and problems
 
 
 @pytest.mark.parametrize("p", [5, 7])
