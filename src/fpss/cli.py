@@ -270,7 +270,8 @@ def cmd_poincare(args) -> int:
                "k-lp-conditional": lambda: k_lp_presentation(p)}[args.id]()
         series = mod.series(lo, hi)
         extra = mod.export()
-    pairs = [[d, v] for d, v in series.items()]
+    # the v1 series holds degree 0 even when the window ends below it
+    pairs = [[d, v] for d, v in series.items() if d <= hi]
     if args.format == "structured":
         doc = {"schema_version": 1,
                "config": {"command": "poincare", "id": args.id, "prime": p,

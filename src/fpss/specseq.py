@@ -6,17 +6,13 @@ drops total degree by one.  verify_turn certifies that a closed-form page
 is the homology of the page before it, bidegree by bidegree, with exact
 sparse linear algebra.
 
-verify_turn first tries a matching certificate.  When every value is zero
-or one page monomial and no two monomials share a target, the turn is a
-partial matching, and its homology is spanned by the unmatched cycles
-(algebraic discrete Morse theory with no residual differential: Skoldberg,
-Trans. AMS 358, 2006; Joellenbeck-Welker, Mem. AMS 197, 2009).  The turn
-then passes exactly when the closed form is that set.  Any turn the
-certificate does not pass goes to the Echelon path, which decides it from
-the same tables and values: a rule with two-term values, a wrong closed
-form, d after d nonzero, or a value that raises.  No default CLI turn
-reaches verify_turn now: the tower and Bokstedt certificates of thh take
-them all, and verify_turn is their fallback.
+verify_turn is the elimination reference: in every bidegree it takes
+kernel and image by Echelon and certifies the closed form's span.  No
+default CLI turn reaches it: the tower and Bokstedt certificates of thh
+take every turn in every degree (d2 by factorization, the later tower
+turns on summand cells by algebraic Morse theory, the Bokstedt turn by
+Kunneth), verify_turn is their fallback where they decline, and the tests
+cross-check each of them against it.
 
 Closed-form pages enumerate any bidegree exactly, so homology computed
 against them has no truncation error and the trust region only selects
@@ -171,33 +167,21 @@ def rule_on_element(rule: DiffRule, alg: Algebra, x: Element) -> Element:
     return out
 
 
-_ZERO: Element = {}
-
-
 class _TurnValues:
-    """The rule with each monomial's value computed once per page turn.
-
-    A value is kept in its raw form: the shared _ZERO, its one term as a
-    (monomial, coefficient) pair, or the element itself when it has two or
-    more terms.  A value that raises is not kept.  Callers must not mutate
-    what raw or apply return."""
+    """The rule with each monomial's value computed once per page turn: the
+    d after d check, the outgoing columns and the incoming columns all read
+    it.  A value that raises is not kept.  Callers must not mutate what
+    apply returns."""
 
     def __init__(self, rule: DiffRule):
-        self.rule, self.name, self.r = rule, rule.name, rule.r
-        self.values: dict[Monomial, Element | tuple[Monomial, int]] = {}
-
-    def raw(self, alg: Algebra, m: Monomial) -> Element | tuple[Monomial, int]:
-        v = self.values.get(m)
-        if v is None:
-            v = self.rule.apply(alg, m) or _ZERO
-            if len(v) == 1:
-                v, = v.items()
-            self.values[m] = v
-        return v
+        self.rule, self.name = rule, rule.name
+        self.values: dict[Monomial, Element] = {}
 
     def apply(self, alg: Algebra, m: Monomial) -> Element:
-        v = self.raw(alg, m)
-        return {v[0]: v[1]} if type(v) is tuple else v
+        v = self.values.get(m)
+        if v is None:
+            v = self.values[m] = self.rule.apply(alg, m)
+        return v
 
 
 def bidegree_table(page: Page, region: Region
@@ -287,106 +271,23 @@ def _columns_for(rule: DiffRule, alg: Algebra, src: tuple[Monomial, ...],
 
 def verify_turn(page: Page, rule: DiffRule, after: Page, region: Region
                 ) -> PageComparison:
-    """Turn the page and certify the homology against a closed form.
+    """Turn the page and certify the homology against a closed form by
+    elimination, per bidegree.
 
-    A turn that is a monomial matching is certified by _matching_certifies
-    alone.  Any other turn goes to the Echelon path, per bidegree: the
+    The page is tabulated over the region widened by the rule's reach and
+    the closed form over the region; the bidegrees checked are the
+    region's bidegrees of either.  In each, d after d must vanish, the
     homology dimension must match, every closed-form monomial must be a
     cycle, and the closed-form classes must be independent from the image.
     Together these certify span equality.
     """
-    alg = page.algebra
-    values = _TurnValues(rule)
-    bases, closed_bases, bds = _turn_tables(page, rule, after, region)
-    label = f"{page.label} -> {after.label}"
-    args = (alg, values, bases, closed_bases, bds, rule.r)
-    if _matching_certifies(*args):
-        return PageComparison(label, len(bds), [])
-    return PageComparison(label, len(bds), _echelon_mismatches(*args))
-
-
-def _turn_tables(page: Page, rule: DiffRule, after: Page, region: Region
-                 ) -> tuple[dict[Bidegree, tuple[Monomial, ...]],
-                            dict[Bidegree, tuple[Monomial, ...]], set[Bidegree]]:
-    """The page over the region widened by the rule's reach, the closed
-    form over the region, and the bidegrees to check: the region's
-    bidegrees of either page."""
     bases = bidegree_table(page, region.widen(rule.r))
     closed_bases = bidegree_table(after, region)
     bds = {bd for bd in bases if region.contains(*bd)} | closed_bases.keys()
-    return bases, closed_bases, bds
-
-
-def _matching_certifies(alg: Algebra, values: _TurnValues,
-                        bases: dict[Bidegree, tuple[Monomial, ...]],
-                        closed_bases: dict[Bidegree, tuple[Monomial, ...]],
-                        bds: set[Bidegree], r: int) -> bool:
-    """Whether the turn is a partial matching whose unmatched cycles are
-    exactly the closed form; False sends the turn to the Echelon path.
-
-    The sources are the monomials of the region's bidegrees (b1) and of
-    their b0 neighbours.  When each source value is zero or one page
-    monomial of the target bidegree, no two sources share a target, no
-    monomial is listed twice, d after d vanishes on b1, and every hit
-    monomial of the region is a cycle, then the homology of each bidegree
-    is spanned by its unmatched cycles: the cycles no source hits.  The closed form then
-    passes exactly when it is that set, without duplicates, which is what
-    the Echelon path would certify.  Evaluating a value that raises also
-    returns False; the Echelon path raises or records it in its own order.
-    """
-    # the bidegree of every page monomial no source has hit yet
-    unhit: dict[Monomial, Bidegree] = {}
-    size = 0
-    for bd, ms in bases.items():
-        unhit.update(dict.fromkeys(ms, bd))
-        size += len(ms)
-    if len(unhit) != size:
-        return False            # a monomial listed twice
-    raw = values.raw
-
-    def match(s: int, t: int, check_dd: bool) -> bool:
-        want = (s - r, t + r - 1)
-        for m in bases[(s, t)]:
-            v = raw(alg, m)
-            if not v:
-                continue
-            if type(v) is not tuple:
-                return False
-            # a target outside the page or already hit is not in unhit
-            if unhit.pop(v[0], None) != want:
-                return False
-            if check_dd and raw(alg, v[0]):
-                return False
-        return True
-
-    try:
-        for s, t in bds:
-            if (s, t) not in bases:
-                return False    # closed classes on an empty bidegree
-            # the b0 neighbour, unless it is a region bidegree of its own
-            b0 = (s + r, t - r + 1)
-            if not match(s, t, True) or (
-                    b0 not in bds and b0 in bases and
-                    not match(*b0, False)):
-                return False
-    except Exception:   # the Echelon path raises or records it
-        return False
-    value = values.values       # every b1 value is computed by now
-    for bd in bds:
-        unmatched = 0
-        for m in bases[bd]:
-            if m not in unhit:
-                if value[m]:
-                    return False    # a hit monomial that is not a cycle
-            elif not value[m]:
-                unmatched += 1
-        closed = closed_bases.get(bd, ())
-        if len(closed) != unmatched or len(set(closed)) != unmatched:
-            return False
-        for m in closed:
-            if unhit.get(m) != bd or value[m]:
-                return False
-    return True
+    return PageComparison(
+        f"{page.label} -> {after.label}", len(bds),
+        _echelon_mismatches(page.algebra, _TurnValues(rule), bases,
+                            closed_bases, bds, rule.r))
 
 
 def _echelon_mismatches(alg: Algebra, rule: _TurnValues,
@@ -394,7 +295,7 @@ def _echelon_mismatches(alg: Algebra, rule: _TurnValues,
                         closed_bases: dict[Bidegree, tuple[Monomial, ...]],
                         bds: set[Bidegree], r: int
                         ) -> list[BidegreeMismatch]:
-    """The general path: kernel and image by elimination, per bidegree."""
+    """Kernel and image by elimination, bidegree by bidegree."""
     mismatches: list[BidegreeMismatch] = []
     for s, t in sorted(bds):
         b1 = bases.get((s, t), ())

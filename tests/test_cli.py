@@ -191,6 +191,10 @@ def test_poincare_examples(capsys):
     code, out, _ = run_cli(capsys, "poincare", "thh:v1:ellmodp",
                            "--window", "0:9")
     assert out.splitlines()[-1] == "9 1"
+    # a window below degree 0 holds no row of the v1 series
+    code, out, _ = run_cli(capsys, "poincare", "thh:v1:zp", "--window", "-5:-1")
+    assert code == 0
+    assert out.splitlines() == ["# thh:v1:zp prime=5 window=-5:-1"]
     code, out, _ = run_cli(capsys, "poincare", "k", "--window", "9:9")
     assert int(out.splitlines()[1].split()[1]) >= 1
     code, _, _ = run_cli(capsys, "poincare", "nope")

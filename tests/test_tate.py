@@ -6,18 +6,17 @@ import pytest
 from fpss import specseq
 from fpss.numerics import rho, vp
 from fpss.specseq import (DerivationRule, FamilyRule, Region,
-                          VerificationError, _echelon_mismatches,
-                          _matching_certifies, _turn_tables, _TurnValues,
-                          bidegree_table, verify_turn)
+                          VerificationError, bidegree_table, verify_turn)
 import fpss.thh.tate as tate
 from fpss.thh.circle import comparison_region, s1_einf, s1_limits
-from fpss.thh.tate import (BOTH, IE0, IE1, IL, IM, IT, IU, PLAIN, TOWERS,
-                           SSInstance, Summand, TateForm, _allowed_steps,
-                           _ball_list, _balls, _factorization_certifies,
-                           _meet, _minus, _moved, _pred_ok, _same,
-                           _step_classes, _summand_certifies, family_rule,
-                           instance_region, module_triples, run_instance,
-                           tower_form, tower_instance)
+from fpss.thh.tate import (BOTH, IE0, IE1, IL, IM, IT, IU, PLAIN, PLAIN_E,
+                           TOWERS, RuleRow, SSInstance, Summand, TateForm,
+                           _allowed_steps, _ball_list, _balls,
+                           _factorization_certifies, _meet, _minus, _moved,
+                           _pred_ok, _same, _step_classes, _summand_certifies,
+                           family_rule, instance_region, module_triples,
+                           run_instance, tate_ambient, tower_form,
+                           tower_instance)
 
 P = 5
 
@@ -135,26 +134,15 @@ def test_pages_never_grow():
         assert all(v >= 0 for v in dims_b.values())
 
 
-def test_dd_zero_and_unit_invariance(monkeypatch):
+def test_dd_zero_and_unit_invariance():
     # d after d vanishes (verify_turn checks it) and every unit multiple of
-    # the rule certifies the same closed form, on the matching path and on
-    # the Echelon path alone
+    # the rule certifies the same closed form
     inst = tower_instance(P, 1, "tate")
     region = Region(-10, 30, -300, 34)
     st = inst.stages[1]
-    said = []
-
-    def spy(*args):
-        said.append(_matching_certifies(*args))
-        return said[-1]
-
-    for certificate in (spy, lambda *args: False):
-        monkeypatch.setattr(specseq, "_matching_certifies", certificate)
-        for unit in (1, 2, 3):
-            cmp_ = verify_turn(st.before, st.rule.scaled(unit), st.after,
-                               region)
-            assert cmp_.passed and cmp_.bidegrees_checked, unit
-    assert said == [True] * 3
+    for unit in (1, 2, 3):
+        cmp_ = verify_turn(st.before, st.rule.scaled(unit), st.after, region)
+        assert cmp_.passed and cmp_.bidegrees_checked, unit
 
 
 def test_relabeling_agreement():
@@ -257,27 +245,6 @@ def test_bidegree_tables_match_basis_at(conv):
             for bd in ((s, t), (s + r, t - r + 1), (s - r, t + r - 1)):
                 assert before.get(bd, ()) == st.before.basis_at(*bd), bd
             assert after.get((s, t), ()) == st.after.basis_at(s, t), (s, t)
-
-
-# the acceptance window at p = 5 and the next-prime window at p = 7
-CROSS_CHECK_WINDOWS = [(5, -40, 160), (7, -20, 60)]
-
-
-@pytest.mark.parametrize("conv", ["tate", "hofix"])
-@pytest.mark.parametrize("n", [1, 2])
-@pytest.mark.parametrize("p, lo, hi", CROSS_CHECK_WINDOWS)
-def test_matching_agrees_with_echelon(p, lo, hi, n, conv):
-    # every stage is a monomial matching the certificate takes, and the
-    # Echelon path, on the same tables and values, finds nothing either
-    inst = tower_instance(p, n, conv)
-    region = instance_region(p, n, lo, hi, conv)
-    for st in inst.stages:
-        values = _TurnValues(st.rule)
-        bases, closed, bds = _turn_tables(st.before, st.rule, st.after, region)
-        assert bds
-        args = (inst.algebra, values, bases, closed, bds, st.rule.r)
-        assert _matching_certifies(*args), st.rule.name
-        assert _echelon_mismatches(*args) == [], st.rule.name
 
 
 def test_monomials_at_total_is_fast():
@@ -812,6 +779,28 @@ def test_summand_certificate_needs_images_on_the_page(keep, conv):
                      after=st.after._replace(summands=after))
     region = instance_region(P, 2, -2 * P * P, 5 * P * P, conv)
     _declines_then_fails(st, region)
+
+
+def test_summand_certificate_translates_the_hit_balls(monkeypatch):
+    # a row whose shift p^2 - p is not 0 modulo its guard's modulus p^2:
+    # eps1b classes of valuation 1 go to x + p^2 - p, and those with
+    # x = p mod p^2 land on valuation 2, outside the page.  The certificate
+    # declines only because it moves the hit balls by the shift.
+    alg = tate_ambient(P, 1)
+    row = RuleRow("odd", 1, IE1, 1, ("vp_eq", 1), 1, P * P - P,
+                  2 * (P * P - P + 1))
+    before = TateForm("page", row.r, alg, "tate",
+                      (Summand((0,), (0,), PLAIN_E, None, ("vp_eq", 1)),))
+    after = TateForm("closed", row.r + 1, alg, "tate",
+                     (Summand((0,), (0,), PLAIN, 1, ("vp_eq", 1)),))
+    assert _summand_certifies(before, row, 1, after) is None
+    cmp_ = verify_turn(before, family_rule(P, "tate", row), after,
+                       instance_region(P, 1, -20, 60, "tate"))
+    assert not cmp_.passed
+    assert any("outside the page" in m.detail for m in cmp_.mismatches)
+    monkeypatch.setattr(tate, "_moved", lambda A, shift: A)
+    wrong = _summand_certifies(before, row, 1, after)
+    assert wrong is not None and wrong.passed
 
 
 def test_summand_certificate_declines_a_zero_unit():
