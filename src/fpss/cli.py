@@ -8,7 +8,6 @@ Output is deterministic: identical invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .comodule import (RingId, eq_classes, is_primitive,
@@ -229,6 +228,7 @@ def cmd_tables(args) -> int:
     header = f"# {args.id} page={args.page} prime={p} window={lo}:{hi}"
     body = dump_page(form, region)
     if args.format == "structured":
+        import json
         lines = body.splitlines()
         doc = {"schema_version": 1,
                "config": {"command": "tables", "id": args.id,
@@ -273,6 +273,7 @@ def cmd_poincare(args) -> int:
     # the v1 series holds degree 0 even when the window ends below it
     pairs = [[d, v] for d, v in series.items() if d <= hi]
     if args.format == "structured":
+        import json
         doc = {"schema_version": 1,
                "config": {"command": "poincare", "id": args.id, "prime": p,
                           "window": [lo, hi]},
@@ -288,6 +289,7 @@ def cmd_poincare(args) -> int:
 
 def _emit(args, report: Report, config: dict) -> None:
     if args.format == "structured":
+        import json
         print(json.dumps(report.to_json_dict(config), sort_keys=True))
     else:
         print(report.to_text())

@@ -5,6 +5,7 @@ functions of the given row/column order.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from typing import Sequence
 
 
@@ -15,6 +16,7 @@ class Echelon:
         self.p = p
         self.n = n
         self.rows: dict[int, dict[int, int]] = {}
+        self.pivots: list[int] = []  # the keys of rows, ascending
 
     @property
     def rank(self) -> int:
@@ -50,8 +52,12 @@ class Echelon:
             raise ValueError(f"vector coordinate {piv} outside ambient size {self.n}")
         inv = pow(red[piv], -1, self.p)
         row = {c: (v * inv) % self.p for c, v in red.items()}
-        # keep the basis reduced: clear the new pivot from older rows
-        for opiv, orow in self.rows.items():
+        # keep the basis reduced: clear the new pivot from older rows.  A
+        # row is zero left of its pivot, so only rows pivoted below piv can
+        # hold it
+        pivots = self.pivots
+        for opiv in pivots[:bisect_left(pivots, piv)]:
+            orow = self.rows[opiv]
             coef = orow.get(piv)
             if coef:
                 for c, v in row.items():
@@ -60,6 +66,7 @@ class Echelon:
                         orow[c] = w
                     else:
                         orow.pop(c, None)
+        insort(pivots, piv)
         self.rows[piv] = row
         return piv
 

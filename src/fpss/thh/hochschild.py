@@ -7,10 +7,11 @@ multiplicative closed forms are checked against; no closed form enters it.
 
 Each degree's complex splits further by weight, the sum of the slots'
 exponent tuples, which every face keeps.  A weight block is walked from the
-longest tensors down.  Each boundary is computed once, and d(d(t)) = 0 is
-checked on every tensor t before d(t) is used.  Each d_n is eliminated once,
-and only on the tensors that are not pivots of the echelon of d_(n+1)
-(clearing, Chen-Kerber 2011, Bauer-Kerber-Reininghaus 2014).
+longest tensors down.  Each boundary is computed once, as an integer column
+over its block's C_(n-1); d(d(t)) = 0 is checked on every tensor t by summing
+those columns before d(t) is used.  Each d_n is eliminated once, on the same
+columns, and only on the tensors that are not pivots of the echelon of
+d_(n+1) (clearing, Chen-Kerber 2011, Bauer-Kerber-Reininghaus 2014).
 """
 from __future__ import annotations
 
@@ -91,25 +92,26 @@ def _weight(tens: Tensor) -> tuple[int, ...]:
     return tuple(map(sum, zip(*tens)))
 
 
-def _boundary_of_boundary(alg: Algebra, above: list[Tensor],
-                          bds_above: list[dict[Tensor, int]],
-                          idx: dict[Tensor, int],
-                          bds: list[dict[Tensor, int]]) -> None:
-    """Raise unless d(d(t)) = 0 for every tensor t of above, summing the
-    boundaries already computed; a face outside the block (idx) gets its
-    own boundary, so a wrong boundary shows here first."""
-    p = alg.p
-    for tns, bd in zip(above, bds_above):
-        acc: dict[Tensor, int] = {}
-        for t2, c in bd.items():
-            i = idx.get(t2)
-            for t3, c2 in (bds[i] if i is not None
-                           else hochschild_boundary(alg, t2)).items():
-                acc[t3] = (acc.get(t3, 0) + c * c2) % p
-        if any(acc.values()):
+def _column(bd: dict[Tensor, int], idx: dict[Tensor, int]) -> dict[int, int]:
+    """A boundary as a column over the block's C_(n-1), by index; a face
+    outside the block takes the next free index, so that its own boundary
+    is summed by the d o d check on the next step."""
+    return {idx.setdefault(t, len(idx)): c for t, c in bd.items()}
+
+
+def _boundary_of_boundary(p: int, length: int, above: list[dict[int, int]],
+                          cols: list[dict[int, int]]) -> None:
+    """Raise unless d(d(t)) = 0 for every tensor t of the given length:
+    sum the columns (cols, by index over C_n, stray faces last) of the
+    faces in d(t), so that a wrong boundary shows here first."""
+    for col in above:
+        acc: dict[int, int] = {}
+        for i, c in col.items():
+            for k, c2 in cols[i].items():
+                acc[k] = acc.get(k, 0) + c * c2
+        if any(v % p for v in acc.values()):
             raise VerificationError(
-                f"boundary of boundary nonzero on a tensor of length "
-                f"{len(tns)}")
+                f"boundary of boundary nonzero on a tensor of length {length}")
 
 
 def hh_bruteforce(alg: Algebra, max_total_degree: int) -> PoincareSeries:
@@ -138,38 +140,37 @@ def hh_bruteforce(alg: Algebra, max_total_degree: int) -> PoincareSeries:
                 blocks.setdefault(_weight(tns),
                                   [[] for _ in range(top + 2)])[n].append(tns)
         for chains in blocks.values():
-            # C_(n+1): its tensors, their boundaries, the pivots of d_(n+2)
-            # among them and the rank of d_(n+2)
-            above: list[Tensor] = []
-            bds_above: list[dict[Tensor, int]] = []
+            # d of each tensor of C_(n+1) as a column over C_n, the pivots
+            # of d_(n+2) among those tensors and the rank of d_(n+2)
+            above: list[dict[int, int]] = []
             cleared: set[int] = set()
             rank_in = 0
+            # C_n's tensors by index, then the stray faces of C_(n+1)
+            idx = {tns: i for i, tns in enumerate(chains[top + 1])}
             # the last step, n = -1, closes C_0 with d_0 = 0
             for n in range(top + 1, -2, -1):
-                basis = chains[n] if n >= 0 else []
-                idx = {tns: i for i, tns in enumerate(basis)}
-                bds = [hochschild_boundary(alg, tns) for tns in basis]
-                _boundary_of_boundary(alg, above, bds_above, idx, bds)
-                ech = Echelon(alg.p, max(len(basis), 1))
+                size = len(chains[n]) if n >= 0 else 0
+                below = {tns: i for i, tns in enumerate(chains[n - 1])} \
+                    if n > 0 else {}
+                cols = [_column(hochschild_boundary(alg, tns), below)
+                        for tns in idx]
+                _boundary_of_boundary(alg.p, n + 2, above, cols)
+                ech = Echelon(alg.p, max(size, 1))
                 # last column first: the new pivot then seldom sits in an
                 # older row, so the echelon rarely has to clear it (on
-                # hh 5 24, 3.8 M dict lookups instead of 7.1 M)
-                for j in range(len(bds_above) - 1, -1, -1):
-                    bd = bds_above[j]
-                    if j in cleared or not bd:
+                # hh 5 24 it never does)
+                for j in range(len(above) - 1, -1, -1):
+                    col = above[j]
+                    if j in cleared or not col:
                         continue
-                    col = {}
-                    for t2, c in bd.items():
-                        i = idx.get(t2)
-                        if i is None:
-                            raise VerificationError(
-                                f"a face of a length-{n + 1} tensor leaves "
-                                f"its degree and weight block")
-                        col[i] = c
+                    if max(col) >= size:
+                        raise VerificationError(
+                            f"a face of a length-{n + 1} tensor leaves "
+                            f"its degree and weight block")
                     ech.insert(col)
                 hdim = len(above) - ech.rank - rank_in
                 if hdim and n < top:
                     counts[n + 1 + d] = counts.get(n + 1 + d, 0) + hdim
-                above, bds_above = basis, bds
+                above, idx = cols[:size], below
                 cleared, rank_in = set(ech.rows), ech.rank
     return PoincareSeries.from_counts(0, hi, counts)

@@ -29,6 +29,32 @@ def sorted_walk_reduce(ech, vec):
     return out
 
 
+class EveryRowEchelon:
+    """Echelon as it cleared each new pivot from every stored row."""
+
+    def __init__(self, p):
+        self.p, self.rows = p, {}
+
+    def insert(self, vec):
+        red = sorted_walk_reduce(self, vec)
+        if not red:
+            return None
+        piv = min(red)
+        inv = pow(red[piv], -1, self.p)
+        row = {c: (v * inv) % self.p for c, v in red.items()}
+        for orow in self.rows.values():
+            coef = orow.get(piv)
+            if coef:
+                for c, v in row.items():
+                    w = (orow.get(c, 0) - coef * v) % self.p
+                    if w:
+                        orow[c] = w
+                    else:
+                        orow.pop(c, None)
+        self.rows[piv] = row
+        return piv
+
+
 def test_empty_matrix():
     ech = echelon_of(5, [])
     assert ech.rank == 0 and ech.rows == {}
@@ -52,6 +78,15 @@ def test_entry_validation():
     with pytest.raises(ValueError):
         ech.insert({3: 1})
     assert ech.rank == 0
+
+
+def test_older_row_is_cleared_of_a_later_pivot():
+    # row 1 holds column 2, which the second insert makes a pivot
+    ech = Echelon(5, 3)
+    assert ech.insert({1: 1, 2: 1}) == 1
+    assert ech.insert({2: 1}) == 2
+    assert ech.rows == {1: {1: 1}, 2: {2: 1}}
+    assert ech.pivots == [1, 2]
 
 
 def test_rref_idempotent_examples():
@@ -131,3 +166,19 @@ def test_echelon_membership():
     ech.insert({1: 1, 2: 1})
     assert not ech.reduce({0: 1, 2: 4})
     assert ech.reduce({0: 1, 2: 1})
+
+
+@settings(max_examples=120, deadline=None)
+@given(matrices(max_rows=10, max_cols=8), st.randoms(use_true_random=False))
+def test_insert_matches_clearing_every_row(data, rnd):
+    # clearing only the rows pivoted below the new pivot gives the same
+    # rows and return values as clearing every stored row; half the
+    # entries are zeroed, so that later pivots often sit in older rows
+    p, rows = data
+    rows = [[v if rnd.random() < 0.5 else 0 for v in row] for row in rows]
+    ech, ref = Echelon(p, len(rows[0])), EveryRowEchelon(p)
+    for row in rows:
+        vec = {c: v for c, v in enumerate(row) if v}
+        assert ech.insert(vec) == ref.insert(vec)
+        assert ech.rows == ref.rows
+        assert ech.pivots == sorted(ech.rows)

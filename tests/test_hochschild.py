@@ -122,6 +122,10 @@ REFERENCE_ALGEBRAS = {
     "divided": ((divided("g", 2),), 14),
     "mixed-parity": ((ext("a", 1), ext("b", 3), poly("x", 2)), 9),
     "mixed-kinds": ((ext("t", 1), truncated("h", 2, 2), divided("g", 4)), 10),
+    # column degrees: an odd exterior and an odd divided class, s = 1; to
+    # degree 18 the series at p = 3 differs from p = 5 and 7
+    "bigraded": ((Generator("b", 1, 2, Kind.EXTERIOR),
+                  Generator("g", 1, 4, Kind.DIVIDED)), 18),
 }
 
 
@@ -204,6 +208,29 @@ def test_oracle_work_gate(monkeypatch):
     assert got == poincare_series(
         Algebra(P, (poly("x", 2), ext("sx", 3), ext("y", 3),
                     divided("sy", 4))), 0, 24)
+
+
+def test_oracle_computes_each_boundary_once(monkeypatch):
+    # the benchmark's oracle run calls hochschild_boundary exactly once per
+    # chain tensor C_n(d), n <= top + 1, top = min(d, 24 - d): a count, not
+    # a timing
+    import fpss.thh.hochschild as hochschild
+
+    seen = []
+    honest = hochschild.hochschild_boundary
+
+    def counted(alg, tns):
+        seen.append(tns)
+        return honest(alg, tns)
+
+    monkeypatch.setattr(hochschild, "hochschild_boundary", counted)
+    alg = Algebra(P, (poly("x", 2), ext("y", 3)))
+    hh_bruteforce(alg, 24)
+    by_deg = _monomials_by_degree(alg, 24)
+    chains = [tns for d in range(25) for n in range(min(d, 24 - d) + 2)
+              for tns in _chain_basis(alg, by_deg, n, d)]
+    assert len(seen) == len(chains) == 21_303
+    assert set(seen) == set(chains)
 
 
 def per_slot_boundary(alg, tens):

@@ -60,3 +60,13 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     out = subprocess.run([sys.executable, "-I", "-c", code, src], text=True,
                          capture_output=True, timeout=60, check=True)
     assert out.stdout.strip() == "[]", out.stdout + out.stderr
+
+
+def test_importing_the_cli_leaves_json_out():
+    # json is loaded only where --format structured output is written
+    src = str(pathlib.Path(fpss.__file__).parent.parent)
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import fpss.cli; "
+            "print('json' in sys.modules)")
+    out = subprocess.run([sys.executable, "-I", "-c", code, src], text=True,
+                         capture_output=True, timeout=60, check=True)
+    assert out.stdout.strip() == "False", out.stdout + out.stderr
