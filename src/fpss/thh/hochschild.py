@@ -5,91 +5,133 @@ once every generator has positive degree, so homology is computed exactly by
 sparse elimination, degree by degree.  This is the independent oracle the
 multiplicative closed forms are checked against; no closed form enters it.
 
-Each degree's complex splits further by weight, the sum of the slots'
-exponent tuples, which every face keeps.  A weight block is walked from the
-longest tensors down.  Each boundary is computed once, as an integer column
-over its block's C_(n-1); d(d(t)) = 0 is checked on every tensor t by summing
-those columns before d(t) is used.  Each d_n is eliminated once, on the same
-columns, and only on the tensors that are not pivots of the echelon of
-d_(n+1) (clearing, Chen-Kerber 2011, Bauer-Kerber-Reininghaus 2014).
+One call works on small integers, not on exponent tuples.  It indexes the
+monomials of total degree up to its bound in canonical order, so that a
+tensor is a tuple of indices, and it multiplies once each pair of monomials
+whose degrees sum to at most the bound, into a product table that the call
+frees when it returns.  Each degree's complex splits further by weight, the
+sum of the slots' exponent tuples, which every face keeps; a weight is one
+integer, the sum of the slots' exponents written in base bound + 1.
+
+A weight block is walked from the longest tensors down.  Each boundary is
+computed once, as an integer column over its block's C_(n-1); d(d(t)) = 0
+is checked on every tensor t by summing those columns before d(t) is used.
+Each d_n is eliminated once, on the same columns, and only on the tensors
+that are not pivots of the echelon of d_(n+1) (clearing, Chen-Kerber 2011,
+Bauer-Kerber-Reininghaus 2014).
 """
 from __future__ import annotations
+
+from typing import NamedTuple
 
 from ..fp_linalg import Echelon
 from ..graded import Algebra, Monomial, PoincareSeries
 from ..specseq import VerificationError
 
-Tensor = tuple[Monomial, ...]
+Tensor = tuple[int, ...]
 
 
-def _monomials_by_degree(alg: Algebra, hi: int) -> dict[int, list[Monomial]]:
-    return alg.basis_monomials_by_total(0, hi)
+class Products(NamedTuple):
+    """The monomials of total degree at most hi by index, and their products.
+
+    mons is in canonical order (`Algebra.key`), so index 0 is the unit and
+    the monomials of degree d have the indices first[d] .. first[d + 1] - 1.
+    rows[i][j] is the product of mons[i] and mons[j] as (index, coefficient),
+    or None where it vanishes, for each j whose degree sum with i is at most
+    hi.  odd[i] is the parity of mons[i]'s degree, and codes[i] its
+    exponents e_k as the integer sum e_k (hi + 1)^k."""
+    p: int
+    mons: list[Monomial]
+    first: list[int]
+    rows: list[list[tuple[int, int] | None]]
+    odd: list[int]
+    codes: list[int]
 
 
-def _chain_basis(alg: Algebra, by_deg: dict[int, list[Monomial]],
-                 n: int, d: int) -> list[Tensor]:
-    """Basis tensors a0 (x) a1 (x) ... (x) an of internal degree d, with the
-    inner slots running over nonunit monomials."""
+def _products(alg: Algebra, hi: int) -> Products:
+    by_deg = alg.basis_monomials_by_total(0, hi)
+    mons = [m for d in range(hi + 1) for m in by_deg[d]]
+    degs = [d for d in range(hi + 1) for _ in by_deg[d]]
+    first = [0]
+    for d in range(hi + 1):
+        first.append(first[-1] + len(by_deg[d]))
+    pos = {m: i for i, m in enumerate(mons)}
+    mono_mul = alg.mono_mul
+    rows = []
+    for a, da in zip(mons, degs):
+        row: list[tuple[int, int] | None] = []
+        for b in mons[:first[hi - da + 1]]:
+            prod = mono_mul(a, b)
+            row.append(None if prod is None else (pos[prod[0]], prod[1]))
+        rows.append(row)
+    codes = [sum(e * (hi + 1) ** k for k, e in enumerate(m)) for m in mons]
+    return Products(alg.p, mons, first, rows, [d % 2 for d in degs], codes)
+
+
+def _chain_basis(table: Products, n: int, d: int) -> dict[int, list[Tensor]]:
+    """The basis tensors a0 (x) a1 (x) ... (x) an of internal degree d, with
+    the inner slots running over nonunit monomials, by weight, each list in
+    lexicographic order of indices.  The last slot is not searched: it runs
+    over the monomials of the degree the others leave."""
+    out: dict[int, list[Tensor]] = {}
     if n < 0 or d < 0:
-        return []
-    out: list[Tensor] = []
+        return out
+    first, codes = table.first, table.codes
+    if n == 0:
+        for j in range(first[d], first[d + 1]):
+            out.setdefault(codes[j], []).append((j,))
+        return out
 
-    def rec(slot: int, rem: int, acc: list[Monomial]):
-        if slot == n + 1:
-            if rem == 0:
-                out.append(tuple(acc))
-            return
-        lo = 0 if slot == 0 else 1
-        for deg in range(lo, rem - (n - slot) + 1):
-            for m in by_deg.get(deg, ()):
-                acc.append(m)
-                rec(slot + 1, rem - deg, acc)
-                acc.pop()
+    def rec(slot: int, rem: int, acc: Tensor, weight: int):
+        for deg in range(0 if slot == 0 else 1, rem - (n - slot) + 1):
+            if slot + 1 < n:
+                for i in range(first[deg], first[deg + 1]):
+                    rec(slot + 1, rem - deg, acc + (i,), weight + codes[i])
+                continue
+            last = range(first[rem - deg], first[rem - deg + 1])
+            if last:
+                for i in range(first[deg], first[deg + 1]):
+                    head, w = acc + (i,), weight + codes[i]
+                    for j in last:
+                        out.setdefault(w + codes[j], []).append(head + (j,))
 
-    rec(0, d, [])
+    rec(0, d, (), 0)
     return out
 
 
-def hochschild_boundary(alg: Algebra, tens: Tensor) -> dict[Tensor, int]:
+def hochschild_boundary(table: Products, tens: Tensor) -> dict[Tensor, int]:
     """Boundary of one basis tensor: inner multiplications with alternating
-    signs, plus the wrap-around face with its Koszul sign."""
-    p = alg.p
+    signs, plus the wrap-around face with its Koszul sign, each product read
+    from the table."""
+    p, rows = table.p, table.rows
     n = len(tens) - 1
     out: dict[Tensor, int] = {}
-
-    def put(tensor: Tensor, coeff: int):
-        v = (out.get(tensor, 0) + coeff) % p
-        if v:
-            out[tensor] = v
-        else:
-            out.pop(tensor, None)
-
     if n == 0:
         return out
-    mono_mul, unit = alg.mono_mul, alg.unit_mono
+    # no inner slot is the unit and every degree is positive, so no inner
+    # face is degenerate, and two inner faces differ in the first slot they
+    # multiply into; only the wrap-around face can meet another
     for i in range(n):
-        prod = mono_mul(tens[i], tens[i + 1])
-        if prod is None:
-            continue
-        m, c = prod
-        if i > 0 and m == unit:
-            continue  # degenerate; impossible with positive degrees
-        put(tens[:i] + (m,) + tens[i + 2:], -c if i % 2 else c)
-    prod = mono_mul(tens[n], tens[0])
+        prod = rows[tens[i]][tens[i + 1]]
+        if prod is not None:
+            k, c = prod
+            out[tens[:i] + (k,) + tens[i + 2:]] = p - c if i % 2 else c
+    last = tens[n]
+    prod = rows[last][tens[0]]
     if prod is not None:
-        m, c = prod
-        # the last slot moves past all the others: total degree of the rest
-        # is that of the weight minus the last slot's
-        last = alg.total(tens[n])
-        wrap = last * (alg.total(_weight(tens)) - last)
-        put((m,) + tens[1:n], -c if (n + wrap) % 2 else c)
+        k, c = prod
+        # the last slot moves past all the others: a sign when its degree
+        # and theirs are both odd
+        odd = table.odd
+        if (n + (odd[last] and sum(map(odd.__getitem__, tens[:n])))) % 2:
+            c = p - c
+        face = (k,) + tens[1:n]
+        v = (out.get(face, 0) + c) % p
+        if v:
+            out[face] = v
+        else:
+            del out[face]
     return out
-
-
-def _weight(tens: Tensor) -> tuple[int, ...]:
-    """The sum of the slots' exponent tuples; every face keeps it, since
-    mono_mul adds exponents."""
-    return tuple(map(sum, zip(*tens)))
 
 
 def _column(bd: dict[Tensor, int], idx: dict[Tensor, int]) -> dict[int, int]:
@@ -118,6 +160,12 @@ def hh_bruteforce(alg: Algebra, max_total_degree: int) -> PoincareSeries:
     """Hochschild homology dimensions by total degree (word length plus
     internal degree), exact up to the requested bound.
 
+    A tensor is a tuple of indices into the call's monomial list, its
+    faces are read from the call's product table, and its weight is one
+    integer (see the module docstring).  Each C_n(d) comes split into
+    weight blocks, each in lexicographic order of indices, which is the
+    canonical order slot by slot.
+
     Internal degree d needs lengths up to top = min(d, hi - d), and the
     walk starts at top + 1 to get rank d_(top+1).  The pivot row of the
     echelon of d_(n+2) at e_i is e_i plus later coordinates and lies in
@@ -130,15 +178,16 @@ def hh_bruteforce(alg: Algebra, max_total_degree: int) -> PoincareSeries:
                 f"generator {g.name} has nonpositive degree; the truncated "
                 f"complex would be infinite")
     hi = max_total_degree
-    by_deg = _monomials_by_degree(alg, hi)
+    table = _products(alg, hi)
     counts: dict[int, int] = {}
     for d in range(hi + 1):
         top = min(d, hi - d)
-        blocks: dict[tuple[int, ...], list[list[Tensor]]] = {}
+        blocks: dict[int, list[list[Tensor]]] = {}
         for n in range(top + 2):
-            for tns in _chain_basis(alg, by_deg, n, d):
-                blocks.setdefault(_weight(tns),
-                                  [[] for _ in range(top + 2)])[n].append(tns)
+            for weight, tensors in _chain_basis(table, n, d).items():
+                if weight not in blocks:
+                    blocks[weight] = [[] for _ in range(top + 2)]
+                blocks[weight][n] = tensors
         for chains in blocks.values():
             # d of each tensor of C_(n+1) as a column over C_n, the pivots
             # of d_(n+2) among those tensors and the rank of d_(n+2)
@@ -152,7 +201,7 @@ def hh_bruteforce(alg: Algebra, max_total_degree: int) -> PoincareSeries:
                 size = len(chains[n]) if n >= 0 else 0
                 below = {tns: i for i, tns in enumerate(chains[n - 1])} \
                     if n > 0 else {}
-                cols = [_column(hochschild_boundary(alg, tns), below)
+                cols = [_column(hochschild_boundary(table, tns), below)
                         for tns in idx]
                 _boundary_of_boundary(alg.p, n + 2, above, cols)
                 ech = Echelon(alg.p, max(size, 1))

@@ -1,8 +1,10 @@
+import itertools
+
 import pytest
 
 from fpss.fp_linalg import dense_rank
 from fpss.graded import Algebra, Generator, Kind, PoincareSeries, poincare_series
-from fpss.thh.hochschild import hh_bruteforce, hochschild_boundary, _chain_basis, _monomials_by_degree
+from fpss.thh.hochschild import hh_bruteforce, hochschild_boundary, _chain_basis, _products
 
 P = 5
 
@@ -50,17 +52,27 @@ def test_degree_zero_generator_rejected():
         hh_bruteforce(Algebra(P, (ext("x", 0),)), 4)
 
 
+def tensors(table, n, d):
+    # C_n(d) in lexicographic order of indices
+    return sorted(tns for block in _chain_basis(table, n, d).values()
+                  for tns in block)
+
+
+def monomials(table, tns):
+    return tuple(table.mons[k] for k in tns)
+
+
 def test_boundary_squares_to_zero():
     alg = Algebra(P, (ext("t", 1), poly("x", 2)))
-    by_deg = _monomials_by_degree(alg, 8)
+    table = _products(alg, 8)
     checked = 0
     for n in (1, 2, 3):
         for d in range(n, 9):
-            for tns in _chain_basis(alg, by_deg, n, d):
-                first = hochschild_boundary(alg, tns)
+            for tns in tensors(table, n, d):
+                first = hochschild_boundary(table, tns)
                 acc: dict = {}
                 for t2, c in first.items():
-                    for t3, c2 in hochschild_boundary(alg, t2).items():
+                    for t3, c2 in hochschild_boundary(table, t2).items():
                         acc[t3] = (acc.get(t3, 0) + c * c2) % P
                 assert all(v == 0 for v in acc.values()), tns
                 checked += 1
@@ -73,11 +85,10 @@ def test_boundary_of_boundary_nonzero_is_a_verification_error(monkeypatch):
     import fpss.thh.hochschild as hochschild
     from fpss.specseq import VerificationError
 
-    def full_rank(alg, tns):
-        n, d = len(tns) - 1, sum(alg.total(m) for m in tns)
-        by_deg = _monomials_by_degree(alg, d)
-        below = _chain_basis(alg, by_deg, n - 1, d)
-        own = _chain_basis(alg, by_deg, n, d)
+    def full_rank(table, tns):
+        n, d = len(tns) - 1, sum(map(alg.total, monomials(table, tns)))
+        below = tensors(table, n - 1, d)
+        own = tensors(table, n, d)
         return {below[own.index(tns) % len(below)]: 1} if below else {}
 
     monkeypatch.setattr(hochschild, "hochschild_boundary", full_rank)
@@ -93,15 +104,15 @@ def truncated(name, t, height):
 def reference_hh(alg, hi):
     # every d_n by dense elimination on the whole degree, no weight split
     # and no clearing: dim H_n = |C_n| - rank d_n - rank d_(n+1)
-    by_deg = _monomials_by_degree(alg, hi)
+    table = _products(alg, hi)
 
     def rank(n, d):
-        src = _chain_basis(alg, by_deg, n, d)
-        col = {t: i for i, t in enumerate(_chain_basis(alg, by_deg, n - 1, d))}
+        src = tensors(table, n, d)
+        col = {t: i for i, t in enumerate(tensors(table, n - 1, d))}
         rows = []
         for tns in src:
             row = [0] * len(col)
-            for t2, c in hochschild_boundary(alg, tns).items():
+            for t2, c in hochschild_boundary(table, tns).items():
                 row[col[t2]] = c
             rows.append(row)
         return dense_rank(alg.p, rows) if col else 0
@@ -109,7 +120,7 @@ def reference_hh(alg, hi):
     counts = {}
     for d in range(hi + 1):
         for n in range(min(d, hi - d) + 1):
-            size = len(_chain_basis(alg, by_deg, n, d))
+            size = len(tensors(table, n, d))
             counts[n + d] = counts.get(n + d, 0) + size - rank(n, d) \
                 - rank(n + 1, d)
     return PoincareSeries.from_counts(0, hi, counts)
@@ -151,10 +162,11 @@ def test_break_on_a_cleared_tensor_is_a_verification_error(monkeypatch):
     cleared, extra = ((0,), (2,)), ((2,),)
     honest = hochschild.hochschild_boundary
 
-    def broken(alg, tns):
-        out = dict(honest(alg, tns))
-        if tns == cleared:
-            out[extra] = (out.get(extra, 0) + 1) % P
+    def broken(table, tns):
+        out = dict(honest(table, tns))
+        if monomials(table, tns) == cleared:
+            face = (table.mons.index(extra[0]),)
+            out[face] = (out.get(face, 0) + 1) % P
         return out
 
     want = hh_bruteforce(alg, 8)
@@ -176,10 +188,10 @@ def test_face_outside_its_weight_block_is_a_verification_error(monkeypatch):
     alg = Algebra(P, (poly("x", 2), poly("y", 2)))
     honest = hochschild.hochschild_boundary
 
-    def leaky(alg, tns):
-        out = dict(honest(alg, tns))
-        if tns == (alg.unit_mono, alg.mono(x=2)):
-            out[(alg.mono(y=2),)] = 1
+    def leaky(table, tns):
+        out = dict(honest(table, tns))
+        if monomials(table, tns) == (alg.unit_mono, alg.mono(x=2)):
+            out[(table.mons.index(alg.mono(y=2)),)] = 1
         return out
 
     monkeypatch.setattr(hochschild, "hochschild_boundary", leaky)
@@ -204,7 +216,8 @@ def test_oracle_work_gate(monkeypatch):
     monkeypatch.setattr(fp_linalg.Echelon, "insert", counted)
     alg = Algebra(P, (poly("x", 2), ext("y", 3)))
     got = hh_bruteforce(alg, 24)
-    assert calls[0] <= 13_000
+    # the lexicographic order of each chain basis keeps this count
+    assert calls[0] == 12_480
     assert got == poincare_series(
         Algebra(P, (poly("x", 2), ext("sx", 3), ext("y", 3),
                     divided("sy", 4))), 0, 24)
@@ -219,16 +232,16 @@ def test_oracle_computes_each_boundary_once(monkeypatch):
     seen = []
     honest = hochschild.hochschild_boundary
 
-    def counted(alg, tns):
-        seen.append(tns)
-        return honest(alg, tns)
+    def counted(table, tns):
+        seen.append(monomials(table, tns))
+        return honest(table, tns)
 
     monkeypatch.setattr(hochschild, "hochschild_boundary", counted)
     alg = Algebra(P, (poly("x", 2), ext("y", 3)))
     hh_bruteforce(alg, 24)
-    by_deg = _monomials_by_degree(alg, 24)
-    chains = [tns for d in range(25) for n in range(min(d, 24 - d) + 2)
-              for tns in _chain_basis(alg, by_deg, n, d)]
+    table = _products(alg, 24)
+    chains = [monomials(table, tns) for d in range(25)
+              for n in range(min(d, 24 - d) + 2) for tns in tensors(table, n, d)]
     assert len(seen) == len(chains) == 21_303
     assert set(seen) == set(chains)
 
@@ -262,7 +275,7 @@ def per_slot_boundary(alg, tens):
     return out
 
 
-@pytest.mark.parametrize("p, gens", [
+SIGN_ALGEBRAS = [
     # odd exteriors in two columns, truncated of height 3 and a divided
     # class whose binomials vanish at p = 3
     (3, (ext("a", 1), ext("b", 3), truncated("t", 2, 3), divided("g", 4))),
@@ -270,15 +283,75 @@ def per_slot_boundary(alg, tens):
     # and an odd divided class
     (5, (truncated("t", 2, 3), Generator("b", 1, 2, Kind.EXTERIOR),
          ext("c", 4), poly("x", 2), Generator("g", 1, 4, Kind.DIVIDED))),
-])
+]
+
+
+@pytest.mark.parametrize("p, gens", SIGN_ALGEBRAS)
 def test_boundary_matches_per_slot_signs(p, gens):
     alg = Algebra(p, gens)
-    by_deg = _monomials_by_degree(alg, 12)
+    table = _products(alg, 12)
     checked = 0
     for d in range(13):
         for n in range(d + 1):
-            for tns in _chain_basis(alg, by_deg, n, d):
-                assert list(hochschild_boundary(alg, tns).items()) == \
-                    list(per_slot_boundary(alg, tns).items()), tns
+            for tns in tensors(table, n, d):
+                got = [(monomials(table, t), c)
+                       for t, c in hochschild_boundary(table, tns).items()]
+                mono_tns = monomials(table, tns)
+                assert got == list(per_slot_boundary(alg, mono_tns).items()), \
+                    mono_tns
                 checked += 1
     assert checked > 5000
+
+
+@pytest.mark.parametrize("p, gens", SIGN_ALGEBRAS)
+def test_product_table_is_mono_mul(p, gens):
+    # every pair of degree sum <= hi, and only those, as mono_mul gives it:
+    # the divided binomials that vanish at p = 3 and the truncation caps
+    # leave None
+    alg, hi = Algebra(p, gens), 12
+    table = _products(alg, hi)
+    mons = table.mons
+    assert mons == sorted(mons, key=alg.key) and mons[0] == alg.unit_mono
+    assert len(mons) == len(set(mons)) == \
+        sum(map(len, alg.basis_monomials_by_total(0, hi).values()))
+    vanished = {"divided": 0, "capped": 0}
+    for i, a in enumerate(mons):
+        assert table.odd[i] == alg.total(a) % 2
+        assert len(table.rows[i]) == \
+            sum(alg.total(a) + alg.total(b) <= hi for b in mons)
+        for j, b in enumerate(mons):
+            if alg.total(a) + alg.total(b) > hi:
+                continue
+            want = alg.mono_mul(a, b)
+            got = table.rows[i][j]
+            if want is None:
+                assert got is None, (a, b)
+                capped = any(a[k] + b[k] >= cap for k, cap in alg.caps)
+                vanished["capped" if capped else "divided"] += 1
+            else:
+                assert got is not None and (mons[got[0]], got[1]) == want
+    assert vanished["capped"] and (vanished["divided"] > 0) == (p == 3)
+
+
+@pytest.mark.parametrize("n, d", [(0, 0), (0, 5), (1, 1), (1, 6), (2, 5),
+                                  (2, 8), (3, 7), (4, 8)])
+def test_chain_basis_is_a_filtered_product(n, d):
+    # in content and in order: each weight block is the filter of
+    # itertools.product over the monomial indices (inner slots nonunit) to
+    # that weight, the exponent sum in base hi + 1, in the product's
+    # lexicographic order
+    alg, hi = Algebra(P, (ext("t", 1), poly("x", 2), ext("y", 3))), 9
+    table = _products(alg, hi)
+    degree = [alg.total(m) for m in table.mons]
+
+    def weight(tns):
+        exps = map(sum, zip(*monomials(table, tns)))
+        return sum(e * (hi + 1) ** k for k, e in enumerate(exps))
+
+    want = [tns for tns in itertools.product(range(len(degree)), repeat=n + 1)
+            if sum(degree[k] for k in tns) == d and all(tns[1:])]
+    got = _chain_basis(table, n, d)
+    assert sum(map(len, got.values())) == len(want) > 0
+    assert set(got) == set(map(weight, want))
+    for w, block in got.items():
+        assert block == [tns for tns in want if weight(tns) == w]
