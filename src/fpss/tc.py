@@ -19,6 +19,8 @@ the classes of the window itself.
 """
 from __future__ import annotations
 
+from collections import Counter
+from itertools import combinations
 from typing import Callable, NamedTuple
 
 from .graded import Monomial, PoincareSeries, ps_from_degree_list
@@ -137,8 +139,7 @@ def rh_map_check(p: int, lo: int, hi: int, kmax: int = 5
                 problems.append(
                     f"{kind}_{k} class {alg.mono_str(m)} has no tower "
                     f"preimage")
-    a_gens = tuple(PvGenerator(*g) for g in _ker_generator_degrees(p)[:4])
-    want = PvModule(p, "A", a_gens).series(lo, hi)
+    want = PvModule(p, "A", _exterior(generator_table(p)[0])).series(lo, hi)
     problems += [f"degree {d}: A block {n} on the page, {want.get(d)} in "
                  f"closed form"
                  for d, n in ps_from_degree_list(a_degrees, lo, hi).items()
@@ -149,18 +150,6 @@ def rh_map_check(p: int, lo: int, hi: int, kmax: int = 5
 
 
 # -- limits of the towers and the fiber sequence --------------------------
-
-
-def _ker_generator_degrees(p: int) -> list[tuple[str, int]]:
-    L, E = 2 * p * p - 1, 2 * p - 1
-    gens = [("1", 0), ("eps1b", E), ("lambda2", L), ("eps1b*lambda2", E + L)]
-    for d in _digits(p, "B"):
-        gens.append((f"t^{d}", -2 * d))
-        gens.append((f"t^{d}*lambda2", -2 * d + L))
-    for d in range(1, p):
-        gens.append((f"t^{d * p}*lambda2", -2 * d * p + L))
-        gens.append((f"eps1b*t^{d * p}*lambda2", -2 * d * p + L + E))
-    return gens
 
 
 def _summand(p: int, kind: str, k: int) -> Summand:
@@ -256,28 +245,56 @@ def r_fixed_points(p: int, lo: int, hi: int
 
 def fixed_point_check(p: int, lo: int, hi: int) -> tuple[bool, list[str]]:
     """Kernel and cokernel of R - 1 computed from the page against their
-    closed form: the A generators and the tower limits, free over the
-    periodicity class."""
+    closed form, free over the periodicity class: ker = E(A classes) plus
+    rows 2 and 3, and coker = E(A classes)."""
     ker, cok, notes = r_fixed_points(p, lo, hi)
-    gens = [PvGenerator(*g) for g in _ker_generator_degrees(p)]
+    a_classes, rows = generator_table(p)
+    a_gens = _exterior(a_classes)
     problems = []
-    for name, got, rows in (("ker", ker, gens), ("coker", cok, gens[:4])):
-        want = PvModule(p, name, tuple(rows)).series(lo, hi)
+    for name, got, gens in (("ker", ker, a_gens + rows),
+                            ("coker", cok, a_gens)):
+        want = PvModule(p, name, gens).series(lo, hi)
         problems += [f"degree {d}: {name}(R - 1) {n} on the page, "
                      f"{want.get(d)} in closed form"
                      for d, n in got.items() if n != want.get(d)]
     return not problems, problems or notes
 
 
-# -- presentations ---------------------------------------------------------
+# -- the generator table and the presentations ----------------------------
 
 
 class PvGenerator(NamedTuple):
     label: str
     degree: int
-    free: bool = True
-    height: int = 0          # truncated height when not free
     row: int = 1
+
+
+Class = tuple[str, int]     # (label, degree)
+
+
+def generator_table(p: int, top: str = "lambda2"
+                    ) -> tuple[tuple[Class, ...], tuple[PvGenerator, ...]]:
+    """The endgame's generators: the exterior classes of the A block, and
+    rows 2 and 3, the limits of the B and C towers at their leading digits.
+    top names the degree 2p^2-1 class of row 3."""
+    L, E = 2 * p * p - 1, 2 * p - 1
+    rows = []
+    for d in _digits(p, "B"):
+        rows += [PvGenerator(f"t^{d}*v2", L - 1 - 2 * d, 2),
+                 PvGenerator(f"dlogv1*t^{d}*v2", L - 2 * d, 2)]
+    for d in _digits(p, "C"):
+        rows += [PvGenerator(f"t^{d * p}*{top}", L - 2 * d * p, 3),
+                 PvGenerator(f"eps1b*t^{d * p}*{top}", L + E - 2 * d * p, 3)]
+    return (("eps1b", E), ("lambda2", L)), tuple(rows)
+
+
+def _exterior(classes: tuple[Class, ...]) -> tuple[PvGenerator, ...]:
+    """Row 1 generators of E(classes): the products of the subsets, by size
+    and then in combinations order; the empty product is 1."""
+    return tuple(PvGenerator("*".join(n for n, _ in s) or "1",
+                             sum(d for _, d in s))
+                 for r in range(len(classes) + 1)
+                 for s in combinations(classes, r))
 
 
 class PvModule(NamedTuple):
@@ -302,16 +319,10 @@ class PvModule(NamedTuple):
         return 2 * even - len(self.generators)
 
     def series(self, lo: int, hi: int) -> PoincareSeries:
-        degrees = []
-        for g in self.generators:
-            d = g.degree
-            reps = 0
-            while d <= hi and (g.free or reps < g.height):
-                if d >= lo:
-                    degrees.append(d)
-                d += self.v2_degree
-                reps += 1
-        return ps_from_degree_list(degrees, lo, hi)
+        step = self.v2_degree
+        return ps_from_degree_list(
+            (g.degree + step * c for g in self.generators
+             for c in in_window(g.degree, step, None, lo, hi)), lo, hi)
 
     def export(self) -> dict:
         return {
@@ -322,38 +333,18 @@ class PvModule(NamedTuple):
             "euler": self.euler,
             "conditional": self.conditional,
             "generators": [
-                {"label": g.label, "degree": g.degree,
-                 "freeness": "free" if g.free else f"truncated:{g.height}",
+                {"label": g.label, "degree": g.degree, "freeness": "free",
                  "row": g.row}
                 for g in self.generators
             ],
         }
 
 
-def _row23(p: int, top: str) -> list[PvGenerator]:
-    """Rows 2 and 3; top names the degree 2p^2-1 class of row 3."""
-    L, E = 2 * p * p - 1, 2 * p - 1
-    out = []
-    for d in _digits(p, "B"):
-        out.append(PvGenerator(f"t^{d}*v2", 2 * p * p - 2 - 2 * d, row=2))
-        out.append(PvGenerator(f"dlogv1*t^{d}*v2", L - 2 * d, row=2))
-    for d in range(1, p):
-        out.append(PvGenerator(f"t^{d * p}*{top}", L - 2 * d * p, row=3))
-        out.append(PvGenerator(f"eps1b*t^{d * p}*{top}",
-                               L + E - 2 * d * p, row=3))
-    return out
-
-
 def tc_presentation_module(p: int) -> PvModule:
-    """The three-row presentation alone, without cross-checks."""
-    L, E = 2 * p * p - 1, 2 * p - 1
-    row1 = [PvGenerator("1", 0), PvGenerator("partial", -1),
-            PvGenerator("eps1b", E), PvGenerator("lambda2", L),
-            PvGenerator("partial*eps1b", E - 1),
-            PvGenerator("partial*lambda2", L - 1),
-            PvGenerator("eps1b*lambda2", E + L),
-            PvGenerator("partial*eps1b*lambda2", E + L - 1)]
-    return PvModule(p, "tc", tuple(row1 + _row23(p, "lambda2")))
+    """The three-row presentation alone, without cross-checks: row 1 is
+    E(partial, A classes), rows 2 and 3 the table's."""
+    a_classes, rows = generator_table(p)
+    return PvModule(p, "tc", _exterior((("partial", -1),) + a_classes) + rows)
 
 
 def tc_presentation(p: int) -> tuple[PvModule, list[str]]:
@@ -373,16 +364,23 @@ def tc_presentation(p: int) -> tuple[PvModule, list[str]]:
     return mod, problems
 
 
+def _k_row1(p: int, eps1b: Class, top: Class) -> tuple[PvGenerator, ...]:
+    """Row 1 of a K presentation, E(eps1b) (x) {1, partial*lambda2, top,
+    partial*v2}: top is lambda2, or dlogv1 in the conditional one.  The
+    partial classes are K's own statement, which thm-8.10 compares with
+    tc's row 1."""
+    L = 2 * p * p - 1
+    rest = (("1", 0), ("partial*lambda2", L - 1), top, ("partial*v2", L - 2))
+    return tuple(PvGenerator("*".join(n for n in (e.label, x) if n != "1")
+                             or "1", e.degree + d)
+                 for e in _exterior((eps1b,)) for x, d in rest)
+
+
 def k_presentation(p: int) -> tuple[PvModule, list[str]]:
     """The algebraic K presentation: rank 2p^2-2p+8, zero parity count, and
     degreewise complement of a desuspended exterior algebra inside tc."""
-    L, E = 2 * p * p - 1, 2 * p - 1
-    row1 = [PvGenerator("1", 0), PvGenerator("partial*lambda2", L - 1),
-            PvGenerator("lambda2", L), PvGenerator("partial*v2", L - 2),
-            PvGenerator("eps1b", E), PvGenerator("eps1b*partial*lambda2", E + L - 1),
-            PvGenerator("eps1b*lambda2", E + L),
-            PvGenerator("eps1b*partial*v2", E + L - 2)]
-    mod = PvModule(p, "k", tuple(row1 + _row23(p, "lambda2")))
+    (eps1b, lambda2), rows = generator_table(p)
+    mod = PvModule(p, "k", _k_row1(p, eps1b, lambda2) + rows)
     problems = []
     if mod.rank != 2 * p * p - 2 * p + 8:
         problems.append(f"rank {mod.rank} != {2 * p * p - 2 * p + 8}")
@@ -403,15 +401,9 @@ def k_presentation(p: int) -> tuple[PvModule, list[str]]:
 
 def k_lp_presentation(p: int) -> PvModule:
     """The conditional periodic presentation, marked as such."""
-    L, E = 2 * p * p - 1, 2 * p - 1
-    row1 = [PvGenerator("1", 0), PvGenerator("partial*lambda2", L - 1),
-            PvGenerator("dlogv1", 1), PvGenerator("partial*v2", L - 2),
-            PvGenerator("eps1b", E),
-            PvGenerator("eps1b*partial*lambda2", E + L - 1),
-            PvGenerator("eps1b*dlogv1", E + 1),
-            PvGenerator("eps1b*partial*v2", E + L - 2)]
+    (eps1b, _), rows = generator_table(p, "v2*dlogv1")
     return PvModule(p, "k-lp-conditional",
-                    tuple(row1 + _row23(p, "v2*dlogv1")), conditional=True)
+                    _k_row1(p, eps1b, ("dlogv1", 1)) + rows, conditional=True)
 
 
 def k_Lp_checks(p: int) -> tuple[bool, list[str]]:
@@ -421,19 +413,13 @@ def k_Lp_checks(p: int) -> tuple[bool, list[str]]:
     step = 2 * p * p - 2
     cond = k_lp_presentation(p)
     kmod, _ = k_presentation(p)
+    want, got = (Counter(g.degree % step for g in mod.generators)
+                 for mod in (cond, kmod))
     problems: list[str] = []
-    for mod in (cond, kmod):
-        classes: dict[int, int] = {}
-        for g in mod.generators:
-            classes[g.degree % step] = classes.get(g.degree % step, 0) + 1
-        if mod is cond:
-            cond_classes = classes
-        else:
-            if classes != cond_classes:
-                diffs = {r: (cond_classes.get(r, 0), classes.get(r, 0))
-                         for r in set(classes) | set(cond_classes)
-                         if classes.get(r, 0) != cond_classes.get(r, 0)}
-                problems.append(f"localized class counts differ: {diffs}")
+    if got != want:
+        diffs = {r: (want[r], got[r]) for r in sorted(want | got)
+                 if want[r] != got[r]}
+        problems.append(f"localized class counts differ: {diffs}")
     if cond.rank != 2 * p * p - 2 * p + 8:
         problems.append(f"conditional rank {cond.rank}")
     if cond.euler != 0:

@@ -7,17 +7,21 @@ Freeness of the smash homology over the dual Steenrod algebra forces
 
 coefficientwise.  The homology of THH is read from the final Bokstedt page
 that `verify bokstedt` certifies, the V(1) side from the closed-form
-presentations here, so the identity ties the two together.
+presentations here, so the identity ties the two together.  A is
+`comodule.astar_algebra`, stated apart from the Bokstedt page's own
+generators, and the module of ell/p is the towers' E2 module.
 """
 from __future__ import annotations
 
 from collections import Counter
 from typing import NamedTuple
 
-from ..comodule import RingId
-from ..graded import Kind, PoincareSeries, ps_from_degree_list, ps_one_generator
+from ..comodule import RingId, astar_algebra
+from ..graded import (Kind, PoincareSeries, poincare_series,
+                      ps_from_degree_list, ps_one_generator)
 from ..specseq import Region
 from .bokstedt import bokstedt_einf_page
+from .tate import module_triples, tate_ambient
 
 
 class Presentation(NamedTuple):
@@ -48,23 +52,11 @@ def v1_thh_presentation(p: int, ring: RingId) -> Presentation:
         return Presentation("thh:v1:ell", (
             ("lambda1", e, 2 * p - 1, 0), ("lambda2", e, 2 * p * p - 1, 0),
             ("mu2", pol, 2 * p * p, 0)))
+    # the module of the towers' E2 page: eps0^d mu0^i and eps1b
+    alg = tate_ambient(p, 0)
     return Presentation("thh:v1:ellmodp", (
         ("lambda2", e, 2 * p * p - 1, 0), ("mu2", pol, 2 * p * p, 0)),
-        tuple(range(2 * p)))
-
-
-def _astar_series(p: int, hi: int) -> PoincareSeries:
-    """Dimensions of the dual Steenrod algebra A_*: P(xi_k) (x) E(tau_k)."""
-    out = ps_from_degree_list([0], 0, hi)
-    k = 1
-    while 2 * (p ** k - 1) <= hi:
-        out = out.mul(ps_one_generator(0, hi, 2 * (p ** k - 1), Kind.POLYNOMIAL))
-        k += 1
-    k = 0
-    while 2 * p ** k - 1 <= hi:
-        out = out.mul(ps_one_generator(0, hi, 2 * p ** k - 1, Kind.EXTERIOR))
-        k += 1
-    return out
+        tuple(alg.total((0, 0, 0, 0) + trip) for trip in module_triples(p)))
 
 
 def poincare_identity_check(p: int, ring: RingId, hi: int
@@ -75,7 +67,7 @@ def poincare_identity_check(p: int, ring: RingId, hi: int
     h_thh = PoincareSeries.from_counts(0, hi, Counter(
         page.algebra.total(m) for m in page.iter_region(Region(0, hi, 0, hi))))
     lhs = v1_side.mul(h_thh)
-    astar = _astar_series(p, hi)
+    astar = poincare_series(astar_algebra(p, hi), 0, hi)
     rhs = astar.mul(v1_thh_presentation(p, ring).series(hi))
     problems = [
         f"degree {d}: smash side {a}, comodule side {b}"

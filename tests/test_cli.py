@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import pathlib
 import subprocess
@@ -121,24 +122,61 @@ def test_prop_86_narrow_window_reaches_the_limit(capsys):
 
 
 def _moved(name, shift):
-    return lambda gens: [(n, d + shift if n == name else d) for n, d in gens]
+    # move one class of tc.generator_table: an A class or a row 2-3 limit
+    def mutate(table):
+        a_classes, rows = table
+        return (tuple((n, d + shift if n == name else d)
+                      for n, d in a_classes),
+                tuple(g._replace(degree=g.degree + shift) if g.label == name
+                      else g for g in rows))
+    return mutate
 
 
-@pytest.mark.parametrize("mutate", [
-    _moved("lambda2", 2),                               # to degree 2p^2+1
-    lambda gens: [g for g in gens if g[0] != "eps1b"],  # an A generator
-    _moved("t^1", 2),                                   # a B limit degree
-    _moved("t^5*lambda2", 2),                           # a C limit degree
+def _fails(capsys, target, what):
+    code, out, err = run_cli(capsys, "verify", target)
+    assert code == 1 and not err, (target, out, err)
+    assert out.startswith(f"FAIL {target}\n  degree "), out
+    assert what in out and "stabilize" not in out, out
+
+
+@pytest.mark.parametrize("mutate,a_class", [
+    (_moved("lambda2", 2), True),                       # to degree 2p^2+1
+    (lambda table: (tuple(c for c in table[0] if c[0] != "eps1b"),
+                    table[1]), True),                   # an A generator
+    (_moved("t^1*v2", 2), False),                       # a B limit degree
+    (_moved("t^5*lambda2", 2), False),                  # a C limit degree
 ], ids=["lambda2-degree", "drop-eps1b", "shift-B", "shift-C"])
-def test_prop_86_fails_on_mutated_closed_form(mutate, capsys, monkeypatch):
-    # each transcribed input of the closed form is compared with the page
-    real = tc._ker_generator_degrees
-    monkeypatch.setattr(tc, "_ker_generator_degrees",
-                        lambda p: mutate(real(p)))
-    code, out, err = run_cli(capsys, "verify", "prop-8.6")
+def test_prop_86_fails_on_mutated_closed_form(mutate, a_class, capsys,
+                                              monkeypatch):
+    # each entry of the generator table is compared with the page: by
+    # prop-8.6 (ker and coker), by thm-8.8 (tc against the fiber sequence)
+    # and, for the A classes, by prop-8.2
+    real = tc.generator_table
+    monkeypatch.setattr(tc, "generator_table",
+                        lambda p, top="lambda2": mutate(real(p, top)))
+    _fails(capsys, "prop-8.6", "in closed form")
+    _fails(capsys, "thm-8.8", "fiber sequence")
+    if a_class:
+        _fails(capsys, "prop-8.2", "in closed form")
+    else:
+        assert run_cli(capsys, "verify", "prop-8.2")[0] == 0
+
+
+def test_k_inputs_fail_their_own_checks(capsys, monkeypatch):
+    # K's row 1 and the dlogv1 class are stated apart from the table: a
+    # moved partial*v2 fails thm-8.10, and a moved dlogv1 fails cor-k-lp
+    real = tc._k_row1
+    monkeypatch.setattr(tc, "_k_row1", lambda p, eps1b, top: tuple(
+        g._replace(degree=g.degree + 2) if g.label == "partial*v2" else g
+        for g in real(p, eps1b, top)))
+    _fails(capsys, "thm-8.10", "desuspension")
+    monkeypatch.setattr(tc, "_k_row1", lambda p, eps1b, top: real(
+        p, eps1b, ("dlogv1", 3) if top[0] == "dlogv1" else top))
+    code, out, err = run_cli(capsys, "verify", "cor-k-lp")
     assert code == 1 and not err
-    assert out.startswith("FAIL prop-8.6\n  degree ")
-    assert "in closed form" in out and "stabilize" not in out
+    assert out.startswith("FAIL cor-k-lp [conditional]\n  localized class "
+                          "counts differ: "), out
+    assert run_cli(capsys, "verify", "thm-8.10")[0] == 0
 
 
 def test_prop_82_fails_without_the_a_block(capsys, monkeypatch):
@@ -232,6 +270,26 @@ def test_tables_output(capsys):
     for bad in ("tate", "hofix", "tate:s1:junk", "hofix:cp:0"):
         code, out, err = run_cli(capsys, "tables", bad)
         assert code == 2 and not out and "unknown instance" in err, bad
+
+
+@pytest.mark.parametrize("argv,length,digest", [
+    (("tc", "--prime", "5"), 965,
+     "eddd8915cc77ab8d2d9b48c07cd2b5f839daa1d89ec230b92ee20f28000900d3"),
+    (("tc", "--prime", "7"), 1973,
+     "16e95c2c425888776866886778429d86ccb0df4b1fb292bce1d1950f35ce420b"),
+    (("k-lp-conditional", "--prime", "5", "--format", "structured"), 5327,
+     "642d558205323b313d6f020b158288cc05ed10b84f4eac994d6ed9503245d6a7"),
+    (("k-lp-conditional", "--prime", "7", "--format", "structured"), 10095,
+     "b91db377413b9db63e8ab276eb1017114800230df1cc9213105c10a0f48d2105"),
+], ids=["tc-5", "tc-7", "k-lp-5", "k-lp-7"])
+def test_presentation_bytes_are_pinned(argv, length, digest, capsys):
+    # the bench goldens pin only `poincare k --format structured`; these
+    # pin the default stdout of the other two presentations: labels, order,
+    # rows and series
+    code, out, err = run_cli(capsys, "poincare", *argv)
+    assert code == 0 and not err
+    assert len(out) == length
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_byte_identical_reruns(capsys):

@@ -5,10 +5,11 @@ import pytest
 import fpss.tc as tc
 from fpss.graded import ps_from_degree_list
 from fpss.numerics import rho, vp
-from fpss.tc import (PvGenerator, PvModule, _pack, classify,
-                     fixed_point_check, k_Lp_checks, k_lp_presentation,
-                     k_presentation, r_endo, r_fixed_points, rh_map_check,
-                     tc_presentation, tf_decompose)
+from fpss.tc import (PvGenerator, PvModule, _exterior, _pack, classify,
+                     fixed_point_check, generator_table, k_Lp_checks,
+                     k_lp_presentation, k_presentation, r_endo,
+                     r_fixed_points, rh_map_check, tc_presentation,
+                     tc_presentation_module, tf_decompose)
 from fpss.thh.tate import IE0, IE1, IL, IM, IM0, IT, IU, tate_ambient
 
 P = 5
@@ -187,11 +188,11 @@ def test_r_fixed_points_series():
     # the kernel contains the free block on eps1b and lambda2
     assert ker.get(2 * P - 1) >= 1
     assert cok.get(2 * P - 1) == 1
-    # the kernel's middle row has 2(p-1)^2 free generators
-    from fpss.tc import _ker_generator_degrees
-    gens = _ker_generator_degrees(P)
-    middle = [g for g in gens[4:] if "*v2" not in g[0]][:2 * (P - 1) ** 2]
-    assert len(gens) == 4 + 2 * (P - 1) ** 2 + 2 * (P - 1)
+    # the kernel's closed form: E(A classes), then rows 2 and 3
+    a_classes, rows = generator_table(P)
+    assert len(_exterior(a_classes)) == 4
+    assert [g.row for g in rows] == \
+        [2] * (2 * (P - 1) ** 2) + [3] * (2 * (P - 1))
     assert any("stabilize" in n for n in notes)
 
 
@@ -204,11 +205,16 @@ def test_tc_presentation_additivity():
 
 
 def test_k_presentation_ranks():
-    for p, rank in ((5, 48), (7, 92)):
+    for p, rank in ((5, 48), (7, 92), (11, 228)):
         mod, problems = k_presentation(p)
         assert not problems, problems[:4]
         assert mod.rank == rank == 2 * p * p - 2 * p + 8
         assert mod.euler == 0
+        # 8 in row 1, 2(p-1)^2 in row 2 and 2(p-1) in row 3, in all three
+        for m in (mod, tc_presentation_module(p), k_lp_presentation(p)):
+            assert m.rank == rank
+            assert [sum(g.row == r for g in m.generators) for r in (1, 2, 3)] \
+                == [8, 2 * (p - 1) ** 2, 2 * (p - 1)], m.name
 
 
 def test_row_parity_balance():
@@ -217,11 +223,6 @@ def test_row_parity_balance():
         degs = [g.degree for g in mod.generators if g.row == row]
         even = sum(1 for d in degs if d % 2 == 0)
         assert 2 * even == len(degs)
-
-
-def test_generator_count_identity():
-    for p in (5, 7, 11):
-        assert 8 + 2 * (p - 1) ** 2 + 2 * (p - 1) == 2 * p * p - 2 * p + 8
 
 
 def test_k_lp_checks():
@@ -242,12 +243,26 @@ def test_export_schema():
     assert {"label", "degree", "freeness", "row"} <= set(doc["generators"][0])
 
 
-def test_pv_module_truncated_series():
-    mod = PvModule(P, "toy", (PvGenerator("x", 0, free=False, height=2),))
-    series = mod.series(0, 200)
+def test_pv_module_series_is_the_plain_walk():
+    # each generator is free over v2: its degree plus every multiple of
+    # |v2|, walked one step at a time; negative degrees, and windows that
+    # start below, inside and above a progression
     step = 2 * P * P - 2
-    assert series.get(0) == 1 and series.get(step) == 1
-    assert series.get(2 * step) == 0
+    gens = (PvGenerator("x", -3 * step - 5), PvGenerator("y", -1),
+            PvGenerator("z", 7), PvGenerator("w", 7))
+    mod = PvModule(P, "toy", gens)
+    for lo, hi in ((-400, 400), (-3 * step - 5, -3 * step - 5), (-100, -2),
+                   (-1, 0), (0, 6), (8, 3 * step), (5 * step, 6 * step),
+                   (-step, step + 7)):
+        degrees = []
+        for g in gens:
+            d = g.degree
+            while d <= hi:
+                if d >= lo:
+                    degrees.append(d)
+                d += step
+        assert mod.series(lo, hi) == ps_from_degree_list(degrees, lo, hi), \
+            (lo, hi)
 
 
 def _walk_windows(p, kind, k, windows):
