@@ -210,11 +210,19 @@ def test_k_presentation_ranks():
         assert not problems, problems[:4]
         assert mod.rank == rank == 2 * p * p - 2 * p + 8
         assert mod.euler == 0
-        # 8 in row 1, 2(p-1)^2 in row 2 and 2(p-1) in row 3, in all three
+
+
+def test_generator_count_identity():
+    # 8 in row 1, 2(p-1)^2 in row 2 and 2(p-1) in row 3, in all three
+    # modules, summing to 2p^2 - 2p + 8
+    for p in (5, 7, 11):
+        rows = [8, 2 * (p - 1) ** 2, 2 * (p - 1)]
+        assert sum(rows) == 2 * p * p - 2 * p + 8
+        mod, _ = k_presentation(p)
         for m in (mod, tc_presentation_module(p), k_lp_presentation(p)):
-            assert m.rank == rank
+            assert m.rank == sum(rows), m.name
             assert [sum(g.row == r for g in m.generators) for r in (1, 2, 3)] \
-                == [8, 2 * (p - 1) ** 2, 2 * (p - 1)], m.name
+                == rows, m.name
 
 
 def test_row_parity_balance():
