@@ -17,7 +17,8 @@ from .numerics import is_prime
 from .report import Check, Report
 from .specseq import Region, VerificationError, dump_page
 from .tc import (fixed_point_check, k_Lp_checks, k_lp_presentation,
-                 k_presentation, rh_map_check, tc_presentation)
+                 k_presentation, k_presentation_module, rh_map_check,
+                 tc_presentation, tc_presentation_module)
 from .thh.bokstedt import (bokstedt_e2_page, bokstedt_einf_page, bokstedt_run)
 from .thh.circle import (blocks_meeting, comparison_region, lemma_78_check,
                          lemma_79_check, s1_einf, s1_limits)
@@ -265,9 +266,8 @@ def cmd_poincare(args) -> int:
         series = pres.series(max(hi, 0)).restrict(max(lo, 0), max(hi, 0))
         extra = {}
     else:
-        mod = {"tc": lambda: tc_presentation(p)[0],
-               "k": lambda: k_presentation(p)[0],
-               "k-lp-conditional": lambda: k_lp_presentation(p)}[args.id]()
+        mod = {"tc": tc_presentation_module, "k": k_presentation_module,
+               "k-lp-conditional": k_lp_presentation}[args.id](p)
         series = mod.series(lo, hi)
         extra = mod.export()
     # the v1 series holds degree 0 even when the window ends below it

@@ -6,9 +6,10 @@ The dual Steenrod algebra is presented on the conjugated generators bxi_k
     psi(bxi_k)  = sum_{i+j=k} bxi_i (x) bxi_j^(p^i)
     psi(btau_k) = 1 (x) btau_k + sum_{i+j=k} btau_i (x) bxi_j^(p^i).
 
-Coactions of the topological Hochschild homology rings and of the smash
-factor E(tau0, tau1) are multiplicative extensions of per-generator tables.
-The suspended-class values are fixed input data; everything verified here
+The coaction on H_*(V(1) smash THH(ring)) = E(tau0, tau1) (x) H_*(THH(ring))
+is one per-generator table over that target, extended multiplicatively.
+The ring generators coact by the coproduct; the values of tau0, tau1 and
+the suspended classes are fixed input data.  Everything verified here
 (counitality, primitivity) is recomputed algebraically.
 """
 from __future__ import annotations
@@ -67,38 +68,23 @@ def astar_algebra(p: int, top_degree: int) -> Algebra:
     return Algebra(p, tuple(gens))
 
 
-def _gen_index_from_name(name: str) -> tuple[str, int]:
-    head = name.rstrip("0123456789")
-    return head, int(name[len(head):])
-
-
 def coproduct_values(astar: Algebra) -> dict[str, Element]:
     """Coproduct of each generator, as an element of A (x) A."""
     p = astar.p
     tens, (inl, inr) = tensor(p, astar, astar, tags=("L.", "R."))
+
+    def power(name: str, e: int) -> Monomial:    # bxi0 is the unit
+        return astar.unit_mono if name == "bxi0" else astar.mono(**{name: e})
+
     out: dict[str, Element] = {}
     for g in astar.gens:
-        head, k = _gen_index_from_name(g.name)
-        terms: Element = {}
-        if head == "bxi":
-            for i in range(k + 1):
-                j = k - i
-                left = astar.unit_mono if i == 0 else astar.mono(**{f"bxi{i}": 1})
-                right = astar.unit_mono if j == 0 else \
-                    astar.mono(**{f"bxi{j}": p ** i})
-                m = tens.mono_mul(inl(left), inr(right))
-                assert m is not None
-                terms = tens.add(terms, {m[0]: m[1]})
-        else:
-            terms = tens.add(terms, {inr(astar.mono(**{f"btau{k}": 1})): 1})
-            for i in range(k + 1):
-                j = k - i
-                left = astar.mono(**{f"btau{i}": 1})
-                right = astar.unit_mono if j == 0 else \
-                    astar.mono(**{f"bxi{j}": p ** i})
-                m = tens.mono_mul(inl(left), inr(right))
-                assert m is not None
-                terms = tens.add(terms, {m[0]: m[1]})
+        head = g.name.rstrip("0123456789")
+        k = int(g.name[len(head):])
+        terms: Element = {} if head == "bxi" else {inr(power(g.name, 1)): 1}
+        for i in range(k + 1):
+            m, c = tens.mono_mul(inl(power(f"{head}{i}", 1)),
+                                 inr(power(f"bxi{k - i}", p ** i)))
+            terms = tens.add(terms, {m: c})
         out[g.name] = terms
     return out
 
@@ -127,21 +113,6 @@ class CoactionTable:
 
     def include(self, x: Element) -> Element:
         return inject_elem(self.inj_t, x)
-
-
-def make_table(astar: Algebra, target: Algebra,
-               raw_values: dict[str, list[tuple[Element, Element]]]
-               ) -> CoactionTable:
-    """Build a table from per-generator lists of (A-part, target-part)."""
-    tens, (inj_a, inj_t) = tensor(astar.p, astar, target, tags=("A.", ""))
-    values: dict[str, Element] = {}
-    for name, pairs in raw_values.items():
-        acc: Element = {}
-        for a_elem, t_elem in pairs:
-            term = tens.mul(inject_elem(inj_a, a_elem), inject_elem(inj_t, t_elem))
-            acc = tens.add(acc, term)
-        values[name] = acc
-    return CoactionTable(astar, target, tens, inj_a, inj_t, values)
 
 
 def coaction(table: CoactionTable, x: Element) -> Element:
@@ -182,10 +153,12 @@ def counit_left(table: CoactionTable, y: Element) -> Element:
 # -- concrete homology comodules ----------------------------------------
 
 
-def thh_homology_algebra(p: int, ring: RingId) -> Algebra:
-    """Generators of the mod p homology of THH of the given ring, truncated
-    to the classes needed by the degree <= 4p^2 checks."""
+def smash_generators(p: int, ring: RingId) -> tuple[Generator, ...]:
+    """Generators of E(tau0, tau1) (x) H_*(THH(ring)), the homology of THH
+    truncated to the classes needed by the degree <= 4p^2 checks."""
     gens: list[Generator] = [
+        Generator("tau0", 0, 1, Kind.EXTERIOR),
+        Generator("tau1", 0, 2 * p - 1, Kind.EXTERIOR),
         Generator("bxi1", 0, _xi_deg(p, 1), Kind.POLYNOMIAL),
         Generator("bxi2", 0, _xi_deg(p, 2), Kind.POLYNOMIAL),
     ]
@@ -205,100 +178,50 @@ def thh_homology_algebra(p: int, ring: RingId) -> Algebra:
         gens.append(Generator("sbtau2", 0, 2 * p * p, Kind.POLYNOMIAL))
         gens.append(Generator("sbtau0", 0, 2, Kind.TRUNCATED, p))
         gens.append(Generator("y", 0, 2 * p - 1, Kind.EXTERIOR))
-    return Algebra(p, tuple(gens))
-
-
-def thh_coaction_table(p: int, ring: RingId) -> CoactionTable:
-    """Coaction on the THH homology: ring generators coact by the restricted
-    coproduct, suspended classes by their fixed table values."""
-    astar = astar_algebra(p, 4 * p * p)
-    target = thh_homology_algebra(p, ring)
-    psi = coproduct_values(astar)
-    na = len(astar.gens)
-    raw: dict[str, list[tuple[Element, Element]]] = {}
-    for g in target.gens:
-        if g.name.startswith("bxi") or g.name.startswith("btau"):
-            pairs = []
-            for m, c in psi[g.name].items():
-                ml, mr = m[:na], m[na:]
-                pairs.append(({ml: c}, _transport(astar, target, mr)))
-            raw[g.name] = pairs
-        elif g.name in ("sbxi1", "sbxi2", "sbtau0"):
-            raw[g.name] = [({astar.unit_mono: 1}, target.elem(**{g.name: 1}))]
-        elif g.name == "sbtau1":
-            raw[g.name] = [
-                ({astar.unit_mono: 1}, target.elem(sbtau1=1)),
-                (astar.elem(btau0=1), target.elem(sbxi1=1)),
-            ]
-        elif g.name == "sbtau2":
-            raw[g.name] = [
-                ({astar.unit_mono: 1}, target.elem(sbtau2=1)),
-                (astar.elem(btau0=1), target.elem(sbxi2=1)),
-            ]
-        elif g.name == "y":
-            raw[g.name] = [
-                ({astar.unit_mono: 1}, target.elem(y=1)),
-                (astar.elem(btau0=1), target.elem(sbtau0=p - 1)),
-                (astar.elem(btau0=1, coeff=-1), target.elem(bxi1=1)),
-                (astar.elem(btau1=1, coeff=-1), target.unit()),
-            ]
-        else:
-            raise AssertionError(g.name)
-    return make_table(astar, target, raw)
-
-
-def _transport(src: Algebra, dst: Algebra, m: Monomial) -> Element:
-    exps = {}
-    for g, e in zip(src.gens, m):
-        if e:
-            exps[g.name] = e
-    return {dst.mono(**exps): 1}
-
-
-def v1_homology_algebra(p: int) -> Algebra:
-    return Algebra(p, (
-        Generator("tau0", 0, 1, Kind.EXTERIOR),
-        Generator("tau1", 0, 2 * p - 1, Kind.EXTERIOR),
-    ))
-
-
-def v1_raw_coaction(p: int, astar: Algebra, target: Algebra
-                    ) -> dict[str, list[tuple[Element, Element]]]:
-    """Coaction of E(tau0, tau1); the left factors are the unconjugated
-    generators written in the conjugated basis of A."""
-    return {
-        "tau0": [
-            ({astar.unit_mono: 1}, target.elem(tau0=1)),
-            (astar.elem(btau0=1, coeff=-1), target.unit()),
-        ],
-        "tau1": [
-            ({astar.unit_mono: 1}, target.elem(tau1=1)),
-            (astar.elem(bxi1=1, coeff=-1), target.elem(tau0=1)),
-            (astar.add(astar.elem(bxi1=1, btau0=1), astar.elem(btau1=1, coeff=-1)),
-             target.unit()),
-        ],
-    }
+    return tuple(gens)
 
 
 @lru_cache(maxsize=None)
 def v1_smash_thh_table(p: int, ring: RingId) -> CoactionTable:
-    """Diagonal coaction on E(tau0,tau1) (x) H(THH(ring))."""
+    """Diagonal coaction on E(tau0, tau1) (x) H_*(THH(ring)).
+
+    A ring generator bxi_k or btau_k coacts by the coproduct, its right
+    factors read in the target.  Any other generator g coacts by 1 (x) g
+    plus fixed terms (coefficient, A exponents, target exponents): tau0 and
+    tau1 by the unconjugated generators written in the conjugated basis of
+    A, the suspended classes by their table values.
+    """
     astar = astar_algebra(p, 4 * p * p)
-    v1 = v1_homology_algebra(p)
-    thh = thh_homology_algebra(p, ring)
-    combined, (iv, it) = tensor(p, v1, thh)
-    raw: dict[str, list[tuple[Element, Element]]] = {}
-    for name, pairs in v1_raw_coaction(p, astar, v1).items():
-        raw[name] = [(a, inject_elem(iv, t)) for a, t in pairs]
-    thh_table = thh_coaction_table(p, ring)
-    na = len(astar.gens)
-    for g in thh.gens:
-        pairs = []
-        for m, c in thh_table.values[g.name].items():
-            ma, mt = m[:na], m[na:]
-            pairs.append(({ma: c}, {it(mt): 1}))
-        raw[g.name] = pairs
-    return make_table(astar, combined, raw)
+    target = Algebra(p, smash_generators(p, ring))
+    tens, (inj_a, inj_t) = tensor(p, astar, target, tags=("A.", ""))
+    fixed = {
+        "tau0": [(-1, {"btau0": 1}, {})],
+        "tau1": [(-1, {"bxi1": 1}, {"tau0": 1}),
+                 (1, {"bxi1": 1, "btau0": 1}, {}), (-1, {"btau1": 1}, {})],
+        "sbtau1": [(1, {"btau0": 1}, {"sbxi1": 1})],
+        "sbtau2": [(1, {"btau0": 1}, {"sbxi2": 1})],
+        "y": [(1, {"btau0": 1}, {"sbtau0": p - 1}),
+              (-1, {"btau0": 1}, {"bxi1": 1}), (-1, {"btau1": 1}, {})],
+    }
+    psi, na = coproduct_values(astar), len(astar.gens)
+    values: dict[str, Element] = {}
+    for g in target.gens:
+        if g.name in psi:
+            terms = []
+            for m, c in psi[g.name].items():
+                right = {h.name: e for h, e in zip(astar.gens, m[na:]) if e}
+                terms.append((c, m[:na], target.mono(**right)))
+        else:
+            terms = [(1, astar.unit_mono, target.mono(**{g.name: 1}))] + [
+                (c, astar.mono(**a), target.mono(**t))
+                for c, a, t in fixed.get(g.name, ())]
+        value: Element = {}
+        for c, ma, mt in terms:
+            # A (x) target puts A first, so a * t is the concatenated
+            # monomial with no Koszul sign
+            value = tens.add(value, {ma + mt: c})
+        values[g.name] = value
+    return CoactionTable(astar, target, tens, inj_a, inj_t, values)
 
 
 def smash_class(table: CoactionTable, terms: list[tuple[int, dict, dict]]) -> Element:
@@ -315,7 +238,7 @@ def smash_class(table: CoactionTable, terms: list[tuple[int, dict, dict]]) -> El
 def eq_classes(p: int, ring: RingId) -> dict[str, Element]:
     """The named primitive classes in V(1) smash THH(ring), where defined."""
     table = v1_smash_thh_table(p, ring)
-    names = {g.name for g in thh_homology_algebra(p, ring).gens}
+    names = table.target.slot_of
     out: dict[str, Element] = {}
 
     def put(label: str, terms):

@@ -241,12 +241,35 @@ class Algebra:
     def basis_in_bidegree(self, s: int, t: int) -> list[Monomial]:
         """All monomials of bidegree (s, t), in canonical order.
 
-        Generators of positive total degree are enumerated directly; at most
-        two remaining unbounded generators are solved for exactly.  Raises
-        when a bidegree is provably infinite (two unbounded generators with
-        proportional bidegrees).
+        Every generator needs s >= 0, t >= 0 and positive total degree, so
+        the (s, t) budget left bounds each exponent; the recursion runs the
+        slots in order with rising exponents, which is the canonical order
+        within one total degree.  Other generators raise.
         """
-        return _basis_in_bidegree(self, s, t)
+        for g in self.gens:
+            if g.kind is Kind.LAURENT or g.s < 0 or g.t < 0 or g.total <= 0:
+                raise ValueError(
+                    f"bidegree enumeration impossible: generator {g.name} "
+                    f"({g.kind.value}, bidegree ({g.s}, {g.t}))")
+        out: list[Monomial] = []
+        sw, tw, caps = self.s_weights, self.t_weights, dict(self.caps)
+        n = len(sw)
+
+        def rec(i: int, rem_s: int, rem_t: int, acc: tuple[int, ...]):
+            if i == n:
+                if not rem_s and not rem_t:
+                    out.append(acc)
+                return
+            e_hi = caps.get(i, rem_s + rem_t + 1) - 1
+            if sw[i]:
+                e_hi = min(e_hi, rem_s // sw[i])
+            if tw[i]:
+                e_hi = min(e_hi, rem_t // tw[i])
+            for e in range(e_hi + 1):
+                rec(i + 1, rem_s - e * sw[i], rem_t - e * tw[i], acc + (e,))
+
+        rec(0, s, t, ())     # a negative s or t never reaches a zero budget
+        return out
 
     def basis_monomials_by_total(self, lo: int, hi: int) -> dict[int, list[Monomial]]:
         """Monomials bucketed by total degree over [lo, hi]; requires every
@@ -273,109 +296,6 @@ class Algebra:
         for d in out:
             out[d].sort(key=self.key)
         return out
-
-
-def _basis_in_bidegree(alg: Algebra, s: int, t: int) -> list[Monomial]:
-    finite: list[int] = []     # exterior/truncated: small fixed exponent range
-    capped: list[int] = []     # poly/divided with a sound degree budget cap
-    solved: list[int] = []     # Laurent or otherwise unbounded: solved exactly
-    wild = any(g.kind is Kind.LAURENT or g.total <= 0 for g in alg.gens)
-    s_nonneg = all(g.s >= 0 for g in alg.gens)
-    t_nonneg = all(g.t >= 0 for g in alg.gens)
-    caps = dict(alg.caps)
-    for i, g in enumerate(alg.gens):
-        if i in caps:
-            finite.append(i)
-        elif g.kind is Kind.LAURENT or g.total <= 0:
-            solved.append(i)
-        elif not wild:
-            capped.append(i)
-        elif t_nonneg and g.t > 0 and all(
-                alg.gens[j].t == 0 for j in range(len(alg.gens))
-                if alg.gens[j].kind is Kind.LAURENT or alg.gens[j].total <= 0):
-            capped.append(i)   # cap by internal degree; unbounded gens cannot refill it
-        elif s_nonneg and g.s > 0 and all(
-                alg.gens[j].s == 0 for j in range(len(alg.gens))
-                if alg.gens[j].kind is Kind.LAURENT or alg.gens[j].total <= 0):
-            capped.append(i)
-        else:
-            solved.append(i)
-    if len(solved) > 2:
-        names = ", ".join(alg.gens[i].name for i in solved)
-        raise ValueError(f"bidegree enumeration impossible: generators {names}")
-
-    out: list[Monomial] = []
-
-    def solve_tail(rem_s: int, rem_t: int, acc: list[int]):
-        exps = {i: 0 for i in solved}
-        if len(solved) == 0:
-            if rem_s or rem_t:
-                return
-        elif len(solved) == 1:
-            g = alg.gens[solved[0]]
-            if g.s == 0 and g.t == 0:
-                raise ValueError(
-                    f"bidegree enumeration impossible: generator {g.name} "
-                    f"has bidegree (0, 0)")
-            if g.s:
-                if rem_s % g.s:
-                    return
-                e = rem_s // g.s
-            else:
-                if rem_t % g.t:
-                    return
-                e = rem_t // g.t
-            if e * g.s != rem_s or e * g.t != rem_t:
-                return
-            if g.kind is not Kind.LAURENT and e < 0:
-                return
-            exps[solved[0]] = e
-        else:
-            i1, i2 = solved
-            g1, g2 = alg.gens[i1], alg.gens[i2]
-            det = g1.s * g2.t - g1.t * g2.s
-            if det == 0:
-                raise ValueError(
-                    f"bidegree enumeration impossible: generators {g1.name}, "
-                    f"{g2.name} have proportional bidegrees")
-            num1 = rem_s * g2.t - rem_t * g2.s
-            num2 = g1.s * rem_t - g1.t * rem_s
-            if num1 % det or num2 % det:
-                return
-            e1, e2 = num1 // det, num2 // det
-            if (g1.kind is not Kind.LAURENT and e1 < 0) or \
-               (g2.kind is not Kind.LAURENT and e2 < 0):
-                return
-            exps[i1], exps[i2] = e1, e2
-        full = list(acc)
-        for i, e in exps.items():
-            full[i] = e
-        out.append(tuple(full))
-
-    order = finite + capped
-
-    def rec(pos: int, rem_s: int, rem_t: int, acc: list[int]):
-        if pos == len(order):
-            solve_tail(rem_s, rem_t, acc)
-            return
-        i = order[pos]
-        g = alg.gens[i]
-        if i in caps:
-            e_hi = caps[i] - 1
-        elif not wild:
-            e_hi = max((rem_s + rem_t) // g.total, -1)
-        elif g.t > 0 and t_nonneg:
-            e_hi = max(rem_t // g.t, -1)
-        else:
-            e_hi = max(rem_s // g.s, -1)
-        for e in range(e_hi + 1):
-            acc[i] = e
-            rec(pos + 1, rem_s - e * g.s, rem_t - e * g.t, acc)
-        acc[i] = 0
-
-    rec(0, s, t, [0] * len(alg.gens))
-    out.sort(key=alg.key)
-    return out
 
 
 def tensor(p: int, *factors: Algebra, tags: tuple[str, ...] | None = None

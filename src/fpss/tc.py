@@ -376,11 +376,17 @@ def _k_row1(p: int, eps1b: Class, top: Class) -> tuple[PvGenerator, ...]:
                  for e in _exterior((eps1b,)) for x, d in rest)
 
 
+def k_presentation_module(p: int) -> PvModule:
+    """K's presentation alone, without cross-checks: row 1 with top lambda2,
+    rows 2 and 3 the table's."""
+    (eps1b, lambda2), rows = generator_table(p)
+    return PvModule(p, "k", _k_row1(p, eps1b, lambda2) + rows)
+
+
 def k_presentation(p: int) -> tuple[PvModule, list[str]]:
     """The algebraic K presentation: rank 2p^2-2p+8, zero parity count, and
     degreewise complement of a desuspended exterior algebra inside tc."""
-    (eps1b, lambda2), rows = generator_table(p)
-    mod = PvModule(p, "k", _k_row1(p, eps1b, lambda2) + rows)
+    mod = k_presentation_module(p)
     problems = []
     if mod.rank != 2 * p * p - 2 * p + 8:
         problems.append(f"rank {mod.rank} != {2 * p * p - 2 * p + 8}")
@@ -412,7 +418,7 @@ def k_Lp_checks(p: int) -> tuple[bool, list[str]]:
     the periodicity, equal rank, zero parity count."""
     step = 2 * p * p - 2
     cond = k_lp_presentation(p)
-    kmod, _ = k_presentation(p)
+    kmod = k_presentation_module(p)
     want, got = (Counter(g.degree % step for g in mod.generators)
                  for mod in (cond, kmod))
     problems: list[str] = []

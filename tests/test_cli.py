@@ -179,6 +179,25 @@ def test_k_inputs_fail_their_own_checks(capsys, monkeypatch):
     assert run_cli(capsys, "verify", "thm-8.10")[0] == 0
 
 
+def test_presentations_skip_checks_they_do_not_report(capsys, monkeypatch):
+    # cor-k-lp reads K's module only: thm-8.10's comparison with tc is not
+    # rerun; `poincare` prints a module and runs none of its checks
+    def refuse(*args):
+        raise AssertionError("check called")
+
+    for module in (tc, fpss.cli):
+        monkeypatch.setattr(module, "tc_presentation_module", refuse)
+    monkeypatch.setattr(tc, "r_fixed_points", refuse)
+    for p in ("5", "7"):
+        code, out, err = run_cli(capsys, "verify", "cor-k-lp", "--prime", p)
+        assert code == 0 and not err and out.startswith(
+            "PASS cor-k-lp [conditional]"), out
+        assert run_cli(capsys, "poincare", "k", "--prime", p)[0] == 0
+    monkeypatch.undo()
+    monkeypatch.setattr(tc, "r_fixed_points", refuse)
+    assert run_cli(capsys, "poincare", "tc")[0] == 0
+
+
 def test_prop_82_fails_without_the_a_block(capsys, monkeypatch):
     # with the A summand gone from the circle page no A class is left to be
     # fixed; the closed form E(eps1b, lambda2) (x) P(tmu2) still asks for it
@@ -287,6 +306,34 @@ def test_presentation_bytes_are_pinned(argv, length, digest, capsys):
     # pin the default stdout of the other two presentations: labels, order,
     # rows and series
     code, out, err = run_cli(capsys, "poincare", *argv)
+    assert code == 0 and not err
+    assert len(out) == length
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv,length,digest", [
+    (("primitivity", "--prime", "7"), 297,
+     "7902f07bbec880e115ef1ae5af626e44de695e04a3dedf86d509f92738c55f67"),
+    (("primitivity", "--prime", "7", "--format", "structured"), 957,
+     "bd856eb49185186441d6b33d13a3c1e8619907117e8f6e2cde11f8c3107c56fd"),
+    (("primitivity", "--prime", "11"), 299,
+     "2bf3225fd2a3049bb3e23dd2d8b3ce37528dec695573635c963082f804bfcfda"),
+    (("primitivity", "--prime", "11", "--format", "structured"), 961,
+     "27e81912358d5181796a23eded16b1ae258dbb1e3b822ae2540d8d5367c4d131"),
+    (("poincare-identity", "--prime", "7"), 133,
+     "1bdd3b934e752f2899da754538c0846338ac7bd17e3ab8c04865737a422bf0aa"),
+    (("poincare-identity", "--prime", "7", "--format", "structured"), 495,
+     "a9457a90904d223a2cd6c60baa3f4f4d846816aa285fa679da66e5838adc8e23"),
+    (("poincare-identity", "--prime", "11"), 133,
+     "1bdd3b934e752f2899da754538c0846338ac7bd17e3ab8c04865737a422bf0aa"),
+    (("poincare-identity", "--prime", "11", "--format", "structured"), 497,
+     "ebcbdafc46c5e07af00eb77c595edd2b4bae1366012f98bb650b560736868ad2"),
+], ids=["prim-7", "prim-7-s", "prim-11", "prim-11-s",
+        "pid-7", "pid-7-s", "pid-11", "pid-11-s"])
+def test_comodule_bytes_are_pinned(argv, length, digest, capsys):
+    # the goldens pin `verify primitivity` and `poincare-identity` at p = 5
+    # only; these pin both at p = 7 and 11, in text and structured form
+    code, out, err = run_cli(capsys, "verify", *argv)
     assert code == 0 and not err
     assert len(out) == length
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,10 +1,10 @@
 import pytest
 
+from fpss import comodule
 from fpss.comodule import (CoactionTable, RingId, astar_algebra, coaction,
                            coproduct_values, counit_left, eq_classes,
                            is_primitive, primitive_lift_coefficients,
-                           smash_class, thh_coaction_table,
-                           v1_smash_thh_table)
+                           smash_class, v1_smash_thh_table)
 from fpss.graded import tensor
 from fpss.thh.tate import tate_ambient
 from fpss.thh.v1 import v1_thh_presentation
@@ -89,14 +89,14 @@ def test_coassociativity_window():
 
 def test_counitality_of_tables():
     for ring in RingId:
-        table = thh_coaction_table(P, ring)
+        table = v1_smash_thh_table(P, ring)
         for g in table.target.gens:
             got = counit_left(table, table.values[g.name])
             assert got == {table.target.mono(**{g.name: 1}): 1}
 
 
 def test_coaction_examples():
-    table = thh_coaction_table(P, RingId.ELL_MOD_P)
+    table = v1_smash_thh_table(P, RingId.ELL_MOD_P)
     t = table.target
     # (sbtau0)^(p-1) is primitive
     x = t.elem(sbtau0=P - 1)
@@ -114,8 +114,27 @@ def test_coaction_examples():
     assert got == expect
 
 
+def test_each_call_builds_one_table(monkeypatch):
+    # E(tau0, tau1) (x) H_*(THH) is one target: one table is built and
+    # counit-checked per call, not one per factor
+    built = []
+
+    class Counting(CoactionTable):
+        def __init__(self, astar, target, *rest):
+            built.append(target)
+            super().__init__(astar, target, *rest)
+
+    monkeypatch.setattr(comodule, "CoactionTable", Counting)
+    for ring in RingId:
+        built.clear()
+        table = v1_smash_thh_table.__wrapped__(P, ring)
+        assert built == [table.target], ring
+        assert [g.name for g in table.target.gens[:2]] == ["tau0", "tau1"]
+
+
 def test_coaction_missing_generator_errors():
-    table = thh_coaction_table(P, RingId.ELL_MOD_P)
+    # a fresh table: the cached one is shared with every later caller
+    table = v1_smash_thh_table.__wrapped__(P, RingId.ELL_MOD_P)
     broken = dict(table.values)
     del broken["y"]
     object.__setattr__(table, "values", broken)
@@ -171,7 +190,7 @@ def test_primitive_lift_coefficient_is_forced():
 
 
 def test_coaction_table_needs_every_generator_counital():
-    table = thh_coaction_table(P, RingId.HZP_MOD)
+    table = v1_smash_thh_table(P, RingId.HZP_MOD)
     name = table.target.gens[0].name
     fields = (table.astar, table.target, table.tens, table.inj_a, table.inj_t)
     missing = {k: v for k, v in table.values.items() if k != name}

@@ -124,8 +124,6 @@ def test_associativity_and_graded_commutativity(data):
 
 
 def test_basis_in_bidegree_examples():
-    alg = Algebra(P, (ext("u1", -1, 0), laurent("t", -2, 0)))
-    assert alg.basis_in_bidegree(-2, 0) == [alg.mono(t=1)]
     alg2 = Algebra(P, (ext("lambda2", 0, 49), poly("mu2", 0, 50)))
     assert alg2.basis_in_bidegree(0, 49) == [alg2.mono(lambda2=1)]
     empty = Algebra(P, ())
@@ -139,11 +137,50 @@ def test_basis_infinite_bidegree_raises():
         alg.basis_in_bidegree(-6, 0)
 
 
-def test_basis_with_laurent_and_polynomial():
-    # internal degree caps the polynomial factor even with a Laurent unit around
-    alg = Algebra(P, (laurent("t", -2, 0), poly("mu2", 0, 50)))
-    basis = alg.basis_in_bidegree(-100, 50)
-    assert basis == [alg.mono(t=50, mu2=1)]
+@st.composite
+def nonnegative_algebras(draw):
+    """An algebra of exterior, polynomial, truncated and divided generators,
+    each with s in {0, 1, 2}, t >= 0 and positive total degree."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    gens = []
+    for k in range(draw(st.integers(0, 5))):
+        s = draw(st.integers(0, 2))
+        t = draw(st.integers(0 if s else 1, 5))
+        kind = draw(st.sampled_from(["ext", "poly", "trunc", "divided"]))
+        if kind == "ext":
+            gens.append(ext(f"g{k}", s, t))
+        elif kind == "poly":
+            gens.append(poly(f"g{k}", s, t))
+        elif kind == "trunc":
+            gens.append(trunc(f"g{k}", s, t, draw(st.integers(2, p))))
+        else:
+            gens.append(divided(f"g{k}", s, t))
+    return Algebra(p, tuple(gens))
+
+
+@settings(max_examples=200, deadline=None)
+@given(nonnegative_algebras(), st.integers(-2, 8), st.integers(-2, 12))
+def test_basis_in_bidegree_is_the_filtered_total_walk(alg, s, t):
+    # the per-bidegree recursion against the total-degree walk, filtered by
+    # column, in the same order; a negative s or t holds no monomial
+    got = alg.basis_in_bidegree(s, t)
+    if s < 0 or t < 0:
+        assert got == []
+        return
+    d = s + t
+    want = [m for m in alg.basis_monomials_by_total(d, d)[d]
+            if alg.sdeg(m) == s]
+    assert got == want
+
+
+@pytest.mark.parametrize("bad", [laurent("l", 0, 2), poly("x", -1, 4),
+                                 poly("x", 1, -2), divided("x", 0, 0)],
+                         ids=["laurent", "negative-s", "negative-t",
+                              "zero-total"])
+def test_basis_in_bidegree_refuses_unbounded_generators(bad):
+    alg = Algebra(P, (ext("e", 0, 1), bad))
+    with pytest.raises(ValueError, match="impossible"):
+        alg.basis_in_bidegree(0, 2)
 
 
 def test_poincare_series_examples():

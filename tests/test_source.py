@@ -36,6 +36,24 @@ def test_no_function_is_left_for_its_tests_alone():
     assert TEST_HOOKS <= set(defs)
 
 
+def test_every_test_hook_has_a_test():
+    # a hook no test names is dead code the allowlist would hide; this
+    # file's own mentions do not count
+    here = pathlib.Path(__file__).resolve()
+    refs = set()
+    for path in sorted(here.parent.rglob("*.py")):
+        if path == here:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                refs.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                refs.add(node.attr)
+            elif isinstance(node, ast.alias):
+                refs.add(node.name)
+    assert TEST_HOOKS <= refs, TEST_HOOKS - refs
+
+
 def test_no_module_imports_dataclasses():
     # every record is a NamedTuple or a slotted class: generating dataclass
     # methods cost about a fifth of the package's import time
