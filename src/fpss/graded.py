@@ -86,7 +86,8 @@ class Algebra:
     slots are tables derived from them."""
 
     __slots__ = ("p", "gens", "s_weights", "t_weights", "total_weights",
-                 "caps", "nonneg", "odd_slots", "divided_slots", "slot_of")
+                 "caps", "nonneg", "odd_slots", "divided_slots", "slot_of",
+                 "rule_slots")
 
     def __init__(self, p: int, gens: tuple[Generator, ...]) -> None:
         if not is_prime(p) or p < 3:
@@ -109,6 +110,8 @@ class Algebra:
         self.divided_slots = tuple(
             i for i, g in slots if g.kind is Kind.DIVIDED)
         self.slot_of = {g.name: i for i, g in slots}
+        # a Leibniz rule's generator names -> their slots, ascending
+        self.rule_slots: dict[tuple[str, ...], tuple[int, ...]] = {}
 
     def __eq__(self, other) -> bool:
         return type(other) is Algebra and self.p == other.p and \

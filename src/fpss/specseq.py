@@ -120,14 +120,20 @@ def apply_leibniz(rule: DerivationRule, alg: Algebra, m: Monomial) -> Element:
     rule's generators g in slot order, of (-1)^|x| x d(g^e) y, where d(g^e)
     is g's power rule or e g^(e-1) d(g).
 
-    Only the rule's own slots are visited.  |x| is the parity of the odd
-    exponents before g; each term of d(g) or of the power rule's value is
-    placed by two mono_mul calls, x g^(e-1) times the term, then times y,
-    and added into the value in place."""
+    Only the rule's own slots are visited, sorted once per algebra and
+    rule (Algebra.rule_slots).  |x| is the parity of the odd exponents
+    before g; each term of d(g) or of the power rule's value is placed by
+    two mono_mul calls, x g^(e-1) times the term, then times y, and added
+    into the value in place."""
     out: Element = {}
     p, mono_mul, odd = alg.p, alg.mono_mul, alg.odd_slots
     values, power_rules = rule.values, rule.power_rules
-    for i in sorted({alg.slot_of[name] for name in (*values, *power_rules)}):
+    names = (*values, *power_rules)
+    slots = alg.rule_slots.get(names)
+    if slots is None:
+        slots = alg.rule_slots[names] = tuple(
+            sorted({alg.slot_of[name] for name in names}))
+    for i in slots:
         e = m[i]
         if not e:
             continue

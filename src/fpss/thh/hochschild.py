@@ -14,11 +14,11 @@ sum of the slots' exponent tuples, which every face keeps; a weight is one
 integer, the sum of the slots' exponents written in base bound + 1.
 
 A weight block is walked from the longest tensors down.  Each boundary is
-computed once, as an integer column over its block's C_(n-1); d(d(t)) = 0
-is checked on every tensor t by summing those columns before d(t) is used.
-Each d_n is eliminated once, on the same columns, and only on the tensors
-that are not pivots of the echelon of d_(n+1) (clearing, Chen-Kerber 2011,
-Bauer-Kerber-Reininghaus 2014).
+computed once, straight into an integer column over its block's C_(n-1);
+d(d(t)) = 0 is checked on every tensor t by summing those columns on one
+accumulator before d(t) is used.  Each d_n is eliminated once, on the same
+columns, and only on the tensors that are not pivots of the echelon of
+d_(n+1) (clearing, Chen-Kerber 2011, Bauer-Kerber-Reininghaus 2014).
 """
 from __future__ import annotations
 
@@ -71,8 +71,10 @@ def _products(alg: Algebra, hi: int) -> Products:
 def _chain_basis(table: Products, n: int, d: int) -> dict[int, list[Tensor]]:
     """The basis tensors a0 (x) a1 (x) ... (x) an of internal degree d, with
     the inner slots running over nonunit monomials, by weight, each list in
-    lexicographic order of indices.  The last slot is not searched: it runs
-    over the monomials of the degree the others leave."""
+    lexicographic order of indices.  A slot takes a degree only if what it
+    leaves is a sum of one nonunit degree per slot left; the last slot is
+    not searched: it runs over the monomials of the degree the others
+    leave."""
     out: dict[int, list[Tensor]] = {}
     if n < 0 or d < 0:
         return out
@@ -81,33 +83,46 @@ def _chain_basis(table: Products, n: int, d: int) -> dict[int, list[Tensor]]:
         for j in range(first[d], first[d + 1]):
             out.setdefault(codes[j], []).append((j,))
         return out
+    filled = [e for e in range(1, d + 1) if first[e] < first[e + 1]]
+    # reach[k]: the sums up to d of exactly k degrees of nonunit monomials
+    reach = [{0}]
+    for _ in range(n):
+        reach.append({r + e for r in reach[-1] for e in filled if r + e <= d})
 
     def rec(slot: int, rem: int, acc: Tensor, weight: int):
-        for deg in range(0 if slot == 0 else 1, rem - (n - slot) + 1):
+        left = reach[n - slot]
+        for deg in filled if slot else [0] + filled:
+            if deg > rem:
+                break
+            if rem - deg not in left:
+                continue
             if slot + 1 < n:
                 for i in range(first[deg], first[deg + 1]):
                     rec(slot + 1, rem - deg, acc + (i,), weight + codes[i])
                 continue
             last = range(first[rem - deg], first[rem - deg + 1])
-            if last:
-                for i in range(first[deg], first[deg + 1]):
-                    head, w = acc + (i,), weight + codes[i]
-                    for j in last:
-                        out.setdefault(w + codes[j], []).append(head + (j,))
+            for i in range(first[deg], first[deg + 1]):
+                head, w = acc + (i,), weight + codes[i]
+                for j in last:
+                    out.setdefault(w + codes[j], []).append(head + (j,))
 
     rec(0, d, (), 0)
     return out
 
 
-def hochschild_boundary(table: Products, tens: Tensor) -> dict[Tensor, int]:
+def hochschild_boundary(table: Products, tens: Tensor,
+                        idx: dict[Tensor, int]) -> dict[int, int]:
     """Boundary of one basis tensor: inner multiplications with alternating
     signs, plus the wrap-around face with its Koszul sign, each product read
-    from the table."""
+    from the table, as a column keyed by each face's index in idx (C_(n-1)
+    of the block).  A face outside idx takes the next free index, so that
+    the d o d check sums its own boundary on the next step."""
     p, rows = table.p, table.rows
     n = len(tens) - 1
-    out: dict[Tensor, int] = {}
+    out: dict[int, int] = {}
     if n == 0:
         return out
+    index = idx.setdefault
     # no inner slot is the unit and every degree is positive, so no inner
     # face is degenerate, and two inner faces differ in the first slot they
     # multiply into; only the wrap-around face can meet another
@@ -115,7 +130,8 @@ def hochschild_boundary(table: Products, tens: Tensor) -> dict[Tensor, int]:
         prod = rows[tens[i]][tens[i + 1]]
         if prod is not None:
             k, c = prod
-            out[tens[:i] + (k,) + tens[i + 2:]] = p - c if i % 2 else c
+            out[index(tens[:i] + (k,) + tens[i + 2:], len(idx))] = \
+                p - c if i % 2 else c
     last = tens[n]
     prod = rows[last][tens[0]]
     if prod is not None:
@@ -125,7 +141,7 @@ def hochschild_boundary(table: Products, tens: Tensor) -> dict[Tensor, int]:
         odd = table.odd
         if (n + (odd[last] and sum(map(odd.__getitem__, tens[:n])))) % 2:
             c = p - c
-        face = (k,) + tens[1:n]
+        face = index((k,) + tens[1:n], len(idx))
         v = (out.get(face, 0) + c) % p
         if v:
             out[face] = v
@@ -134,26 +150,27 @@ def hochschild_boundary(table: Products, tens: Tensor) -> dict[Tensor, int]:
     return out
 
 
-def _column(bd: dict[Tensor, int], idx: dict[Tensor, int]) -> dict[int, int]:
-    """A boundary as a column over the block's C_(n-1), by index; a face
-    outside the block takes the next free index, so that its own boundary
-    is summed by the d o d check on the next step."""
-    return {idx.setdefault(t, len(idx)): c for t, c in bd.items()}
-
-
 def _boundary_of_boundary(p: int, length: int, above: list[dict[int, int]],
-                          cols: list[dict[int, int]]) -> None:
+                          cols: list[dict[int, int]], width: int) -> None:
     """Raise unless d(d(t)) = 0 for every tensor t of the given length:
     sum the columns (cols, by index over C_n, stray faces last) of the
-    faces in d(t), so that a wrong boundary shows here first."""
+    faces in d(t), so that a wrong boundary shows here first.  The sums
+    share one accumulator over the width indices of C_(n-1) and its stray
+    faces; each entry a sum touches is tested mod p and reset."""
+    acc = [0] * width
     for col in above:
-        acc: dict[int, int] = {}
+        touched: list[int] = []
+        touch = touched.append
         for i, c in col.items():
             for k, c2 in cols[i].items():
-                acc[k] = acc.get(k, 0) + c * c2
-        if any(v % p for v in acc.values()):
-            raise VerificationError(
-                f"boundary of boundary nonzero on a tensor of length {length}")
+                if not acc[k]:
+                    touch(k)
+                acc[k] += c * c2
+        for k in touched:
+            if acc[k] % p:
+                raise VerificationError("boundary of boundary nonzero on "
+                                        f"a tensor of length {length}")
+            acc[k] = 0
 
 
 def hh_bruteforce(alg: Algebra, max_total_degree: int) -> PoincareSeries:
@@ -201,9 +218,8 @@ def hh_bruteforce(alg: Algebra, max_total_degree: int) -> PoincareSeries:
                 size = len(chains[n]) if n >= 0 else 0
                 below = {tns: i for i, tns in enumerate(chains[n - 1])} \
                     if n > 0 else {}
-                cols = [_column(hochschild_boundary(table, tns), below)
-                        for tns in idx]
-                _boundary_of_boundary(alg.p, n + 2, above, cols)
+                cols = [hochschild_boundary(table, tns, below) for tns in idx]
+                _boundary_of_boundary(alg.p, n + 2, above, cols, len(below))
                 ech = Echelon(alg.p, max(size, 1))
                 # last column first: the new pivot then seldom sits in an
                 # older row, so the echelon rarely has to clear it (on

@@ -11,6 +11,7 @@ from fpss.thh.bokstedt import (BokstedtPage, _kunneth_certifies,
                                bokstedt_e2_page, bokstedt_einf_page,
                                bokstedt_rule, bokstedt_run)
 from fpss.thh.hochschild import hh_bruteforce
+from test_acceptance import Budget
 
 P = 5
 
@@ -49,26 +50,41 @@ def test_runs_match_final_forms(ring):
     assert cmp_.passed, [str(m) for m in cmp_.mismatches[:5]]
 
 
+def page_and_oracle(p, ring, hi, cutoff):
+    # truncate the ring homology to generators of degree <= cutoff: the
+    # enumerated starting page on them and the brute-force complex, to hi
+    page = bokstedt_e2_page(p, ring, hi)
+    alg = page.algebra
+    small = [g for g in alg.gens
+             if not g.name.startswith("s") and g.total <= cutoff]
+    oracle = hh_bruteforce(Algebra(p, tuple(small)), hi)
+    # the page restricted to the same generators
+    keep = {g.name for g in small}
+    monos = [m for m in page.iter_region(Region(0, hi, 0, hi + 1))
+             if all(e == 0 or alg.gens[i].name in keep
+                    or alg.gens[i].name[1:] in keep
+                    for i, e in enumerate(m))]
+    return ps_from_monomials(alg, monos, 0, hi), oracle
+
+
 def test_e2_agrees_with_hochschild_oracle():
-    # truncate the ring homology to generators of degree <= 9 and compare
-    # the enumerated starting page with the brute-force complex
-    hi = 12
+    # ring generators of degree <= 9, to degree 12
     for ring in (RingId.HZP_MOD, RingId.ELL_MOD_P):
-        page = bokstedt_e2_page(P, ring, hi)
-        alg = page.algebra
-        small = [g for g in alg.gens
-                 if not g.name.startswith("s") and g.total <= 9]
-        from fpss.graded import Algebra
-        ring_alg = Algebra(P, tuple(small))
-        oracle = hh_bruteforce(ring_alg, hi)
-        # the page restricted to the same generators
-        keep = {g.name for g in small}
-        monos = [m for m in page.iter_region(Region(0, hi, 0, hi + 1))
-                 if all(e == 0 or alg.gens[i].name in keep
-                        or alg.gens[i].name[1:] in keep
-                        for i, e in enumerate(m))]
-        got = ps_from_monomials(alg, monos, 0, hi)
+        got, oracle = page_and_oracle(P, ring, 12, 9)
         assert got == oracle, ring
+
+
+# wall-time budgets: three runs took 14.3-15.1 s and 4.5-5.6 s (Python
+# 3.11, two-CPU x86-64 Linux host whose speed drifts by up to 1.7x)
+@pytest.mark.parametrize("p, hi, seconds", [(5, 50, 30), (3, 30, 12)])
+def test_e2_agrees_with_hochschild_oracle_in_depth(p, hi, seconds):
+    # every ring generator up to hi, for every ring; at p = 5, hi = 2p^2
+    # brings in bxi2 (48) and btau2 (49)
+    with Budget(f"e2 against the Hochschild oracle, p = {p} to {hi}",
+                seconds):
+        for ring in RingId:
+            got, oracle = page_and_oracle(p, ring, hi, hi)
+            assert got == oracle, ring
 
 
 def test_einf_kills_suspended_even_classes():
