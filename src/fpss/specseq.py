@@ -9,9 +9,9 @@ sparse linear algebra.
 verify_turn is the elimination reference: in every bidegree it takes
 kernel and image by Echelon and certifies the closed form's span.  No
 default CLI turn reaches it: the tower and Bokstedt certificates of thh
-take every turn in every degree (d2 by factorization, the later tower
-turns on summand cells by algebraic Morse theory, the Bokstedt turn by
-Kunneth), verify_turn is their fallback where they decline, and the tests
+take every turn in every degree (each tower turn as a matching on
+summand cells by algebraic Morse theory, the Bokstedt turn by Kunneth),
+verify_turn is their fallback where they decline, and the tests
 cross-check each of them against it.
 
 Closed-form pages enumerate any bidegree exactly, so homology computed
@@ -232,7 +232,7 @@ class PageComparison:
     """One turn's result: its label, its coverage count and its mismatches.
 
     From verify_turn the count is the bidegrees of the region where the
-    page or the closed form holds a class.  From the tower certificates of
+    page or the closed form holds a class.  From the tower certificate of
     thh.tate it is the summand cells compared, pairs of a key and a tmu2
     cut where the page or the closed form holds a class; from the Bokstedt
     certificate it is the generator slots compared, those of total degree

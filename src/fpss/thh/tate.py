@@ -22,27 +22,24 @@ consuming u.  A row is an exterior slot, a predicate on the free exponent,
 a tmu2 increment and a free-exponent shift; family_rule makes it a rule.  All
 units are fixed to 1; every verified statement is unit-invariant.
 
-The suspension turn is certified by factorization, not monomial by
-monomial: its page is one summand A (x) M, A the passive classes (u,
-lambda2, t, mu2) and M the 2p module monomials, and d = x delta with
-delta(eps0 mu0^(i-1)) = mu0^i on M and x = t.  Since x is not a zero
-divisor on A, the homology is A (x) H(M, delta) plus (A/xA) (x) im delta
-in every degree: A (x) {1, eps1b} for Tate, where t is a unit, plus the
-head mu0^i in tmu2 power 0 for homotopy fixed points.  That formula is
-a list of summands, compared with the closed form cell by cell.
-
-Every later turn is one RuleRow, certified on summand cells in every
-degree.  A page is a union of cells: a key (u, lambda2 and module
-exponents), a tmu2 power c and disjoint p-adic balls {x : x = r mod p^j}
-of free exponents, the predicates' balls (_balls).  Balls are nested or
-disjoint, so their meet, difference and translation are never finer than
-the predicates'.  Along c each key is constant between the summands' tmu2
-bounds.  The row's value translates these coordinates by a constant, so
-its sources go one to one onto their images, and when the images are page
-classes that are not sources themselves, the homology is the page without
-sources and images (algebraic discrete Morse theory on summands:
-Skoldberg, Trans. AMS 358, 2006).  run_instance sends a turn to
-verify_turn only when a certificate's precondition fails or the closed
+Every turn is certified as a matching on summand cells, in every degree
+and without visiting a page monomial by monomial.  A page is a union of
+cells: a key (u, lambda2 and module exponents), a tmu2 power c and
+disjoint p-adic balls {x : x = r mod p^j} of free exponents, the
+predicates' balls (_balls).  Balls are nested or disjoint, so their meet,
+difference and translation are never finer than the predicates'.  Along
+c each key is constant between the summands' tmu2 bounds.  A turn sends
+each source key to an image key, raises c by a constant and translates
+the guarded balls by a constant, so its sources go one to one onto their
+images, and when the images are page classes that are not sources
+themselves, the homology is the page without sources and images
+(algebraic discrete Morse theory on summands: Skoldberg, Trans. AMS 358,
+2006).  A RuleRow's matching flips its exterior slot.  The suspension
+d = x delta reduces to the module by Leibniz: its values lie on the module
+generators, so d(a m) = +-a x delta(m) for a passive monomial a (u,
+lambda2, t, mu2), and delta(eps0 mu0^(i-1)) = mu0^i matches module keys,
+with x = t moving c and the free exponent.  run_instance sends a turn to
+verify_turn only when the certificate's precondition fails or the closed
 form disagrees.
 """
 from __future__ import annotations
@@ -59,6 +56,8 @@ from ..specseq import (DerivationRule, DiffRule, FamilyRule, PageComparison,
 
 # exponent slots in the ambient algebra
 IU, IT, IL, IM, IE0, IM0, IE1 = range(7)
+# the exponent slots that key a cell: u, lambda2 and the module
+KEY = (IU, IL, IE0, IM0, IE1)
 
 
 @lru_cache(maxsize=None)
@@ -486,20 +485,21 @@ def rule_rows(p: int, n: int, conv: str) -> list[RuleRow]:
                            2 * rho(p, 2 * n) + 1)]
 
 
-def _row_delta(conv: str, row: RuleRow) -> Monomial:
-    """The exponent change of the row's value: the exterior slot flipped
-    (u, lambda2 or eps1b), the tmu2 power raised by inc and the free
-    exponent moved by shift."""
-    du, dl, de = (1 - 2 * row.src if row.slot == i else 0
-                  for i in (IU, IL, IE1))
-    dt, dm = (row.inc + f * row.shift for f in TOWERS[conv].free)
-    return (du, dt, dl, dm, 0, 0, de)
+def _change(conv: str, dkey: Iterable[int], inc: int, shift: int
+            ) -> Monomial:
+    """The exponent change of a value that moves the cell key (u, lambda2
+    and module exponents) by dkey, raises the tmu2 power by inc and moves
+    the free exponent by shift."""
+    du, dl, d0, i0, de = dkey
+    dt, dm = (inc + f * shift for f in TOWERS[conv].free)
+    return (du, dt, dl, dm, d0, i0, de)
 
 
 def family_rule(p: int, conv: str, row: RuleRow) -> FamilyRule:
     """The rule of one row: its guard, then one constant exponent shift."""
     slot, src, pred, sign = row.slot, row.src, row.pred, TOWERS[conv].sign
-    du, dt, dl, dm, _, _, de = _row_delta(conv, row)
+    du, dt, dl, dm, _, _, de = _change(conv, (
+        1 - 2 * src if slot == i else 0 for i in KEY), row.inc, row.shift)
 
     def fn(alg: Algebra, m: Monomial):
         a, J, b, M, d0, i0, e = m
@@ -565,79 +565,6 @@ def instance_region(p: int, n: int, lo: int, hi: int, conv: str) -> Region:
     return Region(lo, hi, tw.s_floor(p, lo, base_c + inc + 4), hi + 4)
 
 
-def _factorization_certifies(before: TateForm, rule: DiffRule,
-                             after: TateForm) -> PageComparison | None:
-    """A passing comparison for a turn d = x delta on one summand A (x) M,
-    certified from the 2p module monomials; None when a precondition fails
-    or a cell disagrees.
-
-    A is every u, lambda2, tmu2 power and free exponent; the rule is a
-    derivation with values on the module generators only, so d(a m) =
-    +-a d(m), and d(m) = x delta(m) with one passive monomial x.  When
-    delta is a monomial matching on M with delta delta = 0 and x is a unit
-    on A or raises the tmu2 power by one, the homology is A (x) H(M, delta)
-    plus (A/xA) (x) im delta, in every degree.  These summands must have
-    the closed form's cells; the count is the cells compared that hold a
-    class."""
-    alg = before.algebra
-    if not (isinstance(rule, DerivationRule) and not rule.power_rules
-            and len(before.summands) == 1 and after.algebra == alg):
-        return None
-    sm, = before.summands
-    if (sm.u, sm.lam, sm.c_hi, sm.pred) != (BOTH, BOTH, None, ("any",)) or \
-            len(set(sm.module)) != len(sm.module) or not set(rule.values) <= \
-            {alg.gens[i].name for i in (IE0, IM0, IE1)}:
-        return None
-    r, module = rule.r, set(sm.module)
-    delta, xs = {}, set()
-    for trip in sm.module:
-        m = (0, 0, 0, 0) + trip
-        try:
-            val = rule.apply(alg, m)
-        except Exception:   # verify_turn raises or records it
-            return None
-        if not val:
-            continue
-        if len(val) != 1:
-            return None
-        (v, _), = val.items()
-        s, t = alg.bidegree(m)
-        if v[IE0:] not in module or alg.bidegree(v) != (s - r, t + r - 1):
-            return None
-        delta[trip] = v[IE0:]
-        xs.add(v[:IE0])
-    hit = set(delta.values())
-    if len(xs) > 1 or len(hit) != len(delta) or hit & delta.keys():
-        return None     # no common x, not a matching, or delta delta != 0
-    ft, fm = TOWERS[before.conv].free
-    x = xs.pop() if xs else (0, 0, 0, 0)
-    dc = fm * x[IT] + ft * x[IM]    # change of the tmu2 power
-    if x[IU] or x[IL] or dc not in (0, 1):
-        return None     # a zero divisor, or a cokernel other than c = 0
-    sums = [Summand(BOTH, BOTH, tuple(m for m in sm.module
-                                      if m not in delta and m not in hit),
-                    None, ("any",))]
-    if dc:
-        sums.append(Summand(BOTH, BOTH, tuple(m for m in sm.module if m in hit),
-                            1, ("any",)))
-    cells = _cell_tables((TateForm("H", r + 1, alg, before.conv, tuple(sums)),
-                          after))
-    if cells is None:
-        return None
-    (want, got), cuts = cells
-    compared = 0
-    for c in cuts:
-        for key in want.keys() | got.keys():
-            h, g = _cell(want, key, c), _cell(got, key, c)
-            if h is None or g is None or not _same(h, g, alg.p):
-                return None
-            compared += bool(h)
-    return PageComparison(f"{before.label} -> {after.label}", compared, [])
-
-
-# the exponent slots that key a cell: u, lambda2 and the module
-KEY = (IU, IL, IE0, IM0, IE1)
-
 # a p-adic ball {x : x = r mod q}, q a power of p and 0 <= r < q
 Ball = tuple[int, int]
 Cells = dict[tuple[int, ...], list[tuple[int | None, list[Ball]]]]
@@ -697,17 +624,17 @@ def _moved(A: list[Ball], shift: int) -> list[Ball]:
     return [(q, (r + shift) % q) for q, r in A]
 
 
-def _cell_tables(forms: tuple[TateForm, ...]
+def _cell_tables(before: TateForm, after: TateForm
                  ) -> tuple[list[Cells], set[int]] | None:
-    """Each page's cells and their tmu2 cuts B; None when a predicate is
-    zero.
+    """The cells of the page and of the closed form, and their tmu2 cuts B;
+    None when a predicate is zero.
 
     A page's cells map each key (u, lambda2, eps0, mu0, eps1b) to the tmu2
     bound and free-exponent balls of every summand that holds it.  B is 0
     and every tmu2 bound: each key is constant between cuts."""
-    p = forms[0].p
+    p = before.p
     tables, cuts = [], {0}
-    for form in forms:
+    for form in (before, after):
         cells: Cells = {}
         for sm in form.summands:
             balls = _ball_list(sm.pred, p)
@@ -738,43 +665,100 @@ def _cell(cells: Cells, key: tuple[int, ...], c: int) -> list[Ball] | None:
     return out
 
 
-def _summand_certifies(before: TateForm, row: RuleRow, unit: int,
-                       after: TateForm) -> PageComparison | None:
-    """A passing comparison for the turn of family_rule(row) times unit,
-    certified on the summands in every degree; None when a precondition
-    fails or a cell disagrees.
+# a turn as a matching of cells: each source key's image key, the tmu2
+# increment inc, the free-exponent shift and the guard's balls
+Matching = tuple[dict[tuple[int, ...], tuple[int, ...]], int, int, list[Ball]]
 
-    The row sends a page class with key K (slot exponent src, no eps0 or
-    mu0), tmu2 power c and an accepted free exponent x to the class K + dK,
-    c + inc, x + shift, times a unit: a matching.  The row flips the
-    exterior slot it guards on, so no image is a source and d after d
-    vanishes.  When every image is a page class, the homology is the page
-    without sources and images, and it must be the closed form.  Both are
+
+def _d2_matching(st: Stage, page: Cells) -> Matching | None:
+    """The matching of a derivation d = x delta, by Leibniz reduction to the
+    module; None when a precondition fails.
+
+    The rule has values on eps0, mu0 and eps1b only and no power rules, so
+    on a page class a m, a a monomial in the passive classes (u, lambda2, t
+    and mu2) and m a module monomial, d(a m) = +-a d(m).  When each d(m) is
+    0 or one term x delta(m), with the same x for every m and no u or
+    lambda2 in x, a x is never 0: d sends every class of the key (u,
+    lambda2, m) to one of the key (u, lambda2, delta(m)), moving the tmu2
+    power and the free exponent by x's exponents, whatever the free
+    exponent is.  _matching_certifies checks that delta(m) is a page
+    class and not a source."""
+    rule, alg, conv = st.rule, st.before.algebra, st.before.conv
+    if not isinstance(rule, DerivationRule) or rule.power_rules or not \
+            set(rule.values) <= {alg.gens[i].name for i in (IE0, IM0, IE1)}:
+        return None
+    delta, xs = {}, set()
+    for m in {key[2:] for key in page}:
+        val = rule.apply(alg, (0, 0, 0, 0) + m)
+        if len(val) > 1:
+            return None
+        for v in val:
+            delta[m] = v[IE0:]
+            xs.add(v[:IE0])
+    if len(xs) > 1:
+        return None
+    x = xs.pop() if xs else (0, 0, 0, 0)
+    if x[IU] or x[IL]:
+        return None     # a zero divisor
+    ft, fm = TOWERS[conv].free
+    return ({key: key[:2] + delta[key[2:]] for key in page if key[2:] in delta},
+            fm * x[IT] + ft * x[IM], TOWERS[conv].sign * (x[IT] - x[IM]),
+            [(1, 0)])
+
+
+def _row_matching(st: Stage, page: Cells) -> Matching | None:
+    """The matching of family_rule(row) times the rule's unit; None for a
+    zero unit, a zero predicate or a slot other than u, lambda2 or eps1b.
+
+    A page class whose key has exponent src in the row's slot and no eps0
+    or mu0, and whose free exponent the row's predicate accepts, goes to
+    the class with that slot flipped, the tmu2 power raised by inc and the
+    free exponent moved by shift."""
+    row, p = st.row, st.before.p
+    guard = _ball_list(row.pred, p)
+    if not st.rule.unit % p or row.slot not in (IU, IL, IE1) or guard is None:
+        return None
+    j = KEY.index(row.slot)
+    return ({key: key[:j] + (1 - key[j],) + key[j + 1:] for key in page
+             if key[j] == row.src and not key[2] and not key[3]},
+            row.inc, row.shift, guard)
+
+
+def _matching_certifies(st: Stage) -> PageComparison | None:
+    """A passing comparison for the stage's turn, certified on the summands
+    in every degree; None when a precondition fails or a cell disagrees.
+
+    The turn is a matching (_d2_matching for d2, _row_matching for a row):
+    a page class with a source key K, tmu2 power c and a free exponent x in
+    the guard goes to a unit times the class of K's image key, c + inc and
+    x + shift, and every other page class is a cycle.  Each source must
+    move by the differential's bidegree, and no image may be a source or
+    the image of two, so d after d vanishes.  When every image is a page
+    class, the homology is the page without sources and images (algebraic
+    discrete Morse theory on summands: Skoldberg, Trans. AMS 358, 2006),
+    and it must be the closed form of the same convention.  Both are
     checked per key on the cuts B and B + inc: between two cuts the page,
     the closed form, the sources and the images arriving from c - inc are
     constant.  The count is the cells compared where the page or the closed
     form holds a class."""
+    before, after, r = st.before, st.after, st.rule.r
     p, conv, alg = before.p, before.conv, before.algebra
-    if after.algebra != alg or after.conv != conv or not unit % p or \
-            row.slot not in (IU, IL, IE1):
+    if after.algebra != alg or after.conv != conv:
         return None
-    delta = _row_delta(conv, row)
-    if alg.bidegree(delta) != (-row.r, row.r - 1):
-        return None
-    cells = _cell_tables((before, after))
-    guard = _ball_list(row.pred, p)
-    if cells is None or guard is None:
+    cells = _cell_tables(before, after)
+    if cells is None:
         return None
     (page, closed), cuts = cells
-    ft, fm = TOWERS[conv].free
-    inc = fm * delta[IT] + ft * delta[IM]
-    shift = TOWERS[conv].sign * (delta[IT] - delta[IM])
-    dkey = [delta[i] for i in KEY]
-    j = KEY.index(row.slot)
-    sources = {key for key in page if key[j] == row.src and not key[2]
-               and not key[3]}
-    image_of = {tuple(k + d for k, d in zip(key, dkey)): key
-                for key in sources}
+    match = (_d2_matching if st.row is None else _row_matching)(st, page)
+    if match is None:
+        return None
+    image, inc, shift, guard = match
+    image_of = {img: key for key, img in image.items()}
+    if len(image_of) < len(image) or image_of.keys() & image.keys() or any(
+            alg.bidegree(_change(conv, (b - a for a, b in zip(key, img)),
+                                 inc, shift)) != (-r, r - 1)
+            for key, img in image.items()):
+        return None
     keys = page.keys() | closed.keys() | image_of.keys()
     compared = 0
     for c in cuts | {b + inc for b in cuts}:
@@ -787,7 +771,7 @@ def _summand_certifies(before: TateForm, row: RuleRow, unit: int,
             if not (here or want or hit):
                 continue
             hit = _moved(_meet(hit, guard), shift)
-            src = _meet(here, guard) if key in sources else []
+            src = _meet(here, guard) if key in image else []
             if _minus(hit, here, p) or \
                     not _same(_minus(_minus(here, src, p), hit, p), want, p):
                 return None
@@ -798,15 +782,12 @@ def _summand_certifies(before: TateForm, row: RuleRow, unit: int,
 def run_instance(inst: SSInstance, lo: int, hi: int,
                  region: Region | None = None) -> list[PageComparison]:
     """Re-seed every stage from its closed form, turn the page, and certify
-    the homology against the next closed form: d2 by factorization, every
-    later turn on summand cells, and by verify_turn where they decline.
-    The region, instance_region's by default, serves verify_turn only."""
+    the homology against the next closed form: every turn as a matching on
+    summand cells, and by verify_turn where that declines.  The region,
+    instance_region's by default, serves verify_turn only."""
     conv = inst.stages[0].before.conv
     if region is None:
         region = instance_region(inst.p, inst.n, lo, hi, conv)
-    return [(_factorization_certifies(st.before, st.rule, st.after)
-             if st.row is None else
-             _summand_certifies(st.before, st.row, st.rule.unit, st.after))
+    return [_matching_certifies(st)
             or verify_turn(st.before, st.rule, st.after, region)
             for st in inst.stages]
-

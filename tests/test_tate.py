@@ -10,13 +10,12 @@ from fpss.specseq import (DerivationRule, FamilyRule, Region,
 import fpss.thh.tate as tate
 from fpss.thh.circle import comparison_region, s1_einf, s1_limits
 from fpss.thh.tate import (BOTH, IE0, IE1, IL, IM, IT, IU, PLAIN, PLAIN_E,
-                           TOWERS, RuleRow, SSInstance, Summand, TateForm,
-                           _allowed_steps, _ball_list, _balls,
-                           _factorization_certifies, _meet, _minus, _moved,
-                           _pred_ok, _same, _step_classes, _summand_certifies,
-                           family_rule, instance_region, module_triples,
-                           run_instance, tate_ambient, tower_form,
-                           tower_instance)
+                           TOWERS, RuleRow, SSInstance, Stage, Summand,
+                           TateForm, _allowed_steps, _ball_list, _balls,
+                           _matching_certifies, _meet, _minus, _moved,
+                           _pred_ok, _same, _step_classes, family_rule,
+                           instance_region, module_triples, run_instance,
+                           tate_ambient, tower_form, tower_instance)
 
 P = 5
 
@@ -404,32 +403,39 @@ def test_iter_region_steps_only_allowed_residues(monkeypatch):
 FACTOR_WINDOWS = [(5, -50, 125), (5, -40, 160), (7, -20, 60)]
 
 
-def _agrees_with_verify_turn(got, st, rule, region):
+def _agrees_with_verify_turn(st, region):
+    # the certificate passes, for the rule and (at p = 7) a rescaling, with
     # verify_turn's label and (empty) mismatch list, and a positive cell
     # count in place of its bidegree count
-    assert got is not None and got.passed, rule.name
-    assert got.bidegrees_checked > 0, rule.name
-    want = verify_turn(st.before, rule, st.after, region)
-    assert (got.label, got.passed, got.mismatches) == (
-        want.label, want.passed, want.mismatches), rule.name
+    rules = (st.rule, st.rule.scaled(2)) if st.before.p == 7 else (st.rule,)
+    for rule in rules:
+        got = _matching_certifies(st._replace(rule=rule))
+        assert got is not None and got.passed, rule.name
+        assert got.bidegrees_checked > 0, rule.name
+        want = verify_turn(st.before, rule, st.after, region)
+        assert (got.label, got.passed, got.mismatches) == (
+            want.label, want.passed, want.mismatches), rule.name
 
 
 @pytest.mark.parametrize("conv", ["tate", "hofix"])
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("p, lo, hi", FACTOR_WINDOWS)
 def test_factorization_agrees_with_verify_turn(p, lo, hi, n, conv):
-    # the d2 turn certifies by factorization, for the rule and a rescaling
+    # d2 = x delta reduces to the module monomials whichever summands list
+    # them: E2 split into its eps0 classes and the rest, two summands with
+    # disjoint module parts, certifies
     st = tower_instance(p, n, conv).stages[0]
-    region = instance_region(p, n, lo, hi, conv)
-    rules = (st.rule, st.rule.scaled(2)) if p == 7 else (st.rule,)
-    for rule in rules:
-        got = _factorization_certifies(st.before, rule, st.after)
-        _agrees_with_verify_turn(got, st, rule, region)
+    sm, = st.before.summands
+    split = tuple(sm._replace(module=tuple(m for m in sm.module if m[0] == d0))
+                  for d0 in (1, 0))
+    _agrees_with_verify_turn(
+        st._replace(before=st.before._replace(summands=split)),
+        instance_region(p, n, lo, hi, conv))
 
 
 def test_factorization_decides_only_d2(monkeypatch):
-    # every default tower run certifies stage 0 by factorization and every
-    # later stage on summand cells; verify_turn is never called
+    # every default tower run certifies every stage, d2 included, by the one
+    # matching certificate; verify_turn is never called
     calls = []
 
     def spy(name):
@@ -441,8 +447,7 @@ def test_factorization_decides_only_d2(monkeypatch):
             return got
         return counting
 
-    for name in ("_factorization_certifies", "_summand_certifies",
-                 "verify_turn"):
+    for name in ("_matching_certifies", "verify_turn"):
         monkeypatch.setattr(tate, name, spy(name))
     for p in (5, 7):
         for n in (1, 2, 3):
@@ -451,9 +456,8 @@ def test_factorization_decides_only_d2(monkeypatch):
                 calls.clear()
                 results = run_instance(inst, -2 * p * p, 5 * p * p)
                 assert all(c.passed for c in results)
-                assert calls == [("_factorization_certifies", True)] + [
-                    ("_summand_certifies", True)] * (len(inst.stages) - 1), \
-                    (p, n, conv)
+                assert calls == [("_matching_certifies", True)] * len(
+                    inst.stages), (p, n, conv)
 
 
 def test_default_tower_runs_enumerate_no_page(monkeypatch):
@@ -511,7 +515,7 @@ def test_large_height_closed_form_mutants_decline(conv):
     # this height)
     tried = 0
     for st in tower_instance(P, 4, conv).stages[1:]:
-        assert _summand_certifies(st.before, st.row, st.rule.unit, st.after)
+        assert _matching_certifies(st)
         sums = st.after.summands
         blocks = [i for i, sm in enumerate(sums) if sm.pred[0] == "vp_eq"]
         b_blocks = [i for i in blocks if sums[i].pred[1] % 2 == 0]
@@ -525,8 +529,8 @@ def test_large_height_closed_form_mutants_decline(conv):
         tried += len(mutants)
         for summands in mutants:
             after = st.after._replace(summands=summands)
-            assert _summand_certifies(st.before, st.row, st.rule.unit,
-                                      after) is None, (st.rule.name, summands)
+            assert _matching_certifies(st._replace(after=after)) is None, (
+                st.rule.name, summands)
     # per turn, the last B block and every C block, down to vp_eq(7)
     assert tried == {"tate": 20, "hofix": 29}[conv]
 
@@ -535,8 +539,7 @@ def test_factorization_is_fast():
     # both conventions at p = 5, n = 2 on the default window
     t0 = time.perf_counter()
     for conv in ("tate", "hofix"):
-        st = tower_instance(P, 2, conv).stages[0]
-        assert _factorization_certifies(st.before, st.rule, st.after)
+        assert _matching_certifies(tower_instance(P, 2, conv).stages[0])
     assert time.perf_counter() - t0 < 0.5
 
 
@@ -586,6 +589,12 @@ def _with_after(*sums):
     return mutate
 
 
+def _other_convention(st, alg):
+    # the closed form's summands read in the other tower convention
+    other, = set(TOWERS) - {st.after.conv}
+    return st._replace(after=st.after._replace(conv=other))
+
+
 def _chain(*mutations):
     def mutate(st, alg):
         for m in mutations:
@@ -611,6 +620,10 @@ FACTOR_MUTANTS = {
     "x a zero divisor": ("tate", _with_rule(
         r=P2 + 1, values=lambda alg: {
             "eps0": alg.elem(u1=1, t=P * P, lambda2=1, mu0=1)})),
+    # x = u t: without u the values have d2's bidegrees, but x kills the
+    # classes with u and moves the others into column s - 3
+    "x a zero divisor of d2's length": ("tate", _with_rule(
+        d2=False, values=lambda alg: {"eps0": alg.elem(u1=1, t=1, mu0=1)})),
     # x = t^(2p^2) mu2^2 leaves the slices c = 0, 1 in the cokernel; the
     # closed form claims c = 0 alone
     "x raises the tmu2 power by two": ("tate", _chain(
@@ -627,6 +640,15 @@ FACTOR_MUTANTS = {
         _with_e2(module=module_triples(P) + ((1, P - 1, 0),)),
         _with_after(Summand(BOTH, BOTH, ((0, 0, 0),), None, ("any",)),
                     Summand(BOTH, BOTH, EPS0_MU0, 1, ("any",))))),
+    # eps0 mu0^(p-1) and eps1b both go to t^(p^2) mu2 mu0^(p-1): their
+    # difference is a cycle, which the closed form leaves out
+    "two sources onto one image": ("tate", _chain(
+        _with_rule(r=P2, d2=False, values=lambda alg: {
+            "eps0": alg.elem(t=P * P, mu2=1),
+            "eps1b": alg.elem(t=P * P, mu2=1, mu0=P - 1)}),
+        _with_e2(module=module_triples(P) + ((1, P - 1, 0),)),
+        _with_after(Summand(BOTH, BOTH, tuple((0, i, 0) for i in range(P)),
+                            1, ("any",))))),
     "two-term value": ("hofix", _with_rule(values=lambda alg: {
         "eps0": alg.add(alg.elem(t=1, mu0=1),
                         alg.elem(t=1, lambda2=1, mu2=-1, eps0=1, mu0=1))})),
@@ -645,6 +667,9 @@ FACTOR_MUTANTS = {
         m for m in module_triples(P) if m != (0, P - 1, 0)))),
     "module listing eps1b twice": ("hofix", _with_e2(
         module=module_triples(P) + ((0, 0, 1),))),
+    # the cells of E3 in either convention are the same; the classes differ
+    "tate E3 in the hofix convention": ("tate", _other_convention),
+    "hofix E3 in the tate convention": ("hofix", _other_convention),
 }
 
 
@@ -655,19 +680,29 @@ def _outcome(fn, *args):
         return ("VerificationError", str(err))
 
 
-@pytest.mark.parametrize("name", sorted(FACTOR_MUTANTS))
-def test_factorization_mutants_take_verify_turn(name):
+def _takes_verify_turn(st):
     # the certificate declines, and run_instance returns (or raises) exactly
     # what verify_turn does
-    conv, mutate = FACTOR_MUTANTS[name]
-    inst = tower_instance(P, 1, conv)
-    st = mutate(inst.stages[0], inst.algebra)
+    conv = st.before.conv
     region = instance_region(P, 1, -20, 60, conv)
-    assert _outcome(_factorization_certifies, st.before, st.rule,
-                    st.after) is None
-    mutant = SSInstance("mutant", P, 1, inst.algebra, (st,))
+    assert _outcome(_matching_certifies, st) is None
+    mutant = SSInstance("mutant", P, 1, st.before.algebra, (st,))
     want = _outcome(verify_turn, st.before, st.rule, st.after, region)
     assert _outcome(lambda: run_instance(mutant, -20, 60, region)[0]) == want
+
+
+@pytest.mark.parametrize("name", sorted(FACTOR_MUTANTS))
+def test_factorization_mutants_take_verify_turn(name):
+    conv, mutate = FACTOR_MUTANTS[name]
+    inst = tower_instance(P, 1, conv)
+    _takes_verify_turn(mutate(inst.stages[0], inst.algebra))
+
+
+@pytest.mark.parametrize("conv", ["tate", "hofix"])
+def test_row_closed_form_in_the_other_convention_takes_verify_turn(conv):
+    # the first odd turn, whose closed form has cells in both conventions
+    inst = tower_instance(P, 1, conv)
+    _takes_verify_turn(_other_convention(inst.stages[1], inst.algebra))
 
 
 # -- the summand certificate ----------------------------------------------
@@ -677,23 +712,17 @@ def test_factorization_mutants_take_verify_turn(name):
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("p, lo, hi", FACTOR_WINDOWS)
 def test_summand_certificate_agrees_with_verify_turn(p, lo, hi, n, conv):
-    # every turn after d2 certifies on summand cells, for the rule and a
-    # rescaling
-    inst = tower_instance(p, n, conv)
+    # every turn, d2 included, certifies as a matching on summand cells
     region = instance_region(p, n, lo, hi, conv)
-    for st in inst.stages[1:]:
-        for rule in (st.rule, st.rule.scaled(2)) if p == 7 else (st.rule,):
-            got = _summand_certifies(st.before, st.row, rule.unit, st.after)
-            _agrees_with_verify_turn(got, st, rule, region)
+    for st in tower_instance(p, n, conv).stages:
+        _agrees_with_verify_turn(st, region)
 
 
 def test_summand_certificate_agrees_at_height_3():
     # the window -20:60 keeps verify_turn's share to about 5 s
-    inst = tower_instance(P, 3, "tate")
     region = instance_region(P, 3, -20, 60, "tate")
-    for st in inst.stages[1:]:
-        got = _summand_certifies(st.before, st.row, st.rule.unit, st.after)
-        _agrees_with_verify_turn(got, st, st.rule, region)
+    for st in tower_instance(P, 3, "tate").stages[1:]:
+        _agrees_with_verify_turn(st, region)
 
 
 def _next_pred(pred):
@@ -728,8 +757,7 @@ SUMMAND_MUTANTS = {
 
 def _declines_then_fails(st, region):
     # the certificate declines and run_instance does not pass the stage
-    assert _summand_certifies(st.before, st.row, st.rule.unit,
-                              st.after) is None, st.rule.name
+    assert _matching_certifies(st) is None, st.rule.name
     mutant = SSInstance("mutant", P, 2, st.before.algebra, (st,))
     got = _outcome(lambda: run_instance(mutant, region.lo, region.hi,
                                         region)[0])
@@ -793,13 +821,15 @@ def test_summand_certificate_translates_the_hit_balls(monkeypatch):
                       (Summand((0,), (0,), PLAIN_E, None, ("vp_eq", 1)),))
     after = TateForm("closed", row.r + 1, alg, "tate",
                      (Summand((0,), (0,), PLAIN, 1, ("vp_eq", 1)),))
-    assert _summand_certifies(before, row, 1, after) is None
-    cmp_ = verify_turn(before, family_rule(P, "tate", row), after,
+    rule = family_rule(P, "tate", row)
+    st = Stage(row.r, rule, before, after, row)
+    assert _matching_certifies(st) is None
+    cmp_ = verify_turn(before, rule, after,
                        instance_region(P, 1, -20, 60, "tate"))
     assert not cmp_.passed
     assert any("outside the page" in m.detail for m in cmp_.mismatches)
     monkeypatch.setattr(tate, "_moved", lambda A, shift: A)
-    wrong = _summand_certifies(before, row, 1, after)
+    wrong = _matching_certifies(st)
     assert wrong is not None and wrong.passed
 
 
