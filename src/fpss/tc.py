@@ -27,7 +27,15 @@ from .graded import Monomial, PoincareSeries, ps_from_degree_list
 from .numerics import vp
 from .specseq import VerificationError
 from .thh.circle import s1_einf
-from .thh.tate import IE1, IL, IM, IT, Summand, in_window, tate_ambient
+from .thh.tate import IE1, IL, IM, IT, Summand, tate_ambient
+
+
+def in_window(base: int, step: int, trunc: int | None, lo: int, hi: int
+              ) -> range:
+    """The tmu2 powers 0 <= c < trunc with base + step * c in [lo, hi]."""
+    top = (hi - base) // step + 1
+    return range(max(0, -((base - lo) // step)),
+                 top if trunc is None else min(trunc, top))
 
 
 def _coords(m: Monomial) -> tuple[int, int, int, int]:
@@ -89,12 +97,11 @@ def tf_decompose(p: int, lo: int, hi: int, kmax: int = 5
         raise ValueError("the block decomposition needs degrees > 2p-2")
     page = s1_einf(p, kmax, "tate")
     blocks: dict[Monomial, tuple[str, int]] = {}
-    for total in range(lo, hi + 1):
-        for m in page.monomials_at_total(total):
-            if m in blocks:
-                raise ValueError(
-                    f"monomial {page.algebra.mono_str(m)} doubly classified")
-            blocks[m] = classify(p, m)
+    for m in page.iter_region(page.total_region(lo, hi)):
+        if m in blocks:
+            raise ValueError(
+                f"monomial {page.algebra.mono_str(m)} doubly classified")
+        blocks[m] = classify(p, m)
     return blocks
 
 

@@ -49,13 +49,10 @@ def s1_einf(p: int, kmax: int, conv: str) -> TateForm:
 
 
 def _u_free_dims(form: TateForm, region: Region) -> dict[tuple[int, int], int]:
-    alg = form.algebra
     out: dict[tuple[int, int], int] = {}
-    for m in form.iter_region(region):
-        if m[IU]:
-            continue
-        bd = alg.bidegree(m)
-        out[bd] = out.get(bd, 0) + 1
+    for bd, m in form._iter_placed(region):
+        if not m[IU]:
+            out[bd] = out.get(bd, 0) + 1
     return out
 
 
@@ -92,11 +89,11 @@ def lemma_78_check(p: int, n: int, lo: int, hi: int) -> tuple[bool, list[str]]:
         c_y = rho(p, 2 * n - 1)
         total = (2 * p * p - 2) * c_y + 2 * p * p * j
         s_y = -2 * c_y
-        for m in form.monomials_at_total(total):
-            if alg.sdeg(m) < s_y:
-                problems.append(
-                    f"j={j}: class {alg.mono_str(m)} in degree {total} has "
-                    f"column {alg.sdeg(m)} below {s_y}")
+        for m in form.iter_region(
+                form.total_region(total, total)._replace(s_hi=s_y - 1)):
+            problems.append(
+                f"j={j}: class {alg.mono_str(m)} in degree {total} has "
+                f"column {alg.sdeg(m)} below {s_y}")
     return not problems, problems or [f"{candidates} exponents checked"]
 
 

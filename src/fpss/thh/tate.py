@@ -12,7 +12,11 @@ on homotopy fixed point pages:
     hofix:  t^c mu2^(m + c),   m free
 
 The two towers are one description: everything else that tells them apart
-is the convention's row of TOWERS.
+is the convention's row of TOWERS.  One walk enumerates both
+(TateForm._iter_placed): a class's column and total degree are linear in
+the free exponent and in c, and the column minus k times the total (k = 1
+for Tate, 0 for homotopy fixed points) does not depend on the free
+exponent, so a region bounds c, then the free exponent, in closed form.
 
 Differentials are the initial suspension rule d(eps0 mu0^(i-1)) = t mu0^i
 and then one row of rule_rows per family: for each k up to the tower height
@@ -44,9 +48,8 @@ form disagrees.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from functools import lru_cache
-from math import gcd
 from typing import Callable, Iterable, NamedTuple
 
 from ..graded import Algebra, Generator, Kind, Monomial
@@ -121,50 +124,33 @@ def _pred_ok(pred: Pred, p: int, x: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _step_classes(p: int, pred: Pred, D: int
-                  ) -> tuple[int, int, tuple[int, ...]] | None:
-    """Per summand: the predicate's modulus M, the inverse of D modulo M and
-    the steps k modulo M, ascending and listed over two periods [0, 2M), at
-    which the free exponent D k lies in one of its balls; None for a zero
-    predicate.  D is a unit modulo M, so each ball pins k to one class."""
+def _step_classes(p: int, pred: Pred) -> tuple[int, tuple[int, ...]] | None:
+    """The predicate's modulus M and the residues of its balls, ascending
+    and listed over two periods [0, 2M); None for a zero predicate."""
     balls = _balls(pred, p)
     if balls is None:
         return None
-    M, residues = balls
-    inv = pow(D, -1, M)
-    ks = sorted(r * inv % M for r in residues)
-    return M, inv, tuple(ks + [k + M for k in ks])
+    M, ks = balls
+    return M, ks + tuple(k + M for k in ks)
 
 
-def _allowed_steps(classes: tuple[int, int, tuple[int, ...]] | None, free0: int,
-                   D: int, k_lo: int, k_hi: int) -> Iterable[int]:
-    """The steps k_lo <= k < k_hi, ascending, at which the free exponent
-    free0 + D k lies in a residue class of _step_classes; a zero predicate
-    pins k itself."""
+def _allowed_steps(classes: tuple[int, tuple[int, ...]] | None, lo: int,
+                   hi: int) -> Iterable[int]:
+    """The free exponents lo <= x < hi, ascending, that lie in a ball of
+    _step_classes; a zero predicate allows 0 alone."""
     if classes is None:
-        k, rem = divmod(-free0, D)
-        return range(k, k + 1) if not rem and k_lo <= k < k_hi else range(0)
-    M, inv, ks = classes
-    shift = free0 * inv % M
+        return range(0, 1) if lo <= 0 < hi else range(0)
+    M, ks = classes
     if len(ks) == 2:
-        return range(k_lo + (ks[0] - shift - k_lo) % M, k_hi, M)
-    # k is allowed where k + shift is a class; most windows are shorter than
-    # a period, and then one slice of the two periods lists them
-    lo, hi = k_lo + shift, k_hi + shift
+        return range(lo + (ks[0] - lo) % M, hi, M)
+    # most windows are shorter than a period, and then one slice of the two
+    # periods lists them
     q = lo - lo % M
     if hi - q <= 2 * M:
-        return [q - shift + k for k in ks[bisect_left(ks, lo - q):
-                                          bisect_left(ks, hi - q)]]
-    return (q0 - shift + k for q0 in range(q, hi, M)
+        return [q + k for k in ks[bisect_left(ks, lo - q):
+                                  bisect_left(ks, hi - q)]]
+    return (q0 + k for q0 in range(q, hi, M)
             for k in ks[:len(ks) // 2] if lo <= q0 + k < hi)
-
-
-def in_window(base: int, step: int, trunc: int | None, lo: int, hi: int
-              ) -> range:
-    """The tmu2 powers 0 <= c < trunc with base + step * c in [lo, hi]."""
-    top = (hi - base) // step + 1
-    return range(max(0, -((base - lo) // step)),
-                 top if trunc is None else min(trunc, top))
 
 
 class Summand(NamedTuple):
@@ -261,139 +247,74 @@ class TateForm(NamedTuple):
         out.sort(key=self.algebra.key)
         return tuple(out)
 
+    def total_region(self, lo: int, hi: int) -> Region:
+        """A region that holds every class of total degree lo..hi; needs
+        every summand to be truncated in the tmu2 power or pinned to free
+        exponent 0."""
+        # a class of a pinned summand in total degree <= hi has c below this
+        c_top = (hi + 1) // (2 * self.p * self.p - 2) + 1
+        for sm in self.summands:
+            if sm.c_hi is not None:
+                c_top = max(c_top, sm.c_hi)
+            elif sm.pred[0] != "zero":
+                raise ValueError(f"summand of {self.label} has unbounded "
+                                 f"tmu2 power and free exponent")
+        # Tate columns are at most the total degree, homotopy fixed point
+        # columns at most 0
+        return Region(lo, hi, TOWERS[self.conv].s_floor(self.p, lo, c_top),
+                      max(hi, 0))
+
     def iter_region(self, region: Region) -> Iterable[Monomial]:
         return (m for _, m in self._iter_placed(region))
 
     def _iter_placed(self, region: Region
                      ) -> Iterable[tuple[tuple[int, int], Monomial]]:
-        """iter_region's monomials, in its order, each with its bidegree."""
+        """iter_region's monomials, each with its bidegree: summand row by
+        summand row, free exponent ascending, then tmu2 power c ascending.
+
+        The column s and the total degree of a class are linear in the free
+        exponent x and in c, and with k = f_s / f_tot (1 on Tate pages, 0 on
+        homotopy fixed point pages) s - k * total does not depend on x.  So
+        the region bounds c to one interval, the total window over it bounds
+        x, and each allowed x takes the c that its total and column windows
+        and c_hi leave."""
         p = self.p
         ft, fm, f_s, f_tot = self._free_degrees()
-        step, stride = 2 * p * p - 2, abs(f_tot)    # total degrees
-        D = stride // f_tot         # free exponent change per total stride
+        step = 2 * p * p - 2        # total degree of t mu2
+        k = f_s // f_tot
+        g = 2 + k * step            # s - k * total falls by g with c
         lo, hi, s_lo, s_hi = region
         for sm in self.summands:
-            c_hi, pred = sm.c_hi, sm.pred
-            classes = _step_classes(p, pred, D)
+            classes = _step_classes(p, sm.pred)
             for a in sm.u:
                 for b in sm.lam:
                     for d0, i0, e in sm.module:
                         base = self._vert_const(b, d0, i0, e) - a
-                        if not f_s:
-                            for c, frees in self._fixed_column_steps(
-                                    sm, classes, a, base, region):
-                                s = -a - 2 * c
-                                t0 = base + step * c - s
-                                for free in frees:
-                                    yield (s, t0 + f_tot * free), (
-                                        a, c + ft * free, b, c + fm * free,
-                                        d0, i0, e)
+                        top = -a - k * base     # s - k * total at c = 0
+                        c_lo = max(0, -((s_hi - k * lo - top) // g))
+                        c_top = (top - s_lo + k * hi) // g + 1
+                        if sm.c_hi is not None:
+                            c_top = min(c_top, sm.c_hi)
+                        if c_lo >= c_top:
                             continue
-                        c = 0
-                        while c_hi is None or c < c_hi:
-                            rest = base + step * c  # total at free exponent 0
-                            # the column falls with c; along the free class it
-                            # moves with the total degree (t) or not at all
-                            # (mu2), so it peaks at total degree hi
-                            if -a - 2 * c + f_s * (hi - rest) // f_tot < s_lo:
-                                break
-                            # step k is total first + stride k: the free
-                            # exponent free0 + D k, the column s0 + g k
-                            first = lo + (rest - lo) % stride
-                            free0 = (first - rest) // f_tot
-                            s0, g = -a - 2 * c + f_s * free0, f_s * D
-                            k_lo, k_hi = 0, (hi - first) // stride + 1
-                            if g:
-                                k_lo = max(k_lo, -((s0 - s_lo) // g))
-                                k_hi = min(k_hi, (s_hi - s0) // g + 1)
-                            elif not s_lo <= s0 <= s_hi:
-                                k_hi = 0
-                            for k in _allowed_steps(classes, free0, D, k_lo,
-                                                    k_hi):
-                                free, s = free0 + D * k, s0 + g * k
-                                yield (s, first + stride * k - s), (
-                                    a, c + ft * free, b, c + fm * free,
-                                    d0, i0, e)
-                            c += 1
-
-    def _fixed_column_steps(self, sm: Summand,
-                            classes: tuple[int, int, tuple[int, ...]] | None,
-                            a: int, base: int, region: Region
-                            ) -> Iterable[tuple[int, list[int]]]:
-        """The tmu2 powers c of one summand row in the region, ascending,
-        each with its free exponents, ascending, when the free class has
-        column 0 (mu2).
-
-        The column -a - 2c bounds c, and the allowed free exponents are
-        listed once.  Each c takes those whose total degree is in the
-        window; the window moves down as c grows, so from an empty one the
-        walk skips to the first c that reaches the next exponent below."""
-        p = self.p
-        _, _, _, f_tot = self._free_degrees()
-        step = 2 * p * p - 2
-        lo, hi, s_lo, s_hi = region
-        c = max(0, -((a + s_hi) // 2))
-        c_top = (-a - s_lo) // 2 + 1
-        if sm.c_hi is not None:
-            c_top = min(c_top, sm.c_hi)
-        if c >= c_top:
-            return
-        free_lo = -((base + step * (c_top - 1) - lo) // f_tot)
-        frees = [free_lo + k for k in _allowed_steps(
-            classes, free_lo, 1, 0,
-            (hi - base - step * c) // f_tot - free_lo + 1)]
-        while c < c_top:
-            rest = base + step * c      # total degree at free exponent 0
-            i = bisect_left(frees, -((rest - lo) // f_tot))
-            j = bisect_right(frees, (hi - rest) // f_tot)
-            if i < j:
-                yield c, frees[i:j]
-                c += 1
-            elif i:
-                c = max(c + 1, -((base + f_tot * frees[i - 1] - lo) // step))
-            else:
-                return
-
-    def monomials_at_total(self, total: int) -> list[Monomial]:
-        """All basis monomials of one total degree; needs every summand to be
-        either truncated in the tmu2 power or pinned to free exponent 0."""
-        p = self.p
-        ft, fm, _, f_tot = self._free_degrees()
-        step = 2 * p * p - 2
-        # rest - step * c is a multiple of f_tot exactly at c = c0 + L k,
-        # where the free exponent is free0 + D k
-        g = gcd(step, f_tot)
-        L = abs(f_tot) // g
-        inv = pow(step // g, -1, L)
-        D = -step * L // f_tot
-        out: list[Monomial] = []
-        for sm in self.summands:
-            classes = _step_classes(p, sm.pred, D)
-            for a in sm.u:
-                for b in sm.lam:
-                    for d0, i0, e in sm.module:
-                        base = self._vert_const(b, d0, i0, e) - a
-                        if sm.c_hi is None:
-                            if sm.pred[0] != "zero":
-                                raise ValueError(
-                                    f"summand of {self.label} has unbounded "
-                                    f"tmu2 power and free exponent")
-                            c, rem = divmod(total - base, step)
-                            if not rem and c >= 0:
-                                out.append((a, c, b, c, d0, i0, e))
-                            continue
-                        rest = total - base
-                        if rest % g:
-                            continue
-                        c0 = rest // g * inv % L
-                        free0 = (rest - step * c0) // f_tot
-                        for k in _allowed_steps(classes, free0, D, 0,
-                                                -((c0 - sm.c_hi) // L)):
-                            free, c = free0 + D * k, c0 + L * k
-                            out.append((a, c + ft * free, b, c + fm * free,
-                                        d0, i0, e))
-        out.sort(key=self.algebra.key)
-        return out
+                        # f_tot x lies between lo - base - step (c_top - 1)
+                        # and hi - base - step c_lo
+                        n_lo = lo - base - step * (c_top - 1)
+                        n_hi = hi - base - step * c_lo
+                        if f_tot < 0:
+                            n_lo, n_hi = n_hi, n_lo
+                        for x in _allowed_steps(classes, -(-n_lo // f_tot),
+                                                n_hi // f_tot + 1):
+                            rest, s0 = base + f_tot * x, -a + f_s * x
+                            # c in the total window, the column window and
+                            # below c_top
+                            for c in range(max(0, -((rest - lo) // step),
+                                               -((s_hi - s0) // 2)),
+                                           min(c_top, (hi - rest) // step + 1,
+                                               (s0 - s_lo) // 2 + 1)):
+                                s = s0 - 2 * c
+                                yield (s, rest + step * c - s), (
+                                    a, c + ft * x, b, c + fm * x, d0, i0, e)
 
 
 # -- closed forms ---------------------------------------------------------

@@ -292,6 +292,43 @@ def test_tables_output(capsys):
 
 
 @pytest.mark.parametrize("argv,length,digest", [
+    (("tate:cp:2", "--page", "5", "--prime", "5"), 1352435,
+     "bcd3555613248edef6b297ce0784e05c21a1b96194c548b422c79b4e11278dc5"),
+    (("hofix:cp:3", "--page", "inf", "--prime", "5"), 41378,
+     "73682f3874bdb132199e54e68810de64ce8796b7a07e0bfb3ae1b72bcfe1384c"),
+    (("tate:s1", "--prime", "5"), 7854,
+     "44fe53b60bb2c4d629e67b27636801e7e7b16a2f983daf7484400a55fee5d8af"),
+    (("hofix:s1", "--prime", "5"), 7049,
+     "12ed8323c967b31352251d183677e7cd0aa8fb420e9622ce56197caa53990b27"),
+    (("tate:cp:2", "--page", "5", "--prime", "7"), 4331872,
+     "0b2071e84bc1686af3a54d818aeabb75f266329c6f35d146192a210b57c852c3"),
+    (("hofix:cp:3", "--page", "inf", "--prime", "7"), 85971,
+     "9ff76bb423f412d0c279222cb4c12ae4cffb1e45a9c13db6bd093ca966fbb9a9"),
+    (("tate:s1", "--prime", "7"), 12273,
+     "662b2c6c662bb522297386f76c911a1381749fb10250398e43ae5612f38a176d"),
+    (("hofix:s1", "--prime", "7"), 10672,
+     "07074f77343f8208b6f97df2026b010f31c57320effa6ab9feab67454675c7f6"),
+    (("tate:cp:1", "--page", "3", "--window", "0:6"), 14189,
+     "d7638e2404a45e7ab5c6dcf283f2c1079abdc5e41064575fb71d219b5daaf090"),
+    (("tate:cp:2", "--page", "inf", "--window", "-120:-40"), 7173,
+     "04665d0181b151c4f93e4779c78851ce91106c9cb74f74e14769ac33291816e0"),
+    (("hofix:cp:2", "--page", "inf", "--window", "-120:-40"), 6737,
+     "0aec72e9788abe1802171656fff6febcc76cacdbccee74f35a5a40d885dc01dd"),
+], ids=["tate-cp2-5-p5", "hofix-cp3-inf-p5", "tate-s1-p5", "hofix-s1-p5",
+        "tate-cp2-5-p7", "hofix-cp3-inf-p7", "tate-s1-p7", "hofix-s1-p7",
+        "tate-cp1-3-narrow", "tate-cp2-inf-neg", "hofix-cp2-inf-neg"])
+def test_tables_bytes_are_pinned(argv, length, digest, capsys):
+    # the goldens pin three tables dumps; these pin more pages, both
+    # conventions at p = 5 and 7, a narrow window and negative total
+    # degrees, so that the page walk's order within a bidegree and its
+    # region bounds cannot drift
+    code, out, err = run_cli(capsys, "tables", *argv)
+    assert code == 0 and not err
+    assert len(out) == length
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv,length,digest", [
     (("tc", "--prime", "5"), 965,
      "eddd8915cc77ab8d2d9b48c07cd2b5f839daa1d89ec230b92ee20f28000900d3"),
     (("tc", "--prime", "7"), 1973,

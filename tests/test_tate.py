@@ -7,6 +7,7 @@ from fpss import specseq
 from fpss.numerics import rho, vp
 from fpss.specseq import (DerivationRule, FamilyRule, Region,
                           VerificationError, bidegree_table, verify_turn)
+from fpss.tc import classify, tf_decompose
 import fpss.thh.tate as tate
 from fpss.thh.circle import comparison_region, s1_einf, s1_limits
 from fpss.thh.tate import (BOTH, IE0, IE1, IL, IM, IT, IU, PLAIN, PLAIN_E,
@@ -98,7 +99,8 @@ def test_final_page_top_class():
     # eps1b lambda2 class one periodicity step up
     einf = tower_form(P, 1, "tate", "Einf")
     alg = einf.algebra
-    monos = einf.monomials_at_total(2 * P - 2)
+    total = 2 * P - 2
+    monos = einf.iter_region(Region(total, total, -10 ** 4, 10 ** 4))
     names = sorted(alg.mono_str(m) for m in monos)
     assert names == ["t^-4", "t^25*lambda2*eps1b"]
 
@@ -247,10 +249,12 @@ def test_bidegree_tables_match_basis_at(conv):
 
 
 def test_monomials_at_total_is_fast():
-    # p = 11, kmax = 5 has tmu2 powers up to rho(11, 10) ~ 2.6e10
+    # p = 11, kmax = 5 has tmu2 powers up to rho(11, 10) ~ 2.6e10; the walk
+    # reads the total-degree window without stepping through them
     for conv in ("tate", "hofix"):
+        form = s1_einf(11, 5, conv)
         t0 = time.perf_counter()
-        monos = s1_einf(11, 5, conv).monomials_at_total(0)
+        monos = list(form.iter_region(form.total_region(0, 0)))
         assert time.perf_counter() - t0 < 2.0, conv
         assert monos
 
@@ -280,16 +284,17 @@ def _classes_at_total(form, total, c_cap):
 @pytest.mark.parametrize("conv", ["tate", "hofix"])
 @pytest.mark.parametrize("p", [5, 7])
 def test_monomials_at_total_matches_basis_at(p, conv):
-    # every class is a basis_at class of its bidegree; below the cap on the
-    # tmu2 power (above every c_hi for kmax <= 2 Tate and kmax = 1
-    # homotopy fixed point pages) the union of basis_at has no other class
+    # every class of a total-degree window read is a basis_at class of its
+    # bidegree; below the cap on the tmu2 power (above every c_hi for
+    # kmax <= 2 Tate and kmax = 1 homotopy fixed point pages) the union of
+    # basis_at has no other class
     c_cap = 2 * p * p
     ft, fm = TOWERS[conv].free
     for kmax in range(1, 5):
         form = s1_einf(p, kmax, conv)
         alg = form.algebra
         for total in range(-60, 201):
-            got = form.monomials_at_total(total)
+            got = list(form.iter_region(form.total_region(total, total)))
             assert len(set(got)) == len(got)
             for m in got:
                 assert m in form.basis_at(*alg.bidegree(m)), (kmax, m)
@@ -297,10 +302,57 @@ def test_monomials_at_total_matches_basis_at(p, conv):
             assert low == _classes_at_total(form, total, c_cap), (kmax, total)
 
 
+def _c_cap(form, hi):
+    """A tmu2 cap above every c_hi of the form and above the tmu2 power of
+    every class of its untruncated summands up to total degree hi."""
+    return max([sm.c_hi for sm in form.summands if sm.c_hi is not None]
+               + [hi // (2 * form.p * form.p - 2) + 2])
+
+
+@pytest.mark.parametrize("total", [-3000, 5000, 5040, 20000, 20016])
+@pytest.mark.parametrize("conv", ["tate", "hofix"])
+def test_window_reads_far_from_zero(conv, total):
+    # homotopy fixed point columns are -a - 2c <= 0 whatever the total, and
+    # far up the A block's tmu2 power (the zero summand's) passes every
+    # c_hi: the window read still holds exactly the union of basis_at
+    step = 2 * P * P - 2
+    forms = [s1_einf(P, kmax, conv) for kmax in (1, 2)]
+    if conv == "hofix":
+        forms += [tower_form(P, n, conv, "Einf") for n in (1, 2)]
+    seen = 0
+    for form in forms:
+        c_cap = _c_cap(form, total)
+        got = list(form.iter_region(form.total_region(total, total)))
+        assert len(set(got)) == len(got)
+        assert set(got) == _classes_at_total(form, total, c_cap), \
+            (form.label, total)
+        seen += len(got)
+        if total % step == 0 and ":s1:" in form.label:
+            # the A block's power of t mu2 in this degree
+            c = total // step
+            assert (0, c, 0, c, 0, 0, 0) in got, form.label
+    assert seen
+
+
+def test_decomposition_far_from_zero():
+    # with kmax = 1 the head, with c_hi 1, is the only truncated summand,
+    # and in degrees 5000..5030 the A block's tmu2 power is above 100
+    lo, hi = 5000, 5030
+    form = s1_einf(P, 1, "tate")
+    c_cap = _c_cap(form, hi)
+    want = set()
+    for total in range(lo, hi + 1):
+        want |= _classes_at_total(form, total, c_cap)
+    blocks = tf_decompose(P, lo, hi, 1)
+    assert set(blocks) == want and want
+    assert all(blocks[m] == classify(P, m) for m in want)
+
+
 def _scan_iter_region(form, region):
     """iter_region by scan and filter: every total degree of the window that
     can hold a class, at each tmu2 power, kept when its column is in the
-    window and the predicate accepts its free exponent."""
+    window and the predicate accepts its free exponent; each summand row's
+    classes listed by free exponent, then tmu2 power."""
     p = form.p
     ft, fm, f_s, f_tot = form._free_degrees()
     step, stride = 2 * p * p - 2, abs(f_tot)
@@ -309,6 +361,7 @@ def _scan_iter_region(form, region):
             for b in sm.lam:
                 for d0, i0, e in sm.module:
                     base = form._vert_const(b, d0, i0, e) - a
+                    row = []
                     c = 0
                     while sm.c_hi is None or c < sm.c_hi:
                         rest = base + step * c
@@ -321,9 +374,10 @@ def _scan_iter_region(form, region):
                             s = -a - 2 * c + f_s * free
                             if region.s_lo <= s <= region.s_hi and \
                                     _pred_ok(sm.pred, p, free):
-                                yield (a, c + ft * free, b, c + fm * free,
-                                       d0, i0, e)
+                                row.append((free, c))
                         c += 1
+                    for free, c in sorted(row):
+                        yield (a, c + ft * free, b, c + fm * free, d0, i0, e)
 
 
 def _oracle_regions(p, n, conv):
@@ -351,9 +405,9 @@ def test_iter_region_matches_scan(p, n, conv):
 
 
 def test_iter_region_lists_hofix_free_exponents_once(monkeypatch):
-    # the free class has column 0 on homotopy fixed point pages, so each
-    # summand row lists its allowed free exponents once instead of once
-    # per tmu2 power down to the column floor
+    # in both conventions the column minus k times the total degree does not
+    # depend on the free exponent, so each summand row lists its allowed
+    # free exponents once instead of once per tmu2 power
     calls = [0]
     real = _allowed_steps
 
@@ -362,15 +416,16 @@ def test_iter_region_lists_hofix_free_exponents_once(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(tate, "_allowed_steps", counting)
-    region = instance_region(P, 2, -2 * P * P, 5 * P * P, "hofix")
-    forms = instance_forms(tower_instance(P, 2, "hofix"))
-    for form in forms + [s1_einf(P, kmax, "hofix") for kmax in (2, 4)]:
-        calls[0] = 0
-        yielded = sum(1 for _ in form.iter_region(region))
-        rows = sum(len(sm.u) * len(sm.lam) * len(sm.module)
-                   for sm in form.summands)
-        assert yielded > 0, form.label
-        assert calls[0] <= rows, (form.label, calls[0], rows)
+    for conv in ("tate", "hofix"):
+        region = instance_region(P, 2, -2 * P * P, 5 * P * P, conv)
+        forms = instance_forms(tower_instance(P, 2, conv))
+        for form in forms + [s1_einf(P, kmax, conv) for kmax in (2, 4)]:
+            calls[0] = 0
+            yielded = sum(1 for _ in form.iter_region(region))
+            rows = sum(len(sm.u) * len(sm.lam) * len(sm.module)
+                       for sm in form.summands)
+            assert yielded > 0, form.label
+            assert calls[0] <= rows, (form.label, calls[0], rows)
 
 
 def test_iter_region_steps_only_allowed_residues(monkeypatch):
@@ -383,15 +438,15 @@ def test_iter_region_steps_only_allowed_residues(monkeypatch):
             calls[0] += 1
             return _pred_ok(pred, p, x)
 
-        real_iter = TateForm.iter_region
+        real_placed = TateForm._iter_placed
 
-        def counting_iter(self, region):
-            for m in real_iter(self, region):
+        def counting_placed(self, region):
+            for placed in real_placed(self, region):
                 yielded[0] += 1
-                yield m
+                yield placed
 
         monkeypatch.setattr(tate, "_pred_ok", counting_pred_ok)
-        monkeypatch.setattr(TateForm, "iter_region", counting_iter)
+        monkeypatch.setattr(TateForm, "_iter_placed", counting_placed)
         ok, problems = s1_limits(5, -40, 160, conv)
         monkeypatch.undo()
         assert ok, problems[:3]
@@ -929,19 +984,19 @@ PREDS = [("any",), ("zero",), ("res",), ("ceil_unit",), ("vp_eq", 0),
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_residue_steps_match_pred_ok(p):
-    # the steps iter_region and monomials_at_total take are exactly those
-    # the valuation scan accepts, ascending
+    # the free exponents iter_region takes are exactly those the valuation
+    # scan accepts, ascending
     for pred in PREDS:
-        for D in (1, -1, p * p - 1, 1 - p * p):
-            classes = _step_classes(p, pred, D)
-            for free0 in (-2 * p ** 3 - 1, -p * p, -1, 0, 1, p, 7 * p ** 3):
-                # windows longer than two periods, and shorter ones
-                for k_lo, k_hi in ((-p ** 3, 2 * p ** 3), (-1, p),
-                                   (p - 1, p * p + 2), (2, 3), (5, 5)):
-                    got = list(_allowed_steps(classes, free0, D, k_lo, k_hi))
-                    want = [k for k in range(k_lo, k_hi)
-                            if _scan_ok(pred, p, free0 + D * k)]
-                    assert got == want, (pred, D, free0, k_lo, k_hi)
+        classes = _step_classes(p, pred)
+        for free0 in (-2 * p ** 3 - 1, -p * p, -1, 0, 1, p, 7 * p ** 3):
+            # windows longer than two periods, and shorter ones
+            for k_lo, k_hi in ((-p ** 3, 2 * p ** 3), (-1, p),
+                               (p - 1, p * p + 2), (2, 3), (5, 5)):
+                got = list(_allowed_steps(classes, free0 + k_lo,
+                                          free0 + k_hi))
+                want = [free0 + k for k in range(k_lo, k_hi)
+                        if _scan_ok(pred, p, free0 + k)]
+                assert got == want, (pred, free0, k_lo, k_hi)
 
 
 def _scan_ok(pred, p, x):
