@@ -1,5 +1,10 @@
 """Batch driver: run verification targets, dump pages, emit series.
 
+Each verify target is a row of TARGETS: its smallest prime, whether it
+reads --n, and the degree it starts in.  The three commands share one
+front door, which checks the id, the prime and the window, and one
+emitter of --format structured output.
+
 Exit codes: 0 all checks pass, 1 a mathematical mismatch (a failed check
 or a structural VerificationError), 2 usage error, 3 internal error (any
 other exception, reported as such).
@@ -9,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Callable, NamedTuple
 
 from .comodule import (RingId, eq_classes, is_primitive,
                        primitive_lift_coefficients, v1_smash_thh_table)
@@ -28,17 +34,41 @@ from .thh.v1 import poincare_identity_check, v1_thh_presentation
 
 USAGE_ERROR, MISMATCH, INTERNAL_ERROR = 2, 1, 3
 
-TOWER_TARGETS = {"thm-7.1", "cor-7.2", "thm-7.4", "cor-7.5"}
-LEMMA_TARGETS = {"lemma-7.8", "lemma-7.9"}
-MIN_PRIME_RELAXED = {"oracle-hh", "bokstedt", "bokstedt:zp", "bokstedt:zlocal",
-                     "bokstedt:ell", "bokstedt:ellmodp"}
+
+class UsageError(Exception):
+    """Bad input: the front door prints it on stderr and exits 2."""
 
 
-def _tower_check(report: Report, conv: str, p: int, n: int, lo: int, hi: int,
-                 label: str) -> None:
-    for cmp_ in run_instance(tower_instance(p, n, conv), lo, hi):
-        details = [str(m) for m in cmp_.mismatches[:10]]
-        report.add(Check(f"{label}:{cmp_.label}", cmp_.passed, details))
+class Target(NamedTuple):
+    min_prime: int = 5
+    reads_n: bool = False           # reads --n, which must then be >= 1
+    first: Callable[[int], int] | None = None  # its first degree at prime p
+    tower: str | None = None        # the convention of a tower target
+
+
+# the rules of each verify target, in the order VERIFY_TARGETS keeps
+TARGETS = {
+    "prop-6.8": Target(tower="tate"),
+    "thm-7.1": Target(reads_n=True, tower="tate"),
+    "cor-7.2": Target(reads_n=True, tower="tate"),
+    "thm-7.4": Target(reads_n=True, tower="hofix"),
+    "cor-7.5": Target(reads_n=True, tower="hofix"),
+    "thm-7.12": Target(),
+    "lemma-7.8": Target(reads_n=True),
+    "lemma-7.9": Target(reads_n=True),
+    "prop-8.2": Target(first=lambda p: 2 * p - 1),
+    "prop-8.6": Target(first=lambda p: 2 * p - 1),
+    "thm-8.8": Target(),
+    "thm-8.10": Target(),
+    "cor-k-lp": Target(),
+    "primitivity": Target(),
+    "poincare-identity": Target(),
+    "oracle-hh": Target(min_prime=3),
+    "bokstedt": Target(min_prime=3, first=lambda p: 0),
+    **{f"bokstedt:{ring.value}": Target(min_prime=3, first=lambda p: 0)
+       for ring in RingId},
+}
+VERIFY_TARGETS = list(TARGETS)
 
 
 def _primitivity_check(report: Report, p: int) -> None:
@@ -60,49 +90,40 @@ def _primitivity_check(report: Report, p: int) -> None:
 
 
 def _oracle_check(report: Report, p: int) -> None:
-    ex = Algebra(p, (Generator("x", 0, 2 * p - 1, Kind.EXTERIOR),))
-    want = poincare_series(Algebra(p, (
-        Generator("x", 0, 2 * p - 1, Kind.EXTERIOR),
-        Generator("sx", 0, 2 * p, Kind.DIVIDED))), 0, 12)
-    got = hh_bruteforce(ex, 12)
-    report.add(Check("oracle-hh:exterior", got == want,
-                     [f"dims {[got.get(d) for d in range(13)]}"]))
-    px = Algebra(p, (Generator("x", 0, 2, Kind.POLYNOMIAL),))
-    want = poincare_series(Algebra(p, (
-        Generator("x", 0, 2, Kind.POLYNOMIAL),
-        Generator("sx", 0, 3, Kind.EXTERIOR))), 0, 12)
-    got = hh_bruteforce(px, 12)
-    report.add(Check("oracle-hh:polynomial", got == want,
-                     [f"dims {[got.get(d) for d in range(13)]}"]))
+    # HH of E(x) is E(x) (x) Gamma(sx), and HH of P(x) is P(x) (x) E(sx)
+    for kind, degree, s_kind in ((Kind.EXTERIOR, 2 * p - 1, Kind.DIVIDED),
+                                 (Kind.POLYNOMIAL, 2, Kind.EXTERIOR)):
+        x = Generator("x", 0, degree, kind)
+        want = poincare_series(Algebra(p, (
+            x, Generator("sx", 0, degree + 1, s_kind))), 0, 12)
+        got = hh_bruteforce(Algebra(p, (x,)), 12)
+        report.add(Check(f"oracle-hh:{kind.value}", got == want,
+                         [f"dims {[got.get(d) for d in range(13)]}"]))
 
 
 def run_verify_target(target: str, p: int, n: int, lo: int, hi: int) -> Report:
+    row = TARGETS[target]
+    if row.first is not None:
+        lo = max(lo, row.first(p))
     report = Report()
-    if target == "prop-6.8":
-        _tower_check(report, "tate", p, 1, lo, hi, target)
-    elif target in ("thm-7.1", "cor-7.2"):
-        _tower_check(report, "tate", p, n, lo, hi, target)
-    elif target in ("thm-7.4", "cor-7.5"):
-        _tower_check(report, "hofix", p, n, lo, hi, target)
+    if row.tower is not None:  # prop-6.8 is the tower of height 1
+        height = n if row.reads_n else 1
+        for cmp_ in run_instance(tower_instance(p, height, row.tower), lo, hi):
+            report.add(Check(f"{target}:{cmp_.label}", cmp_.passed,
+                             [str(m) for m in cmp_.mismatches[:10]]))
     elif target == "thm-7.12":
         for conv in ("tate", "hofix"):
             ok, details = s1_limits(p, lo, hi, conv)
             report.add(Check(f"thm-7.12:{conv}-stabilization", ok,
                              details[:10]))
-    elif target == "lemma-7.8":
-        ok, details = lemma_78_check(p, n, lo, hi)
-        report.add(Check(f"lemma-7.8:n={n}", ok, details[:10]))
-    elif target == "lemma-7.9":
-        ok, details = lemma_79_check(p, n, lo, hi)
-        report.add(Check(f"lemma-7.9:n={n}", ok, details[:10]))
-    elif target == "prop-8.2":
-        wlo = max(lo, 2 * p - 1)
-        ok, details = rh_map_check(p, wlo, hi)
-        report.add(Check("prop-8.2", ok, details[:10]))
-    elif target == "prop-8.6":
-        wlo = max(lo, 2 * p - 1)
-        ok, details = fixed_point_check(p, wlo, hi)
-        report.add(Check("prop-8.6", ok, details[:10]))
+    elif target in ("lemma-7.8", "lemma-7.9"):
+        check = lemma_78_check if target == "lemma-7.8" else lemma_79_check
+        ok, details = check(p, n, lo, hi)
+        report.add(Check(f"{target}:n={n}", ok, details[:10]))
+    elif target in ("prop-8.2", "prop-8.6"):
+        check = rh_map_check if target == "prop-8.2" else fixed_point_check
+        ok, details = check(p, lo, hi)
+        report.add(Check(target, ok, details[:10]))
     elif target == "thm-8.8":
         mod, problems = tc_presentation(p)
         report.add(Check("thm-8.8", not problems,
@@ -123,82 +144,38 @@ def run_verify_target(target: str, p: int, n: int, lo: int, hi: int) -> Report:
                              problems[:5]))
     elif target == "oracle-hh":
         _oracle_check(report, p)
-    elif target == "bokstedt" or target.startswith("bokstedt:"):
-        rings = list(RingId) if target == "bokstedt" else \
-            [RingId.parse(target.split(":", 1)[1])]
-        blo, bhi = max(lo, 0), hi
-        for ring in rings:
-            cmp_ = bokstedt_run(p, ring, blo, bhi)
+    else:  # bokstedt, or bokstedt:<ring>
+        _, _, name = target.partition(":")
+        for ring in [RingId.parse(name)] if name else RingId:
+            cmp_ = bokstedt_run(p, ring, lo, hi)
             report.add(Check(f"bokstedt:{ring.value}", cmp_.passed,
                              [str(m) for m in cmp_.mismatches[:10]]))
-    else:
-        raise KeyError(target)
     return report
 
 
-VERIFY_TARGETS = [
-    "prop-6.8", "thm-7.1", "cor-7.2", "thm-7.4", "cor-7.5", "thm-7.12",
-    "lemma-7.8", "lemma-7.9", "prop-8.2", "prop-8.6", "thm-8.8", "thm-8.10",
-    "cor-k-lp", "primitivity", "poincare-identity", "oracle-hh", "bokstedt",
-    "bokstedt:zp", "bokstedt:zlocal", "bokstedt:ell", "bokstedt:ellmodp",
-]
-
-
-def _parse_window(text: str, p: int) -> tuple[int, int]:
-    if text is None:
-        return -2 * p * p, 5 * p * p
-    lo_s, _, hi_s = text.partition(":")
-    lo, hi = int(lo_s), int(hi_s)
-    if lo > hi:
-        raise ValueError(f"empty window {text}")
-    return lo, hi
-
-
-def _parse_page(text: str):
-    if text == "inf":
-        return "inf"
-    return int(text)
-
-
-def cmd_verify(args) -> int:
-    p = args.prime
-    if args.id not in VERIFY_TARGETS:
-        print(f"unknown verification target {args.id!r}", file=sys.stderr)
-        return USAGE_ERROR
-    min_p = 3 if args.id in MIN_PRIME_RELAXED else 5
-    if not is_prime(p) or p < min_p:
-        print(f"prime >= {min_p} required, got {p}", file=sys.stderr)
-        return USAGE_ERROR
-    try:
-        lo, hi = _parse_window(args.window, p)
-    except ValueError as err:
-        print(str(err), file=sys.stderr)
-        return USAGE_ERROR
-    if args.id in TOWER_TARGETS | LEMMA_TARGETS and args.n < 1:
-        print(f"--n >= 1 required for {args.id}, got {args.n}", file=sys.stderr)
-        return USAGE_ERROR
-    if args.id in ("prop-8.2", "prop-8.6") and hi < 2 * p - 1:
-        print(f"empty window {lo}:{hi}: {args.id} starts in degree "
-              f"{2 * p - 1}", file=sys.stderr)
-        return USAGE_ERROR
+def cmd_verify(args, p: int, lo: int, hi: int) -> int:
+    row = TARGETS[args.id]
+    if row.reads_n and args.n < 1:
+        raise UsageError(f"--n >= 1 required for {args.id}, got {args.n}")
+    if row.first is not None and hi < row.first(p):
+        raise UsageError(f"empty window {lo}:{hi}: {args.id} starts in degree "
+                         f"{row.first(p)}")
     report = run_verify_target(args.id, p, args.n, lo, hi)
-    config = {"command": "verify", "id": args.id, "prime": p, "n": args.n,
-              "window": [lo, hi]}
-    _emit(args, report, config)
+    _emit(args, p, lo, hi, report.to_json_dict, lambda: [report.to_text()],
+          n=args.n)
     return 0 if report.passed else MISMATCH
 
 
 def _instance_page(args, p: int, lo: int, hi: int):
     parts = args.id.split(":")
-    page = _parse_page(args.page)
+    page = args.page if args.page == "inf" else int(args.page)
     if parts[0] == "bokstedt" and len(parts) == 2:
         ring = RingId.parse(parts[1])
-        region = Region(max(lo, 0), hi, 0, hi + 1)
-        if isinstance(page, int) and page < 2:
+        if page != "inf" and page < 2:
             raise ValueError(f"no page {page} for {args.id}")
-        if page == "inf" or (isinstance(page, int) and page >= p):
-            return bokstedt_einf_page(p, ring, hi + 1), region
-        return bokstedt_e2_page(p, ring, hi + 1), region
+        build = bokstedt_einf_page if page == "inf" or page >= p \
+            else bokstedt_e2_page
+        return build(p, ring, hi + 1), Region(max(lo, 0), hi, 0, hi + 1)
     conv = parts[0]
     if conv in TOWERS and len(parts) == 3 and parts[1] == "cp":
         n = int(parts[2])
@@ -214,85 +191,96 @@ def _instance_page(args, p: int, lo: int, hi: int):
     raise KeyError(args.id)
 
 
-def cmd_tables(args) -> int:
-    p = args.prime
-    min_p = 3 if args.id.startswith("bokstedt") else 5
-    if not is_prime(p) or p < min_p:
-        print(f"prime >= {min_p} required, got {p}", file=sys.stderr)
-        return USAGE_ERROR
+def cmd_tables(args, p: int, lo: int, hi: int) -> int:
     try:
-        lo, hi = _parse_window(args.window, p)
         form, region = _instance_page(args, p, lo, hi)
     except (KeyError, ValueError) as err:
-        print(f"unknown instance or page: {err}", file=sys.stderr)
-        return USAGE_ERROR
+        raise UsageError(f"unknown instance or page: {err}") from None
     header = f"# {args.id} page={args.page} prime={p} window={lo}:{hi}"
     body = dump_page(form, region)
-    if args.format == "structured":
-        import json
-        lines = body.splitlines()
-        doc = {"schema_version": 1,
-               "config": {"command": "tables", "id": args.id,
-                          "page": args.page, "prime": p, "window": [lo, hi]},
-               "results": [{"id": args.id, "status": "ok", "details": lines}]}
-        print(json.dumps(doc, sort_keys=True))
-    else:
-        print(header)
-        if body:
-            print(body)
+    _emit(args, p, lo, hi, lambda: [{"id": args.id, "status": "ok",
+                                     "details": body.splitlines()}],
+          lambda: [header, body] if body else [header], page=args.page)
     return 0
 
 
-PRESENTATION_IDS = ("thh:v1:zp", "thh:v1:zlocal", "thh:v1:ell",
-                    "thh:v1:ellmodp", "tc", "k", "k-lp-conditional")
+MODULES = {"tc": tc_presentation_module, "k": k_presentation_module,
+           "k-lp-conditional": k_lp_presentation}
+PRESENTATION_IDS = tuple(f"thh:v1:{ring.value}" for ring in RingId) + \
+    tuple(MODULES)
 
 
-def cmd_poincare(args) -> int:
-    p = args.prime
-    if args.id not in PRESENTATION_IDS:
-        print(f"unknown presentation {args.id!r}", file=sys.stderr)
-        return USAGE_ERROR
-    if not is_prime(p) or p < 5:
-        print(f"prime >= 5 required, got {p}", file=sys.stderr)
-        return USAGE_ERROR
-    try:
-        lo, hi = _parse_window(args.window, p)
-    except ValueError as err:
-        print(str(err), file=sys.stderr)
-        return USAGE_ERROR
-    if args.id.startswith("thh:v1:"):
-        ring = RingId.parse(args.id.rsplit(":", 1)[1])
-        pres = v1_thh_presentation(p, ring)
+def cmd_poincare(args, p: int, lo: int, hi: int) -> int:
+    if args.id in MODULES:
+        mod = MODULES[args.id](p)
+        series, extra = mod.series(lo, hi), mod.export()
+    else:
+        pres = v1_thh_presentation(p, RingId.parse(args.id.rsplit(":", 1)[1]))
         series = pres.series(max(hi, 0)).restrict(max(lo, 0), max(hi, 0))
         extra = {}
-    else:
-        mod = {"tc": tc_presentation_module, "k": k_presentation_module,
-               "k-lp-conditional": k_lp_presentation}[args.id](p)
-        series = mod.series(lo, hi)
-        extra = mod.export()
     # the v1 series holds degree 0 even when the window ends below it
     pairs = [[d, v] for d, v in series.items() if d <= hi]
-    if args.format == "structured":
-        import json
-        doc = {"schema_version": 1,
-               "config": {"command": "poincare", "id": args.id, "prime": p,
-                          "window": [lo, hi]},
-               "results": [{"id": args.id, "status": "ok",
-                            "series": pairs, "presentation": extra}]}
-        print(json.dumps(doc, sort_keys=True))
-    else:
-        print(f"# {args.id} prime={p} window={lo}:{hi}")
-        for d, v in pairs:
-            print(f"{d} {v}")
+    _emit(args, p, lo, hi, lambda: [{"id": args.id, "status": "ok",
+                                     "series": pairs, "presentation": extra}],
+          lambda: [f"# {args.id} prime={p} window={lo}:{hi}"]
+          + [f"{d} {v}" for d, v in pairs])
     return 0
 
 
-def _emit(args, report: Report, config: dict) -> None:
+# command -> (its ids with their smallest primes, or None where any id is
+# taken and read with the page; what an id names; the command)
+COMMANDS = {
+    "verify": ({t: row.min_prime for t, row in TARGETS.items()},
+               "verification target", cmd_verify),
+    "tables": (None, "instance or page", cmd_tables),
+    "poincare": (dict.fromkeys(PRESENTATION_IDS, 5), "presentation",
+                 cmd_poincare),
+}
+
+
+def _front_door(args) -> int:
+    """The one way into the three commands: the id, the prime, the window,
+    then the command.  `tables` reads its id with the page, after the
+    window, and names both in its errors.  A usage error prints one line on
+    stderr and exits 2."""
+    ids, what, command = COMMANDS[args.command]
+    p = args.prime
+    try:
+        if ids is None:
+            min_p = 3 if args.id.startswith("bokstedt") else 5
+        elif args.id not in ids:
+            raise UsageError(f"unknown {what} {args.id!r}")
+        else:
+            min_p = ids[args.id]
+        if not is_prime(p) or p < min_p:
+            raise UsageError(f"prime >= {min_p} required, got {p}")
+        lo, hi = -2 * p * p, 5 * p * p  # the default window
+        try:
+            if args.window is not None:
+                lo_s, _, hi_s = args.window.partition(":")
+                lo, hi = int(lo_s), int(hi_s)
+                if lo > hi:
+                    raise ValueError(f"empty window {args.window}")
+        except ValueError as err:
+            raise UsageError(f"unknown {what}: {err}" if ids is None
+                             else str(err)) from None
+        return command(args, p, lo, hi)
+    except UsageError as err:
+        print(err, file=sys.stderr)
+        return USAGE_ERROR
+
+
+def _emit(args, p: int, lo: int, hi: int, results, text, **config) -> None:
+    """Print the lines text() lists one by one, unjoined (a page dump runs
+    to megabytes), or under --format structured the config and results()."""
     if args.format == "structured":
         import json
-        print(json.dumps(report.to_json_dict(config), sort_keys=True))
+        config.update(command=args.command, id=args.id, prime=p,
+                      window=[lo, hi])
+        print(json.dumps({"schema_version": 1, "config": config,
+                          "results": results()}, sort_keys=True))
     else:
-        print(report.to_text())
+        print(*text(), sep="\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -311,18 +299,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run a verification target")
     sp.add_argument("id", help="target id, e.g. prop-6.8 or thm-8.10")
     common(sp)
-    sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("tables", help="dump a page in text form")
     sp.add_argument("id", help="instance id, e.g. tate:cp:1 or bokstedt:zp")
     sp.add_argument("--page", default="inf", metavar="r|inf")
     common(sp)
-    sp.set_defaults(func=cmd_tables)
 
     sp = sub.add_parser("poincare", help="emit a presentation's series")
     sp.add_argument("id", help="presentation id, e.g. tc or thh:v1:ellmodp")
     common(sp)
-    sp.set_defaults(func=cmd_poincare)
     return parser
 
 
@@ -344,7 +329,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as err:
         return USAGE_ERROR if err.code not in (0, None) else 0
     try:
-        return args.func(args)
+        return _front_door(args)
     except VerificationError as err:  # structural failures are mismatches
         print(f"verification error: {err}", file=sys.stderr)
         return MISMATCH

@@ -38,13 +38,8 @@ class Report:
                      f"({sum(c.passed for c in self.checks)}/{len(self.checks)})")
         return "\n".join(lines)
 
-    def to_json_dict(self, config: dict) -> dict:
-        return {
-            "schema_version": 1,
-            "config": config,
-            "results": [
-                {"id": c.id, "status": c.status(),
+    def to_json_dict(self) -> list[dict]:
+        """The results list of the structured document."""
+        return [{"id": c.id, "status": c.status(),
                  "conditional": c.conditional, "details": list(c.details)}
-                for c in self.checks
-            ],
-        }
+                for c in self.checks]

@@ -2,6 +2,7 @@ import ast
 import hashlib
 import json
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -9,6 +10,7 @@ import pytest
 
 import fpss.cli
 import fpss.tc as tc
+from fpss.comodule import RingId
 from fpss.cli import main
 
 
@@ -44,6 +46,64 @@ def test_verify_usage_errors(capsys):
     for target, window in (("prop-8.6", "0:5"), ("prop-8.2", "0:3")):
         code, out, err = run_cli(capsys, "verify", target, "--window", window)
         assert code == 2 and "empty window" in err and not out
+    # the Bokstedt targets start in degree 0: a window below it compared no
+    # slot, and once gave a vacuous PASS
+    for target, window in (("bokstedt", "-10:-5"), ("bokstedt:zp", "-10:-1"),
+                           ("bokstedt:ellmodp", "-3:-3")):
+        code, out, err = run_cli(capsys, "verify", target, "--window", window)
+        assert code == 2 and not out
+        assert err == f"empty window {window}: {target} starts in degree 0\n"
+    # a window that reaches degree 0 is raised to it and runs
+    code, out, err = run_cli(capsys, "verify", "bokstedt:zp", "--window", "-10:0")
+    assert code == 0 and not err and out.startswith("PASS bokstedt:zp\n")
+
+
+EXPECTED_TARGETS = [
+    "prop-6.8", "thm-7.1", "cor-7.2", "thm-7.4", "cor-7.5", "thm-7.12",
+    "lemma-7.8", "lemma-7.9", "prop-8.2", "prop-8.6", "thm-8.8", "thm-8.10",
+    "cor-k-lp", "primitivity", "poincare-identity", "oracle-hh", "bokstedt",
+    "bokstedt:zp", "bokstedt:zlocal", "bokstedt:ell", "bokstedt:ellmodp",
+]
+PRIME_3_TARGETS = {"oracle-hh", "bokstedt", "bokstedt:zp", "bokstedt:zlocal",
+                   "bokstedt:ell", "bokstedt:ellmodp"}
+N_TARGETS = {"thm-7.1", "cor-7.2", "thm-7.4", "cor-7.5", "lemma-7.8",
+             "lemma-7.9"}
+
+
+def test_verify_targets_keep_their_list():
+    # the golden test runs every target over VERIFY_TARGETS, so a row
+    # dropped from the table would otherwise go unseen
+    assert fpss.cli.VERIFY_TARGETS == EXPECTED_TARGETS
+
+
+@pytest.mark.parametrize("target", fpss.cli.VERIFY_TARGETS)
+def test_verify_target_rules(target, capsys):
+    # --prime 3 is refused exactly where the smallest prime is 5, and
+    # --n 0 exactly where the target reads --n
+    code, out, err = run_cli(capsys, "verify", target, "--prime", "3")
+    if target in PRIME_3_TARGETS:
+        assert code == 0 and not err and out.startswith("PASS "), out
+    else:
+        assert (code, out, err) == (2, "", "prime >= 5 required, got 3\n")
+    code, out, err = run_cli(capsys, "verify", target, "--n", "0")
+    if target in N_TARGETS:
+        assert (code, out, err) == (
+            2, "", f"--n >= 1 required for {target}, got 0\n")
+    else:
+        assert code == 0 and not err and out.startswith("PASS "), out
+
+
+def test_readme_names_every_target_and_presentation():
+    # README's "Command line" section lists every verify target and
+    # presentation; `<ring>` stands for each ring id
+    readme = (pathlib.Path(__file__).resolve().parent.parent
+              / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    named = {word.replace("<ring>", ring.value)
+             for word in re.findall(r"`([^`\s]+)`", section)
+             for ring in RingId}
+    listed = fpss.cli.VERIFY_TARGETS + list(fpss.cli.PRESENTATION_IDS)
+    assert [name for name in listed if name not in named] == []
 
 
 def test_verify_relaxed_prime_for_oracle(capsys):
@@ -374,6 +434,109 @@ def test_comodule_bytes_are_pinned(argv, length, digest, capsys):
     assert code == 0 and not err
     assert len(out) == length
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv,length,digest", [
+    (("tables", "tate:cp:1", "--page", "3", "--window", "0:6"), 15297,
+     "ec5711a204ab558bf1c24370a663b5e04c2176ebacd2dd09b979c527cbd20bbc"),
+    (("tables", "bokstedt:zp", "--page", "2", "--window", "0:12"), 1068,
+     "d07a91323a1e26be7c106bbcf984e05c479b454fc333d3942212cc904f38d314"),
+    (("tables", "tate:s1"), 8576,
+     "c24efd26bdcb049d188ef1a848ac971a076c5750537221ee4ee69c066e054aec"),
+    (("verify", "thm-7.1", "--n", "2"), 775,
+     "fafe2eab482699412ca14f914d066322e06d04a7412cf628609b782adffc212b"),
+    (("verify", "bokstedt"), 450,
+     "403dd89ab45611803b22c73ff2a0615a6208561c4b78d3dce06fac36d1f59429"),
+    (("verify", "prop-8.2"), 263,
+     "472b75423a6ec1936c43a2957dcd4090d8794bc557f08d56f7d54f84cafdceff"),
+], ids=["tables-tate-cp1-3", "tables-bokstedt-zp-2", "tables-tate-s1",
+        "verify-thm-7.1-n2", "verify-bokstedt", "verify-prop-8.2"])
+def test_structured_bytes_are_pinned(argv, length, digest, capsys):
+    # structured documents of `tables` and `verify`: keys, order, and the
+    # window as given, also where a target starts above it (`bokstedt` and
+    # `prop-8.2` at the default window)
+    code, out, err = run_cli(capsys, *argv, "--format", "structured")
+    assert code == 0 and not err
+    assert len(out) == length
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+BROKEN = "invalid literal for int() with base 10: 'broken'"
+
+
+USAGE_ERRORS = [
+    (("verify", "no-such-target"),
+     "unknown verification target 'no-such-target'"),
+    (("verify", "bokstedt:nope"), "unknown verification target 'bokstedt:nope'"),
+    (("verify", "no-such-target", "--prime", "4"),
+     "unknown verification target 'no-such-target'"),
+    (("verify", "thm-7.1", "--prime", "4"), "prime >= 5 required, got 4"),
+    (("verify", "thm-7.1", "--prime", "3"), "prime >= 5 required, got 3"),
+    (("verify", "bokstedt", "--prime", "2"), "prime >= 3 required, got 2"),
+    (("verify", "bokstedt:ell", "--prime", "9"), "prime >= 3 required, got 9"),
+    (("verify", "oracle-hh", "--prime", "1"), "prime >= 3 required, got 1"),
+    (("verify", "thm-8.8", "--window", "broken"), BROKEN),
+    (("verify", "thm-8.8", "--window", "5:1"), "empty window 5:1"),
+    (("verify", "thm-8.8", "--window", "5"),
+     "invalid literal for int() with base 10: ''"),
+    (("verify", "thm-7.1", "--prime", "4", "--window", "broken"),
+     "prime >= 5 required, got 4"),
+    (("verify", "thm-7.1", "--n", "0"), "--n >= 1 required for thm-7.1, got 0"),
+    (("verify", "lemma-7.8", "--n", "-3"),
+     "--n >= 1 required for lemma-7.8, got -3"),
+    (("verify", "thm-7.1", "--n", "0", "--window", "5:1"), "empty window 5:1"),
+    (("verify", "prop-8.6", "--window", "0:5"),
+     "empty window 0:5: prop-8.6 starts in degree 9"),
+    (("verify", "prop-8.2", "--window", "0:3"),
+     "empty window 0:3: prop-8.2 starts in degree 9"),
+    (("verify", "prop-8.2", "--window", "0:12", "--prime", "7"),
+     "empty window 0:12: prop-8.2 starts in degree 13"),
+    (("verify", "prop-8.2", "--window", "0:3", "--n", "0"),
+     "empty window 0:3: prop-8.2 starts in degree 9"),
+    (("tables", "unknown:thing"), "unknown instance or page: 'unknown:thing'"),
+    (("tables", "unknown:thing", "--prime", "4"), "prime >= 5 required, got 4"),
+    (("tables", "tate"), "unknown instance or page: 'tate'"),
+    (("tables", "tate:s1:junk"), "unknown instance or page: 'tate:s1:junk'"),
+    (("tables", "hofix:cp:0"), "unknown instance or page: tower height 0 < 1"),
+    (("tables", "tate:cp:x"),
+     "unknown instance or page: invalid literal for int() with base 10: 'x'"),
+    (("tables", "hofix:s1", "--page", "3"), "unknown instance or page: "
+     "'only the final page exists for circle instances'"),
+    (("tables", "tate:cp:1", "--page", "x"),
+     "unknown instance or page: invalid literal for int() with base 10: 'x'"),
+    (("tables", "bokstedt:nope", "--page", "x"),
+     "unknown instance or page: invalid literal for int() with base 10: 'x'"),
+    (("tables", "bokstedt:zp", "--page", "1"),
+     "unknown instance or page: no page 1 for bokstedt:zp"),
+    (("tables", "bokstedt:zp", "--page", "-3"),
+     "unknown instance or page: no page -3 for bokstedt:zp"),
+    (("tables", "bokstedt:nope"),
+     "unknown instance or page: unknown ring id 'nope'"),
+    (("tables", "bokstedt", "--prime", "3"),
+     "unknown instance or page: 'bokstedt'"),
+    (("tables", "tate:cp:1", "--prime", "3"), "prime >= 5 required, got 3"),
+    (("tables", "bokstedt:zp", "--prime", "4"), "prime >= 3 required, got 4"),
+    (("tables", "tate:cp:1", "--window", "5:1"),
+     "unknown instance or page: empty window 5:1"),
+    (("tables", "tate:cp:1", "--window", "broken"),
+     f"unknown instance or page: {BROKEN}"),
+    (("tables", "bokstedt:zp", "--page", "1", "--window", "5:1"),
+     "unknown instance or page: empty window 5:1"),
+    (("poincare", "nope"), "unknown presentation 'nope'"),
+    (("poincare", "nope", "--prime", "3"), "unknown presentation 'nope'"),
+    (("poincare", "tc", "--prime", "3"), "prime >= 5 required, got 3"),
+    (("poincare", "thh:v1:zp", "--prime", "9"), "prime >= 5 required, got 9"),
+    (("poincare", "tc", "--window", "broken"), BROKEN),
+    (("poincare", "k", "--window", "5:1"), "empty window 5:1"),
+]
+
+
+@pytest.mark.parametrize("argv,message", USAGE_ERRORS,
+                         ids=[" ".join(argv) for argv, _ in USAGE_ERRORS])
+def test_usage_messages_are_pinned(argv, message, capsys):
+    # every usage error of the three commands, in each command's order of
+    # checks: exit 2, one line on stderr, nothing on stdout
+    assert run_cli(capsys, *argv) == (2, "", message + "\n")
 
 
 def test_byte_identical_reruns(capsys):

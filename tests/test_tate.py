@@ -248,7 +248,7 @@ def test_bidegree_tables_match_basis_at(conv):
             assert after.get((s, t), ()) == st.after.basis_at(s, t), (s, t)
 
 
-def test_monomials_at_total_is_fast():
+def test_total_region_read_is_fast():
     # p = 11, kmax = 5 has tmu2 powers up to rho(11, 10) ~ 2.6e10; the walk
     # reads the total-degree window without stepping through them
     for conv in ("tate", "hofix"):
@@ -283,7 +283,7 @@ def _classes_at_total(form, total, c_cap):
 
 @pytest.mark.parametrize("conv", ["tate", "hofix"])
 @pytest.mark.parametrize("p", [5, 7])
-def test_monomials_at_total_matches_basis_at(p, conv):
+def test_total_region_read_matches_basis_at(p, conv):
     # every class of a total-degree window read is a basis_at class of its
     # bidegree; below the cap on the tmu2 power (above every c_hi for
     # kmax <= 2 Tate and kmax = 1 homotopy fixed point pages) the union of
