@@ -1,19 +1,21 @@
 """Batch driver: run verification targets, dump pages, emit series.
 
 Each verify target is a row of TARGETS: its smallest prime, whether it
-reads --n, and the degree it starts in.  The three commands share one
-front door, which checks the id, the prime and the window, and one
-emitter of --format structured output.
+reads --n, and the degree it starts in.  read_argv reads the command, its
+id and the OPTIONS table from argv; -h or --help prints USAGE.  The three
+commands share one front door, which checks the id, the prime and the
+window, and one emitter of --format structured output.
 
 Exit codes: 0 all checks pass, 1 a mathematical mismatch (a failed check
-or a structural VerificationError), 2 usage error, 3 internal error (any
-other exception, reported as such).
+or a structural VerificationError), 2 usage error (one line on stderr), 3
+internal error (any other exception, reported as such).
 Output is deterministic: identical invocations produce identical bytes.
 """
 from __future__ import annotations
 
-import argparse
 import sys
+from math import inf
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 from .comodule import (RingId, eq_classes, is_primitive,
@@ -42,7 +44,7 @@ class UsageError(Exception):
 class Target(NamedTuple):
     min_prime: int = 5
     reads_n: bool = False           # reads --n, which must then be >= 1
-    first: Callable[[int], int] | None = None  # its first degree at prime p
+    first: Callable[[int], float] = lambda p: -inf  # first degree at prime p
     tower: str | None = None        # the convention of a tower target
 
 
@@ -103,8 +105,6 @@ def _oracle_check(report: Report, p: int) -> None:
 
 def run_verify_target(target: str, p: int, n: int, lo: int, hi: int) -> Report:
     row = TARGETS[target]
-    if row.first is not None:
-        lo = max(lo, row.first(p))
     report = Report()
     if row.tower is not None:  # prop-6.8 is the tower of height 1
         height = n if row.reads_n else 1
@@ -153,14 +153,21 @@ def run_verify_target(target: str, p: int, n: int, lo: int, hi: int) -> Report:
     return report
 
 
+def _window_start(target: str, p: int, lo: int, hi: int) -> int:
+    """The window's start raised to the target's first degree; a window that
+    ends below that degree is a usage error."""
+    first = TARGETS[target].first(p)
+    if hi < first:
+        raise UsageError(f"empty window {lo}:{hi}: {target} starts in degree "
+                         f"{first}")
+    return max(lo, first)
+
+
 def cmd_verify(args, p: int, lo: int, hi: int) -> int:
-    row = TARGETS[args.id]
-    if row.reads_n and args.n < 1:
+    if TARGETS[args.id].reads_n and args.n < 1:
         raise UsageError(f"--n >= 1 required for {args.id}, got {args.n}")
-    if row.first is not None and hi < row.first(p):
-        raise UsageError(f"empty window {lo}:{hi}: {args.id} starts in degree "
-                         f"{row.first(p)}")
-    report = run_verify_target(args.id, p, args.n, lo, hi)
+    start = _window_start(args.id, p, lo, hi)
+    report = run_verify_target(args.id, p, args.n, start, hi)
     _emit(args, p, lo, hi, report.to_json_dict, lambda: [report.to_text()],
           n=args.n)
     return 0 if report.passed else MISMATCH
@@ -175,7 +182,8 @@ def _instance_page(args, p: int, lo: int, hi: int):
             raise ValueError(f"no page {page} for {args.id}")
         build = bokstedt_einf_page if page == "inf" or page >= p \
             else bokstedt_e2_page
-        return build(p, ring, hi + 1), Region(max(lo, 0), hi, 0, hi + 1)
+        start = _window_start(args.id, p, lo, hi)
+        return build(p, ring, hi + 1), Region(start, hi, 0, hi + 1)
     conv = parts[0]
     if conv in TOWERS and len(parts) == 3 and parts[1] == "cp":
         n = int(parts[2])
@@ -241,33 +249,28 @@ COMMANDS = {
 def _front_door(args) -> int:
     """The one way into the three commands: the id, the prime, the window,
     then the command.  `tables` reads its id with the page, after the
-    window, and names both in its errors.  A usage error prints one line on
-    stderr and exits 2."""
+    window, and names both in its errors."""
     ids, what, command = COMMANDS[args.command]
     p = args.prime
+    if ids is None:
+        min_p = 3 if args.id.startswith("bokstedt") else 5
+    elif args.id not in ids:
+        raise UsageError(f"unknown {what} {args.id!r}")
+    else:
+        min_p = ids[args.id]
+    if not is_prime(p) or p < min_p:
+        raise UsageError(f"prime >= {min_p} required, got {p}")
+    lo, hi = -2 * p * p, 5 * p * p  # the default window
     try:
-        if ids is None:
-            min_p = 3 if args.id.startswith("bokstedt") else 5
-        elif args.id not in ids:
-            raise UsageError(f"unknown {what} {args.id!r}")
-        else:
-            min_p = ids[args.id]
-        if not is_prime(p) or p < min_p:
-            raise UsageError(f"prime >= {min_p} required, got {p}")
-        lo, hi = -2 * p * p, 5 * p * p  # the default window
-        try:
-            if args.window is not None:
-                lo_s, _, hi_s = args.window.partition(":")
-                lo, hi = int(lo_s), int(hi_s)
-                if lo > hi:
-                    raise ValueError(f"empty window {args.window}")
-        except ValueError as err:
-            raise UsageError(f"unknown {what}: {err}" if ids is None
-                             else str(err)) from None
-        return command(args, p, lo, hi)
-    except UsageError as err:
-        print(err, file=sys.stderr)
-        return USAGE_ERROR
+        if args.window is not None:
+            lo_s, _, hi_s = args.window.partition(":")
+            lo, hi = int(lo_s), int(hi_s)
+            if lo > hi:
+                raise ValueError(f"empty window {args.window}")
+    except ValueError as err:
+        raise UsageError(f"unknown {what}: {err}" if ids is None
+                         else str(err)) from None
+    return command(args, p, lo, hi)
 
 
 def _emit(args, p: int, lo: int, hi: int, results, text, **config) -> None:
@@ -283,53 +286,59 @@ def _emit(args, p: int, lo: int, hi: int, results, text, **config) -> None:
         print(*text(), sep="\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fpss",
-        description="exact verification of F_p spectral sequence computations")
-    sub = parser.add_subparsers(dest="command", required=True)
+# option -> its default; an int default means an int value, and --page is
+# read by `tables` only
+OPTIONS = {"prime": 5, "window": None, "n": 1, "format": "text", "page": "inf"}
+USAGE = """\
+fpss verify <target> [--prime P] [--window lo:hi] [--n N] [--format text|structured]
+fpss tables <instance> [--page r|inf] [--prime P] [--window lo:hi] [--format text|structured]
+fpss poincare <presentation> [--prime P] [--window lo:hi] [--format text|structured]"""
 
-    def common(sp):
-        sp.add_argument("--prime", type=int, default=5)
-        sp.add_argument("--window", default=None, metavar="lo:hi")
-        sp.add_argument("--n", type=int, default=1)
-        sp.add_argument("--format", choices=("text", "structured"),
-                        default="text")
 
-    sp = sub.add_parser("verify", help="run a verification target")
-    sp.add_argument("id", help="target id, e.g. prop-6.8 or thm-8.10")
-    common(sp)
-
-    sp = sub.add_parser("tables", help="dump a page in text form")
-    sp.add_argument("id", help="instance id, e.g. tate:cp:1 or bokstedt:zp")
-    sp.add_argument("--page", default="inf", metavar="r|inf")
-    common(sp)
-
-    sp = sub.add_parser("poincare", help="emit a presentation's series")
-    sp.add_argument("id", help="presentation id, e.g. tc or thh:v1:ellmodp")
-    common(sp)
-    return parser
+def read_argv(argv: list[str]) -> SimpleNamespace:
+    """The command, its id and its options.  An option is written --opt value
+    or --opt=value, by its full name, before or after the id, and the last
+    one given wins; a value may start with a dash (--window -10:-5)."""
+    if not argv or argv[0] not in COMMANDS:
+        raise UsageError(f"unknown command {argv[0]!r}" if argv else
+                         "missing command: verify, tables or poincare")
+    args = SimpleNamespace(command=argv[0], id=None, **OPTIONS)
+    rest = iter(argv[1:])
+    for arg in rest:
+        if not arg.startswith("-"):
+            if args.id is not None:
+                raise UsageError(f"unexpected argument {arg!r}")
+            args.id = arg
+            continue
+        opt, eq, value = arg.partition("=")
+        name = opt.removeprefix("--")  # a single-dash option keeps its dash
+        if name not in OPTIONS or (name == "page" and args.command != "tables"):
+            raise UsageError(f"unknown option {opt!r} for {args.command}")
+        if not eq and (value := next(rest, None)) is None:
+            raise UsageError(f"{opt} needs a value")
+        if type(OPTIONS[name]) is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise UsageError(f"{opt} needs an integer, got {value!r}")
+        elif name == "format" and value not in ("text", "structured"):
+            raise UsageError(f"{opt} needs text or structured, got {value!r}")
+        setattr(args, name, value)
+    if args.id is None:
+        raise UsageError(f"missing {COMMANDS[args.command][1]}")
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    merged: list[str] = []
-    it = iter(argv)
-    for arg in it:
-        # windows like -20:120 start with a dash; keep argparse out of it
-        if arg == "--window":
-            value = next(it, None)
-            merged.append(arg if value is None else f"--window={value}")
-        else:
-            merged.append(arg)
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        print(USAGE)
+        return 0
     try:
-        args = parser.parse_args(merged)
-    except SystemExit as err:
-        return USAGE_ERROR if err.code not in (0, None) else 0
-    try:
-        return _front_door(args)
+        return _front_door(read_argv(argv))
+    except UsageError as err:
+        print(err, file=sys.stderr)
+        return USAGE_ERROR
     except VerificationError as err:  # structural failures are mismatches
         print(f"verification error: {err}", file=sys.stderr)
         return MISMATCH

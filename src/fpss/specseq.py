@@ -359,12 +359,22 @@ def _echelon_mismatches(alg: Algebra, rule: _TurnValues,
 
 
 def dump_page(page: Page, region: Region) -> str:
-    """Text dump: one line per bidegree, ordered by total degree then s."""
+    """Text dump: one line per bidegree, ordered by total degree then s; the
+    text of each power in it is made once, by mono_str on that power alone."""
     alg = page.algebra
     bases = bidegree_table(page, region)
+    texts: list[dict[int, str]] = [{} for _ in alg.gens]  # [slot][exponent]
+
+    def power(slot: int, e: int) -> str:
+        m = tuple(e if i == slot else 0 for i in range(len(texts)))
+        text = texts[slot][e] = alg.mono_str(m)
+        return text
+
     lines = []
     for (s, t) in sorted(bases, key=lambda bd: (bd[0] + bd[1], bd[0])):
         monos = bases[(s, t)]
-        basis = ",".join(alg.mono_str(m) for m in monos)
-        lines.append(f"s={s} t={t} dim={len(monos)} basis={basis}")
+        words = ["*".join([texts[i].get(e) or power(i, e)
+                           for i, e in enumerate(m) if e]) or "1"
+                 for m in monos]
+        lines.append(f"s={s} t={t} dim={len(monos)} basis={','.join(words)}")
     return "\n".join(lines)

@@ -13,6 +13,11 @@ import fpss.tc as tc
 from fpss.comodule import RingId
 from fpss.cli import main
 
+README = (pathlib.Path(__file__).resolve().parent.parent
+          / "README.md").read_text()
+COMMAND_LINE = README.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+SYNOPSIS = COMMAND_LINE.split("```\n", 2)[1]  # its first code block
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -96,11 +101,8 @@ def test_verify_target_rules(target, capsys):
 def test_readme_names_every_target_and_presentation():
     # README's "Command line" section lists every verify target and
     # presentation; `<ring>` stands for each ring id
-    readme = (pathlib.Path(__file__).resolve().parent.parent
-              / "README.md").read_text()
-    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
     named = {word.replace("<ring>", ring.value)
-             for word in re.findall(r"`([^`\s]+)`", section)
+             for word in re.findall(r"`([^`\s]+)`", COMMAND_LINE)
              for ring in RingId}
     listed = fpss.cli.VERIFY_TARGETS + list(fpss.cli.PRESENTATION_IDS)
     assert [name for name in listed if name not in named] == []
@@ -522,6 +524,8 @@ USAGE_ERRORS = [
      f"unknown instance or page: {BROKEN}"),
     (("tables", "bokstedt:zp", "--page", "1", "--window", "5:1"),
      "unknown instance or page: empty window 5:1"),
+    (("tables", "bokstedt:zp", "--window", "-10:-5"),
+     "empty window -10:-5: bokstedt:zp starts in degree 0"),
     (("poincare", "nope"), "unknown presentation 'nope'"),
     (("poincare", "nope", "--prime", "3"), "unknown presentation 'nope'"),
     (("poincare", "tc", "--prime", "3"), "prime >= 5 required, got 3"),
@@ -537,6 +541,66 @@ def test_usage_messages_are_pinned(argv, message, capsys):
     # every usage error of the three commands, in each command's order of
     # checks: exit 2, one line on stderr, nothing on stdout
     assert run_cli(capsys, *argv) == (2, "", message + "\n")
+
+
+# argv -> a str: the one-line argv error (exit 2, nothing on stdout); a
+# tuple: another argv that prints the same bytes; None: README's synopsis
+READER = [
+    ((), "missing command: verify, tables or poincare"),
+    (("verfy", "thm-8.10"), "unknown command 'verfy'"),
+    (("--prime", "5"), "unknown command '--prime'"),
+    (("verify",), "missing verification target"),
+    (("tables", "--page", "3"), "missing instance or page"),
+    (("poincare", "--prime=7"), "missing presentation"),
+    (("verify", "thm-8.10", "thm-8.8"), "unexpected argument 'thm-8.8'"),
+    (("tables", "tate:s1", "--window", "0:4", "inf"),
+     "unexpected argument 'inf'"),
+    (("verify", "thm-8.10", "--pri", "3"), "unknown option '--pri' for verify"),
+    (("verify", "thm-8.10", "--primes=3"),
+     "unknown option '--primes' for verify"),
+    (("poincare", "tc", "-p", "7"), "unknown option '-p' for poincare"),
+    (("tables", "tate:s1", "--wind", "0:4"),
+     "unknown option '--wind' for tables"),
+    (("verify", "thm-8.10", "--page", "3"),
+     "unknown option '--page' for verify"),
+    (("poincare", "tc", "--page=inf"), "unknown option '--page' for poincare"),
+    (("verify", "thm-8.10", "--prime"), "--prime needs a value"),
+    (("tables", "tate:cp:1", "--window"), "--window needs a value"),
+    (("verify", "thm-8.10", "--prime", "five"),
+     "--prime needs an integer, got 'five'"),
+    (("verify", "lemma-7.9", "--n=1.5"), "--n needs an integer, got '1.5'"),
+    (("verify", "thm-8.10", "--format", "json"),
+     "--format needs text or structured, got 'json'"),
+    (("poincare", "tc", "--format="), "--format needs text or structured, got ''"),
+    (("poincare", "tc", "--window", "-10:-5"),
+     ("poincare", "tc", "--window=-10:-5")),
+    (("tables", "bokstedt:zp", "--page", "2", "--window", "-10:12"),
+     ("tables", "bokstedt:zp", "--page=2", "--window=-10:12")),
+    (("tables", "bokstedt:zp", "--window", "-10:-5"),
+     ("tables", "bokstedt:zp", "--window=-10:-5")),
+    (("verify", "--n", "2", "--window=-20:60", "lemma-7.8"),
+     ("verify", "lemma-7.8", "--n", "2", "--window", "-20:60")),
+    (("tables", "--page", "3", "--window", "0:6", "tate:cp:1"),
+     ("tables", "tate:cp:1", "--page", "3", "--window", "0:6")),
+    (("poincare", "--prime", "3", "k", "--format", "text", "--prime=7"),
+     ("poincare", "k", "--prime", "7")),
+    (("-h",), None),
+    (("--help",), None),
+    (("verify", "-h"), None),
+    (("tables", "tate:cp:1", "--page", "3", "--help"), None),
+]
+
+
+@pytest.mark.parametrize("argv,want", READER,
+                         ids=[" ".join(argv) for argv, _ in READER])
+def test_argv_reader(argv, want, capsys):
+    got = run_cli(capsys, *argv)
+    if want is None:
+        assert got == (0, SYNOPSIS, "")
+    elif isinstance(want, str):
+        assert got == (2, "", want + "\n")
+    else:
+        assert got == run_cli(capsys, *want) and (got[1] or got[2])
 
 
 def test_byte_identical_reruns(capsys):

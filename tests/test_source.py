@@ -81,10 +81,15 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
 
 
 def test_importing_the_cli_leaves_json_out():
-    # json is loaded only where --format structured output is written
+    # json is loaded only where --format structured output is written, and
+    # the driver reads argv itself: neither argparse nor the gettext and
+    # locale modules it pulls in are paid for by a default command
     src = str(pathlib.Path(fpss.__file__).parent.parent)
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import fpss.cli; "
-            "print('json' in sys.modules)")
+            "codes = [fpss.cli.main(['verify', 'thm-8.10']), fpss.cli.main("
+            "['tables', 'tate:cp:1', '--page', '3', '--window', '0:6'])]; "
+            "print(codes, [m for m in ('argparse', 'gettext', 'locale', "
+            "'json') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-I", "-c", code, src], text=True,
                          capture_output=True, timeout=60, check=True)
-    assert out.stdout.strip() == "False", out.stdout + out.stderr
+    assert out.stdout.splitlines()[-1] == "[0, 0] []", out.stdout + out.stderr

@@ -368,6 +368,38 @@ def test_dump_format():
     assert lines[1] == "s=0 t=5 dim=1 basis=x"
 
 
+def _dump_by_mono_str(page, region):
+    # the reference text: mono_str on each class, in dump_page's order
+    bases = bidegree_table(page, region)
+    return "\n".join(
+        f"s={s} t={t} dim={len(ms)} basis="
+        + ",".join(page.algebra.mono_str(m) for m in ms)
+        for s, t in sorted(bases, key=lambda bd: (bd[0] + bd[1], bd[0]))
+        for ms in [bases[(s, t)]])
+
+
+def _dump_pages():
+    from fpss.comodule import RingId
+    from fpss.thh.bokstedt import bokstedt_e2_page
+    from fpss.thh.tate import instance_region, tower_instance
+    alg = toy_algebra()
+    yield page_of(alg, [alg.unit_mono, alg.mono(w=2), alg.mono(x=1, y=1),
+                        alg.mono(y=1, w=3), alg.mono(x=1, w=1)]), REGION
+    for conv, n, r in (("tate", 1, 3), ("hofix", 2, "inf")):
+        yield (tower_instance(P, n, conv).form_at(r),
+               instance_region(P, n, -20, 60, conv))
+    yield bokstedt_e2_page(3, RingId.ELL_MOD_P, 41), Region(0, 40, 0, 41)
+
+
+def test_dump_text_is_mono_str_of_each_class():
+    # dump_page makes each power's text once; every class must still read
+    # as mono_str writes it (unit, exponents, divided powers, Laurent t,
+    # several classes in one bidegree)
+    for page, region in _dump_pages():
+        text = dump_page(page, region)
+        assert text and text == _dump_by_mono_str(page, region), page
+
+
 def test_divided_power_core_survivors():
     # one divided power column against one exterior suspension class: the
     # height p truncation survives, the exterior class dies
