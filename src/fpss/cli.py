@@ -1,10 +1,10 @@
 """Batch driver: run verification targets, dump pages, emit series.
 
 Each verify target is a row of TARGETS: its smallest prime, whether it
-reads --n, and the degree it starts in.  read_argv reads the command, its
-id and the OPTIONS table from argv; -h or --help prints USAGE.  The three
-commands share one front door, which checks the id, the prime and the
-window, and one emitter of --format structured output.
+reads --n and --window, and the degree it starts in.  read_argv reads the
+command, its id and the OPTIONS table from argv; -h or --help prints
+USAGE.  The three commands share one front door, which checks the id, the
+prime and the window, and one emitter of --format structured output.
 
 Exit codes: 0 all checks pass, 1 a mathematical mismatch (a failed check
 or a structural VerificationError), 2 usage error (one line on stderr), 3
@@ -44,6 +44,7 @@ class UsageError(Exception):
 class Target(NamedTuple):
     min_prime: int = 5
     reads_n: bool = False           # reads --n, which must then be >= 1
+    reads_window: bool = True       # reads --window; else none may be given
     first: Callable[[int], float] = lambda p: -inf  # first degree at prime p
     tower: str | None = None        # the convention of a tower target
 
@@ -60,12 +61,12 @@ TARGETS = {
     "lemma-7.9": Target(reads_n=True),
     "prop-8.2": Target(first=lambda p: 2 * p - 1),
     "prop-8.6": Target(first=lambda p: 2 * p - 1),
-    "thm-8.8": Target(),
-    "thm-8.10": Target(),
-    "cor-k-lp": Target(),
-    "primitivity": Target(),
-    "poincare-identity": Target(),
-    "oracle-hh": Target(min_prime=3),
+    "thm-8.8": Target(reads_window=False),
+    "thm-8.10": Target(reads_window=False),
+    "cor-k-lp": Target(reads_window=False),
+    "primitivity": Target(reads_window=False),
+    "poincare-identity": Target(reads_window=False),
+    "oracle-hh": Target(min_prime=3, reads_window=False),
     "bokstedt": Target(min_prime=3, first=lambda p: 0),
     **{f"bokstedt:{ring.value}": Target(min_prime=3, first=lambda p: 0)
        for ring in RingId},
@@ -164,8 +165,11 @@ def _window_start(target: str, p: int, lo: int, hi: int) -> int:
 
 
 def cmd_verify(args, p: int, lo: int, hi: int) -> int:
-    if TARGETS[args.id].reads_n and args.n < 1:
+    row = TARGETS[args.id]
+    if row.reads_n and args.n < 1:
         raise UsageError(f"--n >= 1 required for {args.id}, got {args.n}")
+    if args.window is not None and not row.reads_window:
+        raise UsageError(f"{args.id} reads no --window, got {args.window}")
     start = _window_start(args.id, p, lo, hi)
     report = run_verify_target(args.id, p, args.n, start, hi)
     _emit(args, p, lo, hi, report.to_json_dict, lambda: [report.to_text()],

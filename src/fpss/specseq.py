@@ -2,9 +2,10 @@
 
 Pages are bidegree-indexed monomial bases inside a trust region; a
 differential of length r maps bidegree (s, t) to (s - r, t + r - 1), so it
-drops total degree by one.  verify_turn certifies that a closed-form page
-is the homology of the page before it, bidegree by bidegree, with exact
-sparse linear algebra.
+drops total degree by one.  A page is read one way: its iter_region yields
+each class of a region with its bidegree.  verify_turn certifies that a
+closed-form page is the homology of the page before it, bidegree by
+bidegree, with exact sparse linear algebra.
 
 verify_turn is the elimination reference: in every bidegree it takes
 kernel and image by Echelon and certifies the closed form's span.  No
@@ -55,7 +56,8 @@ class Page(Protocol):
     r: int
     algebra: Algebra
 
-    def iter_region(self, region: Region) -> Iterable[Monomial]: ...
+    def iter_region(self, region: Region
+                    ) -> Iterable[tuple[Bidegree, Monomial]]: ...
 
 
 class DerivationRule(NamedTuple):
@@ -193,19 +195,12 @@ class _TurnValues:
 def bidegree_table(page: Page, region: Region
                    ) -> dict[Bidegree, tuple[Monomial, ...]]:
     """Every bidegree basis of the page in the region, from one iter_region
-    pass, each in canonical order.  A page whose enumeration already knows
-    each bidegree (TateForm._iter_placed) hands the pairs over."""
-    alg = page.algebra
-    placed = getattr(page, "_iter_placed", None)
+    pass, each in canonical order: one bidegree has one total degree, so
+    the exponent tuples alone order it."""
     buckets: dict[Bidegree, list[Monomial]] = {}
-    if placed is None:
-        bidegree = alg.bidegree
-        for m in page.iter_region(region):
-            buckets.setdefault(bidegree(m), []).append(m)
-    else:
-        for bd, m in placed(region):
-            buckets.setdefault(bd, []).append(m)
-    return {bd: tuple(ms) if len(ms) == 1 else tuple(sorted(ms, key=alg.key))
+    for bd, m in page.iter_region(region):
+        buckets.setdefault(bd, []).append(m)
+    return {bd: tuple(ms) if len(ms) == 1 else tuple(sorted(ms))
             for bd, ms in buckets.items()}
 
 
@@ -334,11 +329,8 @@ def _echelon_mismatches(alg: Algebra, rule: _TurnValues,
         if hdim != len(closed):
             mismatches.append(BidegreeMismatch((s, t), len(closed), hdim, ""))
             continue
-        # span certification
+        # span certification: each closed-form class must extend the image
         index = {m: i for i, m in enumerate(b1)}
-        span = Echelon(alg.p, len(b1))
-        for piv, row in im_ech.rows.items():
-            span.insert(dict(row))
         for m in closed:
             if m not in index:
                 mismatches.append(BidegreeMismatch(
@@ -350,7 +342,7 @@ def _echelon_mismatches(alg: Algebra, rule: _TurnValues,
                     (s, t), len(closed), hdim,
                     f"closed-form class {alg.mono_str(m)} is not a cycle"))
                 break
-            if span.insert({index[m]: 1}) is None:
+            if im_ech.insert({index[m]: 1}) is None:
                 mismatches.append(BidegreeMismatch(
                     (s, t), len(closed), hdim,
                     f"closed-form class {alg.mono_str(m)} dependent on the image"))

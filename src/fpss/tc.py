@@ -97,7 +97,7 @@ def tf_decompose(p: int, lo: int, hi: int, kmax: int = 5
         raise ValueError("the block decomposition needs degrees > 2p-2")
     page = s1_einf(p, kmax, "tate")
     blocks: dict[Monomial, tuple[str, int]] = {}
-    for m in page.iter_region(page.total_region(lo, hi)):
+    for _, m in page.iter_region(page.total_region(lo, hi)):
         if m in blocks:
             raise ValueError(
                 f"monomial {page.algebra.mono_str(m)} doubly classified")

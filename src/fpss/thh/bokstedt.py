@@ -15,7 +15,8 @@ from typing import Iterable
 
 from ..comodule import TAU_SETS, RingId
 from ..graded import Algebra, Generator, Kind, Monomial
-from ..specseq import DerivationRule, PageComparison, Region, verify_turn
+from ..specseq import (Bidegree, DerivationRule, PageComparison, Region,
+                       verify_turn)
 
 # which suspended xi-classes survive to the last page
 _SURVIVING_SXI = {
@@ -83,16 +84,19 @@ class BokstedtPage:
         monos = self.algebra.basis_in_bidegree(s, t)
         return tuple(m for m in monos if self._keep(m))
 
-    def iter_region(self, region: Region) -> Iterable[Monomial]:
+    def iter_region(self, region: Region
+                    ) -> Iterable[tuple[Bidegree, Monomial]]:
         # every generator has positive total degree, so one pass over the
         # total-degree window enumerates the whole region
         lo, hi, s_lo, s_hi = region
         s_hi = min(s_hi, self.top)
+        sdeg = self.algebra.sdeg
         by_total = self.algebra.basis_monomials_by_total(max(lo, 0), hi)
-        for monos in by_total.values():
+        for d, monos in by_total.items():
             for m in monos:
-                if s_lo <= self.algebra.sdeg(m) <= s_hi and self._keep(m):
-                    yield m
+                s = sdeg(m)
+                if s_lo <= s <= s_hi and self._keep(m):
+                    yield (s, d - s), m
 
 
 def bokstedt_e2_page(p: int, ring: RingId, top: int) -> BokstedtPage:

@@ -50,7 +50,7 @@ def s1_einf(p: int, kmax: int, conv: str) -> TateForm:
 
 def _u_free_dims(form: TateForm, region: Region) -> dict[tuple[int, int], int]:
     out: dict[tuple[int, int], int] = {}
-    for bd, m in form._iter_placed(region):
+    for bd, m in form.iter_region(region):
         if not m[IU]:
             out[bd] = out.get(bd, 0) + 1
     return out
@@ -89,11 +89,11 @@ def lemma_78_check(p: int, n: int, lo: int, hi: int) -> tuple[bool, list[str]]:
         c_y = rho(p, 2 * n - 1)
         total = (2 * p * p - 2) * c_y + 2 * p * p * j
         s_y = -2 * c_y
-        for m in form.iter_region(
+        for (s, _), m in form.iter_region(
                 form.total_region(total, total)._replace(s_hi=s_y - 1)):
             problems.append(
                 f"j={j}: class {alg.mono_str(m)} in degree {total} has "
-                f"column {alg.sdeg(m)} below {s_y}")
+                f"column {s} below {s_y}")
     return not problems, problems or [f"{candidates} exponents checked"]
 
 
@@ -119,8 +119,8 @@ def lemma_79_check(p: int, n: int, lo: int, hi: int) -> tuple[bool, list[str]]:
         # internal degree <= t_cap is column >= total - t_cap; no class of
         # the summand has negative internal degree
         total = total_z + 1
-        found = sorted(summand.iter_region(
-            Region(total, total, total - t_cap, total)), key=alg.key)
+        found = sorted(m for _, m in summand.iter_region(
+            Region(total, total, total - t_cap, total)))
         expect_j = p ** (2 * n + 1) - p ** (2 * n + 2) + i
         expect = (0, expect_j, 0, 0, 0, 0, 1)
         if found != [expect]:

@@ -13,7 +13,7 @@ on homotopy fixed point pages:
 
 The two towers are one description: everything else that tells them apart
 is the convention's row of TOWERS.  One walk enumerates both
-(TateForm._iter_placed): a class's column and total degree are linear in
+(TateForm.iter_region): a class's column and total degree are linear in
 the free exponent and in c, and the column minus k times the total (k = 1
 for Tate, 0 for homotopy fixed points) does not depend on the free
 exponent, so a region bounds c, then the free exponent, in closed form.
@@ -54,8 +54,8 @@ from typing import Callable, Iterable, NamedTuple
 
 from ..graded import Algebra, Generator, Kind, Monomial
 from ..numerics import rho
-from ..specseq import (DerivationRule, DiffRule, FamilyRule, PageComparison,
-                       Region, verify_turn)
+from ..specseq import (Bidegree, DerivationRule, DiffRule, FamilyRule,
+                       PageComparison, Region, verify_turn)
 
 # exponent slots in the ambient algebra
 IU, IT, IL, IM, IE0, IM0, IE1 = range(7)
@@ -264,12 +264,9 @@ class TateForm(NamedTuple):
         return Region(lo, hi, TOWERS[self.conv].s_floor(self.p, lo, c_top),
                       max(hi, 0))
 
-    def iter_region(self, region: Region) -> Iterable[Monomial]:
-        return (m for _, m in self._iter_placed(region))
-
-    def _iter_placed(self, region: Region
-                     ) -> Iterable[tuple[tuple[int, int], Monomial]]:
-        """iter_region's monomials, each with its bidegree: summand row by
+    def iter_region(self, region: Region
+                    ) -> Iterable[tuple[Bidegree, Monomial]]:
+        """The region's classes, each with its bidegree: summand row by
         summand row, free exponent ascending, then tmu2 power c ascending.
 
         The column s and the total degree of a class are linear in the free

@@ -65,7 +65,7 @@ def poincare_identity_check(p: int, ring: RingId, hi: int
     v1_side = ps_from_degree_list([0, 1, 2 * p - 1, 2 * p], 0, hi)
     page = bokstedt_einf_page(p, ring, hi + 1)
     h_thh = PoincareSeries.from_counts(0, hi, Counter(
-        page.algebra.total(m) for m in page.iter_region(Region(0, hi, 0, hi))))
+        s + t for (s, t), _ in page.iter_region(Region(0, hi, 0, hi))))
     lhs = v1_side.mul(h_thh)
     astar = poincare_series(astar_algebra(p, hi), 0, hi)
     rhs = astar.mul(v1_thh_presentation(p, ring).series(hi))

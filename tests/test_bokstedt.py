@@ -60,7 +60,7 @@ def page_and_oracle(p, ring, hi, cutoff):
     oracle = hh_bruteforce(Algebra(p, tuple(small)), hi)
     # the page restricted to the same generators
     keep = {g.name for g in small}
-    monos = [m for m in page.iter_region(Region(0, hi, 0, hi + 1))
+    monos = [m for _, m in page.iter_region(Region(0, hi, 0, hi + 1))
              if all(e == 0 or alg.gens[i].name in keep
                     or alg.gens[i].name[1:] in keep
                     for i, e in enumerate(m))]
@@ -91,7 +91,7 @@ def test_einf_kills_suspended_even_classes():
     page = bokstedt_einf_page(P, RingId.HZP_MOD, 30)
     alg = page.algebra
     i = alg.index("sbxi1")
-    for m in page.iter_region(Region(0, 25, 0, 26)):
+    for _, m in page.iter_region(Region(0, 25, 0, 26)):
         assert m[i] == 0
         for g, e in zip(alg.gens, m):
             if g.name.startswith("sbtau"):

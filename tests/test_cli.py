@@ -495,6 +495,18 @@ USAGE_ERRORS = [
      "empty window 0:12: prop-8.2 starts in degree 13"),
     (("verify", "prop-8.2", "--window", "0:3", "--n", "0"),
      "empty window 0:3: prop-8.2 starts in degree 9"),
+    (("verify", "thm-8.8", "--window", "1000:1001"),
+     "thm-8.8 reads no --window, got 1000:1001"),
+    (("verify", "thm-8.10", "--window", "-50:125"),
+     "thm-8.10 reads no --window, got -50:125"),
+    (("verify", "cor-k-lp", "--window=0:10"),
+     "cor-k-lp reads no --window, got 0:10"),
+    (("verify", "primitivity", "--window", "0:0", "--prime", "7"),
+     "primitivity reads no --window, got 0:0"),
+    (("verify", "poincare-identity", "--window", "0:30"),
+     "poincare-identity reads no --window, got 0:30"),
+    (("verify", "oracle-hh", "--window", "0:12", "--prime", "3"),
+     "oracle-hh reads no --window, got 0:12"),
     (("tables", "unknown:thing"), "unknown instance or page: 'unknown:thing'"),
     (("tables", "unknown:thing", "--prime", "4"), "prime >= 5 required, got 4"),
     (("tables", "tate"), "unknown instance or page: 'tate'"),
@@ -639,3 +651,38 @@ def test_verify_lemma_targets(capsys):
     code, out, _ = run_cli(capsys, "verify", "lemma-7.9", "--prime", "5",
                            "--n", "1", "--window", "-60:120")
     assert code == 0
+
+
+PAGE_READS = [
+    (("tables", "tate:cp:1", "--page", "3", "--window", "0:6"), True),
+    (("tables", "bokstedt:zp", "--page", "2", "--window", "0:12"), True),
+    (("verify", "thm-7.12"), True),
+    (("verify", "prop-8.2"), True),
+    # the lemma's statement is that each region it reads is empty
+    (("verify", "lemma-7.8", "--n", "2"), False),
+    (("verify", "poincare-identity"), True),
+]
+
+
+@pytest.mark.parametrize("argv,classes", PAGE_READS,
+                         ids=[" ".join(argv) for argv, _ in PAGE_READS])
+def test_every_page_read_is_iter_region(argv, classes, capsys, monkeypatch):
+    # page dumps, the circle comparison, the endgame and the Bokstedt series
+    # all read their pages through the pages' one iter_region
+    from fpss.thh.bokstedt import BokstedtPage
+    from fpss.thh.tate import TateForm
+    reads, pairs = [0], [0]
+
+    def counting(real):
+        def read(self, region):
+            reads[0] += 1
+            for bd, m in real(self, region):
+                pairs[0] += 1
+                yield bd, m
+        return read
+
+    for cls in (TateForm, BokstedtPage):
+        monkeypatch.setattr(cls, "iter_region", counting(cls.iter_region))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and out and not err, (out, err)
+    assert reads[0] > 0 and (pairs[0] > 0) == classes, (reads, pairs)

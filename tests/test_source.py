@@ -93,3 +93,15 @@ def test_importing_the_cli_leaves_json_out():
     out = subprocess.run([sys.executable, "-I", "-c", code, src], text=True,
                          capture_output=True, timeout=60, check=True)
     assert out.stdout.splitlines()[-1] == "[0, 0] []", out.stdout + out.stderr
+
+
+def test_no_module_reads_attributes_by_name():
+    # a page is read one way, by its iter_region; getattr and hasattr would
+    # let a duck-typed second read path come back
+    found = []
+    for path in sorted(pathlib.Path(fpss.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id in ("getattr", "hasattr"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found

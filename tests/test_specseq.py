@@ -31,7 +31,7 @@ class TablePage:
     def iter_region(self, region):
         for (s, t), monos in self.table.items():
             if region.contains(s, t):
-                yield from monos
+                yield from (((s, t), m) for m in monos)
 
 
 def page_of(alg, monos, label="E2", r=2):

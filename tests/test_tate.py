@@ -37,7 +37,7 @@ def relabeling_agreement(p, n, lo, hi):
         return False, [f"page counts differ: {len(forms_a)} vs {len(forms_b)}"]
     problems = []
     for fa, fb in zip(forms_a, forms_b):
-        da, db = (Counter(f.algebra.bidegree(m) for m in f.iter_region(region))
+        da, db = (Counter(bd for bd, _ in f.iter_region(region))
                   for f in (fa, fb))
         if da != db:
             bad = min(bd for bd in da | db if da[bd] != db[bd])
@@ -70,10 +70,9 @@ def test_forms_are_duplicate_free():
                  tower_form(P, 2, "hofix", "Einf")):
         region = Region(-30, 60, -400, 64)
         seen = set()
-        for m in form.iter_region(region):
+        for (s, t), m in form.iter_region(region):
             assert m not in seen
             seen.add(m)
-            s, t = form.algebra.bidegree(m)
             assert m in form.basis_at(s, t)
 
 
@@ -101,7 +100,7 @@ def test_final_page_top_class():
     alg = einf.algebra
     total = 2 * P - 2
     monos = einf.iter_region(Region(total, total, -10 ** 4, 10 ** 4))
-    names = sorted(alg.mono_str(m) for m in monos)
+    names = sorted(alg.mono_str(m) for _, m in monos)
     assert names == ["t^-4", "t^25*lambda2*eps1b"]
 
 
@@ -110,7 +109,7 @@ def test_cpn_einf_block_example():
     # rho(1) = 21
     einf = tower_form(P, 2, "tate", "Einf")
     alg = einf.algebra
-    sample = [m for m in einf.iter_region(Region(-60, 60, -3000, 64))
+    sample = [m for _, m in einf.iter_region(Region(-60, 60, -3000, 64))
               if m[IL] == 0 and m[IU] == 0 and m[IE1] == 0
               and (m[IT] - m[IM]) not in (0,) and m[IM] > 0]
     assert sample
@@ -126,11 +125,9 @@ def test_pages_never_grow():
     forms = instance_forms(inst)
     for before, after in zip(forms, forms[1:]):
         dims_b = {}
-        for m in before.iter_region(region):
-            bd = before.algebra.bidegree(m)
+        for bd, _ in before.iter_region(region):
             dims_b[bd] = dims_b.get(bd, 0) + 1
-        for m in after.iter_region(region):
-            bd = after.algebra.bidegree(m)
+        for bd, _ in after.iter_region(region):
             dims_b[bd] = dims_b.get(bd, 0) - 1
         assert all(v >= 0 for v in dims_b.values())
 
@@ -240,7 +237,7 @@ def test_bidegree_tables_match_basis_at(conv):
         # the bidegrees two in-region passes give
         assert checked == {inst.algebra.bidegree(m)
                            for form in (st.before, st.after)
-                           for m in form.iter_region(region)}
+                           for _, m in form.iter_region(region)}
         assert checked
         for s, t in checked:
             for bd in ((s, t), (s + r, t - r + 1), (s - r, t + r - 1)):
@@ -294,7 +291,8 @@ def test_total_region_read_matches_basis_at(p, conv):
         form = s1_einf(p, kmax, conv)
         alg = form.algebra
         for total in range(-60, 201):
-            got = list(form.iter_region(form.total_region(total, total)))
+            got = [m for _, m in
+                   form.iter_region(form.total_region(total, total))]
             assert len(set(got)) == len(got)
             for m in got:
                 assert m in form.basis_at(*alg.bidegree(m)), (kmax, m)
@@ -322,7 +320,7 @@ def test_window_reads_far_from_zero(conv, total):
     seen = 0
     for form in forms:
         c_cap = _c_cap(form, total)
-        got = list(form.iter_region(form.total_region(total, total)))
+        got = [m for _, m in form.iter_region(form.total_region(total, total))]
         assert len(set(got)) == len(got)
         assert set(got) == _classes_at_total(form, total, c_cap), \
             (form.label, total)
@@ -399,8 +397,12 @@ def test_iter_region_matches_scan(p, n, conv):
     forms += [s1_einf(p, kmax, conv) for kmax in (2, 3, 4)]
     for form in forms:
         for region in _oracle_regions(p, n, conv):
-            got = list(form.iter_region(region))
+            placed = list(form.iter_region(region))
+            got = [m for _, m in placed]
             assert got == list(_scan_iter_region(form, region)), \
+                (form.label, region)
+            # the scan places no class, so each bidegree is checked apart
+            assert all(bd == form.algebra.bidegree(m) for bd, m in placed), \
                 (form.label, region)
 
 
@@ -438,15 +440,15 @@ def test_iter_region_steps_only_allowed_residues(monkeypatch):
             calls[0] += 1
             return _pred_ok(pred, p, x)
 
-        real_placed = TateForm._iter_placed
+        real_read = TateForm.iter_region
 
-        def counting_placed(self, region):
-            for placed in real_placed(self, region):
+        def counting_read(self, region):
+            for placed in real_read(self, region):
                 yielded[0] += 1
                 yield placed
 
         monkeypatch.setattr(tate, "_pred_ok", counting_pred_ok)
-        monkeypatch.setattr(TateForm, "_iter_placed", counting_placed)
+        monkeypatch.setattr(TateForm, "iter_region", counting_read)
         ok, problems = s1_limits(5, -40, 160, conv)
         monkeypatch.undo()
         assert ok, problems[:3]
@@ -526,8 +528,8 @@ def test_default_tower_runs_enumerate_no_page(monkeypatch):
             return real(*args)
         return counting
 
-    monkeypatch.setattr(TateForm, "_iter_placed",
-                        spy(TateForm._iter_placed))
+    monkeypatch.setattr(TateForm, "iter_region",
+                        spy(TateForm.iter_region))
     monkeypatch.setattr(specseq, "bidegree_table",
                         spy(specseq.bidegree_table))
     for p in (5, 7):
@@ -970,7 +972,7 @@ def test_rule_table_matches_closures(p, n, conv):
         assert (st.rule.name, st.rule.r) == (want.name, want.r)
         region = instance_region(p, n, -20, 60, conv).widen(st.rule.r)
         fired = 0
-        for m in st.before.iter_region(region):
+        for _, m in st.before.iter_region(region):
             got = st.rule.apply(alg, m)
             assert got == want.apply(alg, m), (want.name, alg.mono_str(m))
             fired += bool(got)
