@@ -107,9 +107,8 @@ def _oracle_check(report: Report, p: int) -> None:
 def run_verify_target(target: str, p: int, n: int, lo: int, hi: int) -> Report:
     row = TARGETS[target]
     report = Report()
-    if row.tower is not None:  # prop-6.8 is the tower of height 1
-        height = n if row.reads_n else 1
-        for cmp_ in run_instance(tower_instance(p, height, row.tower), lo, hi):
+    if row.tower is not None:  # prop-6.8, reading no --n, has height 1
+        for cmp_ in run_instance(tower_instance(p, n, row.tower), lo, hi):
             report.add(Check(f"{target}:{cmp_.label}", cmp_.passed,
                              [str(m) for m in cmp_.mismatches[:10]]))
     elif target == "thm-7.12":
@@ -166,14 +165,17 @@ def _window_start(target: str, p: int, lo: int, hi: int) -> int:
 
 def cmd_verify(args, p: int, lo: int, hi: int) -> int:
     row = TARGETS[args.id]
-    if row.reads_n and args.n < 1:
-        raise UsageError(f"--n >= 1 required for {args.id}, got {args.n}")
+    n = 1 if args.n is None else args.n
+    if row.reads_n and n < 1:
+        raise UsageError(f"--n >= 1 required for {args.id}, got {n}")
     if args.window is not None and not row.reads_window:
         raise UsageError(f"{args.id} reads no --window, got {args.window}")
     start = _window_start(args.id, p, lo, hi)
-    report = run_verify_target(args.id, p, args.n, start, hi)
+    if args.n is not None and not row.reads_n:
+        raise UsageError(f"{args.id} reads no --n, got {n}")
+    report = run_verify_target(args.id, p, n, start, hi)
     _emit(args, p, lo, hi, report.to_json_dict, lambda: [report.to_text()],
-          n=args.n)
+          n=n)
     return 0 if report.passed else MISMATCH
 
 
@@ -290,9 +292,12 @@ def _emit(args, p: int, lo: int, hi: int, results, text, **config) -> None:
         print(*text(), sep="\n")
 
 
-# option -> its default; an int default means an int value, and --page is
-# read by `tables` only
-OPTIONS = {"prime": 5, "window": None, "n": 1, "format": "text", "page": "inf"}
+# option -> its default; None tells a given option from none, since a target
+# refuses a --window or --n it does not read.  --prime and --n take integers
+OPTIONS = {"prime": 5, "window": None, "n": None, "format": "text",
+           "page": "inf"}
+# the options that one command alone reads
+ONLY = {"page": "tables", "n": "verify"}
 USAGE = """\
 fpss verify <target> [--prime P] [--window lo:hi] [--n N] [--format text|structured]
 fpss tables <instance> [--page r|inf] [--prime P] [--window lo:hi] [--format text|structured]
@@ -316,11 +321,11 @@ def read_argv(argv: list[str]) -> SimpleNamespace:
             continue
         opt, eq, value = arg.partition("=")
         name = opt.removeprefix("--")  # a single-dash option keeps its dash
-        if name not in OPTIONS or (name == "page" and args.command != "tables"):
+        if name not in OPTIONS or ONLY.get(name, args.command) != args.command:
             raise UsageError(f"unknown option {opt!r} for {args.command}")
         if not eq and (value := next(rest, None)) is None:
             raise UsageError(f"{opt} needs a value")
-        if type(OPTIONS[name]) is int:
+        if name in ("prime", "n"):
             try:
                 value = int(value)
             except ValueError:

@@ -32,19 +32,21 @@ cells: a key (u, lambda2 and module exponents), a tmu2 power c and
 disjoint p-adic balls {x : x = r mod p^j} of free exponents, the
 predicates' balls (_balls).  Balls are nested or disjoint, so their meet,
 difference and translation are never finer than the predicates'.  Along
-c each key is constant between the summands' tmu2 bounds.  A turn sends
-each source key to an image key, raises c by a constant and translates
-the guarded balls by a constant, so its sources go one to one onto their
-images, and when the images are page classes that are not sources
-themselves, the homology is the page without sources and images
-(algebraic discrete Morse theory on summands: Skoldberg, Trans. AMS 358,
-2006).  A RuleRow's matching flips its exterior slot.  The suspension
-d = x delta reduces to the module by Leibniz: its values lie on the module
-generators, so d(a m) = +-a x delta(m) for a passive monomial a (u,
-lambda2, t, mu2), and delta(eps0 mu0^(i-1)) = mu0^i matches module keys,
-with x = t moving c and the free exponent.  run_instance sends a turn to
-verify_turn only when the certificate's precondition fails or the closed
-form disagrees.
+c a key's cell is constant between the tmu2 bounds of the summands that
+hold it.  A turn sends each source key to an image key, raises c by a
+constant and translates the guarded balls by a constant, so its sources
+go one to one onto their images, and when the images are page classes
+that are not sources themselves, the homology is the page without sources
+and images (algebraic discrete Morse theory on summands: Skoldberg, Trans.
+AMS 358, 2006).  So a key is checked only at its own cuts: its bounds on
+the page and in the closed form, and its preimage's page bounds raised by
+the turn's increment.  A RuleRow's matching flips its exterior slot.  The
+suspension d = x delta reduces to the module by Leibniz: its values lie on
+the module generators, so d(a m) = +-a x delta(m) for a passive monomial a
+(u, lambda2, t, mu2), and delta(eps0 mu0^(i-1)) = mu0^i matches module
+keys, with x = t moving c and the free exponent.  run_instance sends a
+turn to verify_turn only when the certificate's precondition fails or the
+closed form disagrees.
 """
 from __future__ import annotations
 
@@ -542,31 +544,28 @@ def _moved(A: list[Ball], shift: int) -> list[Ball]:
     return [(q, (r + shift) % q) for q, r in A]
 
 
-def _cell_tables(before: TateForm, after: TateForm
-                 ) -> tuple[list[Cells], set[int]] | None:
-    """The cells of the page and of the closed form, and their tmu2 cuts B;
-    None when a predicate is zero.
+def _cell_tables(before: TateForm, after: TateForm) -> list[Cells] | None:
+    """The cells of the page and of the closed form; None when a predicate
+    is zero.
 
     A page's cells map each key (u, lambda2, eps0, mu0, eps1b) to the tmu2
-    bound and free-exponent balls of every summand that holds it.  B is 0
-    and every tmu2 bound: each key is constant between cuts."""
+    bound and free-exponent balls of every summand that holds it, so a
+    key's cell is constant between 0 and the bounds listed for it."""
     p = before.p
-    tables, cuts = [], {0}
+    tables = []
     for form in (before, after):
         cells: Cells = {}
         for sm in form.summands:
             balls = _ball_list(sm.pred, p)
             if balls is None:
                 return None
-            if sm.c_hi is not None:
-                cuts.add(sm.c_hi)
             for a in sm.u:
                 for b in sm.lam:
                     for trip in sm.module:
                         cells.setdefault((a, b) + trip, []).append(
                             (sm.c_hi, balls))
         tables.append(cells)
-    return tables, cuts
+    return tables
 
 
 def _cell(cells: Cells, key: tuple[int, ...], c: int) -> list[Ball] | None:
@@ -581,6 +580,11 @@ def _cell(cells: Cells, key: tuple[int, ...], c: int) -> list[Ball] | None:
                 return None
             out += balls
     return out
+
+
+def _bounds(cells: Cells, key: tuple[int, ...] | None) -> set[int]:
+    """The finite tmu2 bounds of the summands that hold the key."""
+    return {c_hi for c_hi, _ in cells.get(key, ()) if c_hi is not None}
 
 
 # a turn as a matching of cells: each source key's image key, the tmu2
@@ -655,10 +659,14 @@ def _matching_certifies(st: Stage) -> PageComparison | None:
     class, the homology is the page without sources and images (algebraic
     discrete Morse theory on summands: Skoldberg, Trans. AMS 358, 2006),
     and it must be the closed form of the same convention.  Both are
-    checked per key on the cuts B and B + inc: between two cuts the page,
-    the closed form, the sources and the images arriving from c - inc are
-    constant.  The count is the cells compared where the page or the closed
-    form holds a class."""
+    checked per key at its own cuts: 0, inc, the tmu2 bounds of the page
+    and closed-form summands that hold the key, and each page bound of its
+    preimage plus inc.  Between two of them the key's page cell, its
+    closed-form cell and the images arriving from c - inc are constant.
+    The guard and the shift are fixed for the turn, so each distinct
+    (page, closed form, arrivals, source or not) cell is checked once.  The
+    count is the keys and cuts where the page or the closed form holds a
+    class."""
     before, after, r = st.before, st.after, st.rule.r
     p, conv, alg = before.p, before.conv, before.algebra
     if after.algebra != alg or after.conv != conv:
@@ -666,7 +674,7 @@ def _matching_certifies(st: Stage) -> PageComparison | None:
     cells = _cell_tables(before, after)
     if cells is None:
         return None
-    (page, closed), cuts = cells
+    page, closed = cells
     match = (_d2_matching if st.row is None else _row_matching)(st, page)
     if match is None:
         return None
@@ -677,23 +685,27 @@ def _matching_certifies(st: Stage) -> PageComparison | None:
                                  inc, shift)) != (-r, r - 1)
             for key, img in image.items()):
         return None
-    keys = page.keys() | closed.keys() | image_of.keys()
-    compared = 0
-    for c in cuts | {b + inc for b in cuts}:
-        for key in keys:
+    compared, distinct = 0, set()
+    for key in page.keys() | closed.keys() | image_of.keys():
+        pre = image_of.get(key)
+        cuts = {0, inc} | _bounds(page, key) | _bounds(closed, key) | {
+            b + inc for b in _bounds(page, pre)}
+        for c in cuts:
             here, want = _cell(page, key, c), _cell(closed, key, c)
-            pre = image_of.get(key)
             hit = [] if pre is None else _cell(page, pre, c - inc)
             if here is None or want is None or hit is None:
                 return None
-            if not (here or want or hit):
-                continue
-            hit = _moved(_meet(hit, guard), shift)
-            src = _meet(here, guard) if key in image else []
-            if _minus(hit, here, p) or \
-                    not _same(_minus(_minus(here, src, p), hit, p), want, p):
-                return None
-            compared += bool(here or want)
+            if here or want or hit:
+                distinct.add((tuple(here), tuple(want), tuple(hit),
+                              key in image))
+                compared += bool(here or want)
+    for here, want, hit, is_src in distinct:
+        here, want = list(here), list(want)
+        hit = _moved(_meet(list(hit), guard), shift)
+        src = _meet(here, guard) if is_src else []
+        if _minus(hit, here, p) or \
+                not _same(_minus(_minus(here, src, p), hit, p), want, p):
+            return None
     return PageComparison(f"{before.label} -> {after.label}", compared, [])
 
 

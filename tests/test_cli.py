@@ -83,8 +83,9 @@ def test_verify_targets_keep_their_list():
 
 @pytest.mark.parametrize("target", fpss.cli.VERIFY_TARGETS)
 def test_verify_target_rules(target, capsys):
-    # --prime 3 is refused exactly where the smallest prime is 5, and
-    # --n 0 exactly where the target reads --n
+    # --prime 3 is refused exactly where the smallest prime is 5; --n 0 is
+    # refused as too small where the target reads --n, and as unread
+    # everywhere else
     code, out, err = run_cli(capsys, "verify", target, "--prime", "3")
     if target in PRIME_3_TARGETS:
         assert code == 0 and not err and out.startswith("PASS "), out
@@ -95,7 +96,7 @@ def test_verify_target_rules(target, capsys):
         assert (code, out, err) == (
             2, "", f"--n >= 1 required for {target}, got 0\n")
     else:
-        assert code == 0 and not err and out.startswith("PASS "), out
+        assert (code, out, err) == (2, "", f"{target} reads no --n, got 0\n")
 
 
 def test_readme_names_every_target_and_presentation():
@@ -507,6 +508,12 @@ USAGE_ERRORS = [
      "poincare-identity reads no --window, got 0:30"),
     (("verify", "oracle-hh", "--window", "0:12", "--prime", "3"),
      "oracle-hh reads no --window, got 0:12"),
+    (("verify", "thm-8.8", "--n", "3"), "thm-8.8 reads no --n, got 3"),
+    (("verify", "prop-6.8", "--n", "3"), "prop-6.8 reads no --n, got 3"),
+    (("verify", "prop-8.2", "--n=1", "--window", "0:12"),
+     "prop-8.2 reads no --n, got 1"),
+    (("tables", "tate:cp:1", "--n", "2"), "unknown option '--n' for tables"),
+    (("poincare", "tc", "--n", "4"), "unknown option '--n' for poincare"),
     (("tables", "unknown:thing"), "unknown instance or page: 'unknown:thing'"),
     (("tables", "unknown:thing", "--prime", "4"), "prime >= 5 required, got 4"),
     (("tables", "tate"), "unknown instance or page: 'tate'"),

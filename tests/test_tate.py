@@ -610,6 +610,113 @@ def test_tower_turns_are_fast():
     assert time.perf_counter() - t0 < 1.0
 
 
+@pytest.mark.parametrize("conv", ["tate", "hofix"])
+def test_tower_certificate_work_gate(conv, monkeypatch):
+    # the benchmark's tower run at p = 5, n = 2: each key is visited at its
+    # own tmu2 cuts only, and each distinct cell gets one ball check.  A
+    # count of _same and _cell calls, not a timing (every key at every
+    # global cut took 248 and 560 _same calls, 616 and 2,628 _cell calls)
+    calls = Counter()
+
+    def spy(name):
+        honest = getattr(tate, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return honest(*args)
+        monkeypatch.setattr(tate, name, counted)
+
+    spy("_same")
+    spy("_cell")
+    results = run_instance(tower_instance(P, 2, conv), -50, 125)
+    assert all(c.passed for c in results)
+    assert calls["_same"] <= 100, calls
+    if conv == "hofix":
+        assert calls["_cell"] <= 1300, calls
+
+
+def _c_hi_mutants(st):
+    """The stage with one finite c_hi of its page or of its closed form moved
+    by -1 or +1, where it stays at least 1."""
+    for side in ("before", "after"):
+        form = getattr(st, side)
+        for i, sm in enumerate(form.summands):
+            for d in (-1, 1):
+                if sm.c_hi is not None and sm.c_hi + d >= 1:
+                    sums = form.summands[:i] + (
+                        sm._replace(c_hi=sm.c_hi + d),) + form.summands[i + 1:]
+                    yield st._replace(**{side: form._replace(summands=sums)})
+
+
+def _all_cuts_certifies(st):
+    """The tower certificate with every key checked at every global cut, B
+    and B + inc, where B is 0 and every tmu2 bound of the page and of the
+    closed form: the reference for the certificate's per-key cuts.  True
+    where it passes, None where it declines."""
+    before, after, r, p = st.before, st.after, st.rule.r, st.before.p
+    alg, conv = before.algebra, before.conv
+    if after.algebra != alg or after.conv != conv:
+        return None
+    cells = tate._cell_tables(before, after)
+    if cells is None:
+        return None
+    page, closed = cells
+    match = (tate._d2_matching if st.row is None else tate._row_matching)(
+        st, page)
+    if match is None:
+        return None
+    image, inc, shift, guard = match
+    image_of = {img: key for key, img in image.items()}
+    if len(image_of) < len(image) or image_of.keys() & image.keys() or any(
+            alg.bidegree(tate._change(conv, (b - a for a, b in zip(key, img)),
+                                      inc, shift)) != (-r, r - 1)
+            for key, img in image.items()):
+        return None
+    cuts = {0} | {sm.c_hi for form in (before, after)
+                  for sm in form.summands if sm.c_hi is not None}
+    for c in cuts | {b + inc for b in cuts}:
+        for key in page.keys() | closed.keys() | image_of.keys():
+            here, want = tate._cell(page, key, c), tate._cell(closed, key, c)
+            pre = image_of.get(key)
+            hit = [] if pre is None else tate._cell(page, pre, c - inc)
+            if here is None or want is None or hit is None:
+                return None
+            hit = _moved(_meet(hit, guard), shift)
+            src = _meet(here, guard) if key in image else []
+            if _minus(hit, here, p) or \
+                    not _same(_minus(_minus(here, src, p), hit, p), want, p):
+                return None
+    return True
+
+
+def test_tower_certificate_declines_every_moved_bound():
+    # at p = 5, n = 2, every finite tmu2 bound of a page or a closed form
+    # moved by one, in both conventions: the certificate declines each
+    tried = 0
+    for conv in ("tate", "hofix"):
+        for st in tower_instance(P, 2, conv).stages:
+            for mutant in _c_hi_mutants(st):
+                tried += 1
+                assert _matching_certifies(mutant) is None, (
+                    mutant.rule.name, mutant.before.summands,
+                    mutant.after.summands)
+    assert tried == 88
+
+
+@pytest.mark.parametrize("conv", ["tate", "hofix"])
+@pytest.mark.parametrize("p", [5, 7])
+def test_tower_certificate_agrees_with_all_cuts(p, conv):
+    # the per-key cuts give the verdict of every key at every global cut,
+    # on every turn at heights 1 to 3 and on each of its moved-bound mutants
+    for n in (1, 2, 3):
+        for st in tower_instance(p, n, conv).stages:
+            assert _matching_certifies(st) and _all_cuts_certifies(st), (
+                n, st.rule.name)
+            for mutant in _c_hi_mutants(st):
+                assert (_matching_certifies(mutant) is None) == (
+                    _all_cuts_certifies(mutant) is None), (n, st.rule.name)
+
+
 def _drop_eps1b(st, alg):
     sums = tuple(sm._replace(module=PLAIN) if sm.pred == ("vp_ge", 0) else sm
                  for sm in st.after.summands)
@@ -888,6 +995,24 @@ def test_summand_certificate_translates_the_hit_balls(monkeypatch):
     monkeypatch.setattr(tate, "_moved", lambda A, shift: A)
     wrong = _matching_certifies(st)
     assert wrong is not None and wrong.passed
+
+
+def test_summand_certificate_cuts_where_the_arrivals_end():
+    # eps1b classes with c < 3 hit the plain classes with 1 <= c < 4, so
+    # the plain classes with c >= 4 survive, and the closed form, plain at
+    # c = 0 alone, is wrong.  No tmu2 bound of the plain key or of the
+    # closed form is 4: only the preimage's bound 3 plus inc = 1 cuts there
+    alg = tate_ambient(P, 1)
+    row = RuleRow("odd", 1, IE1, 1, ("vp_eq", 0), 1, P * P - P,
+                  2 * (P * P - P + 1))
+    before = TateForm("page", row.r, alg, "tate", (
+        Summand((0,), (0,), ((0, 0, 1),), 3, ("vp_eq", 0)),
+        Summand((0,), (0,), PLAIN, None, ("vp_eq", 0))))
+    after = TateForm("closed", row.r + 1, alg, "tate",
+                     (Summand((0,), (0,), PLAIN, 1, ("vp_eq", 0)),))
+    st = Stage(row.r, family_rule(P, "tate", row), before, after, row)
+    _declines_then_fails(st, instance_region(P, 1, -20, 60, "tate"))
+    assert _all_cuts_certifies(st) is None
 
 
 def test_summand_certificate_declines_a_zero_unit():
