@@ -53,7 +53,6 @@ class Region(NamedTuple):
 
 class Page(Protocol):
     label: str
-    r: int
     algebra: Algebra
 
     def iter_region(self, region: Region

@@ -43,7 +43,7 @@ def _coords(m: Monomial) -> tuple[int, int, int, int]:
     return m[IE1], m[IL], m[IT] - m[IM], m[IM]
 
 
-def _pack(p: int, e: int, b: int, j: int, c: int) -> Monomial:
+def _pack(e: int, b: int, j: int, c: int) -> Monomial:
     return (0, j + c, b, c, 0, 0, e)
 
 
@@ -77,7 +77,7 @@ def r_endo(p: int, m: Monomial, on_page: OnPage) -> Monomial | None:
     if j % (p * p):
         return None
     jt = j // (p * p)
-    target = _pack(p, e, b, jt, c - jt)
+    target = _pack(e, b, jt, c - jt)
     return target if on_page(target) else None
 
 
@@ -85,7 +85,7 @@ def _onto(p: int, m: Monomial, on_page: OnPage) -> bool:
     """Whether the tower preimage (e, b, j p^2, c + j) of m is on the page
     and R sends it back to m."""
     e, b, j, c = _coords(m)
-    pre = _pack(p, e, b, j * p * p, c + j)
+    pre = _pack(e, b, j * p * p, c + j)
     return on_page(pre) and r_endo(p, pre, on_page) == m
 
 
@@ -186,7 +186,7 @@ def _block_classes(p: int, kind: str, k: int, lo: int, hi: int
             for j in js:
                 base = L * b + E * e - 2 * j
                 cs = in_window(base, step, sm.c_hi, lo, hi)
-                out += [(base + step * c, _pack(p, e, b, j, c)) for c in cs]
+                out += [(base + step * c, _pack(e, b, j, c)) for c in cs]
                 clipped = clipped or \
                     len(in_window(base, step, None, lo, hi)) > len(cs)
     return out, clipped

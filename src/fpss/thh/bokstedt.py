@@ -56,11 +56,11 @@ class BokstedtPage:
     """Lazy page over the windowed ambient algebra, possibly filtered to the
     subalgebra that survives the differential."""
 
-    __slots__ = ("label", "r", "algebra", "top", "_dead", "_divided")
+    __slots__ = ("label", "algebra", "top", "_dead", "_divided")
 
-    def __init__(self, label: str, r: int, algebra: Algebra, ring: RingId,
-                 top: int, last: bool = False) -> None:
-        self.label, self.r, self.algebra, self.top = label, r, algebra, top
+    def __init__(self, label: str, algebra: Algebra, ring: RingId, top: int,
+                 last: bool = False) -> None:
+        self.label, self.algebra, self.top = label, algebra, top
         # on the last page: the sbxi slots that do not survive (any exponent
         # kills) and the divided slots (an exponent >= p kills)
         survivors = _SURVIVING_SXI[ring]
@@ -101,12 +101,12 @@ class BokstedtPage:
 
 def bokstedt_e2_page(p: int, ring: RingId, top: int) -> BokstedtPage:
     alg = bokstedt_algebra(p, ring, top)
-    return BokstedtPage(f"bokstedt:{ring.value}:start", 2, alg, ring, top)
+    return BokstedtPage(f"bokstedt:{ring.value}:start", alg, ring, top)
 
 
 def bokstedt_einf_page(p: int, ring: RingId, top: int) -> BokstedtPage:
     alg = bokstedt_algebra(p, ring, top)
-    return BokstedtPage(f"bokstedt:{ring.value}:final", p, alg, ring, top,
+    return BokstedtPage(f"bokstedt:{ring.value}:final", alg, ring, top,
                         last=True)
 
 

@@ -44,8 +44,8 @@ def s1_einf(p: int, kmax: int, conv: str) -> TateForm:
     kmax."""
     sums = tower_blocks(conv, p, (0,), kmax, kmax)
     sums.append(Summand((0,), BOTH, PLAIN_E, None, ("zero",)))
-    return TateForm(f"{conv}:s1:final:{kmax}", 10 ** 9, tate_ambient(p, 0),
-                    conv, tuple(sums))
+    return TateForm(f"{conv}:s1:final:{kmax}", tate_ambient(p, 0), conv,
+                    tuple(sums))
 
 
 def _u_free_dims(form: TateForm, region: Region) -> dict[tuple[int, int], int]:
@@ -104,7 +104,7 @@ def lemma_79_check(p: int, n: int, lo: int, hi: int) -> tuple[bool, list[str]]:
     exactly the eps1b class with t-exponent p^(2n+1) - p^(2n+2) + i is left."""
     alg = tate_ambient(p, n + 1)
     summand = TateForm(
-        "lemma79:candidates", 2, alg, "tate",
+        "lemma79:candidates", alg, "tate",
         (Summand((0, 1), (0, 1), PLAIN_E, None, ("vp_ge", 2 * n)),))
     problems: list[str] = []
     candidates = 0

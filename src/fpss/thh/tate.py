@@ -31,26 +31,26 @@ and without visiting a page monomial by monomial.  A page is a union of
 cells: a key (u, lambda2 and module exponents), a tmu2 power c and
 disjoint p-adic balls {x : x = r mod p^j} of free exponents, the
 predicates' balls (_balls).  Balls are nested or disjoint, so their meet,
-difference and translation are never finer than the predicates'.  Along
-c a key's cell is constant between the tmu2 bounds of the summands that
-hold it.  A turn sends each source key to an image key, raises c by a
-constant and translates the guarded balls by a constant, so its sources
-go one to one onto their images, and when the images are page classes
-that are not sources themselves, the homology is the page without sources
-and images (algebraic discrete Morse theory on summands: Skoldberg, Trans.
-AMS 358, 2006).  So a key is checked only at its own cuts: its bounds on
-the page and in the closed form, and its preimage's page bounds raised by
-the turn's increment.  A RuleRow's matching flips its exterior slot.  The
-suspension d = x delta reduces to the module by Leibniz: its values lie on
-the module generators, so d(a m) = +-a x delta(m) for a passive monomial a
-(u, lambda2, t, mu2), and delta(eps0 mu0^(i-1)) = mu0^i matches module
-keys, with x = t moving c and the free exponent.  run_instance sends a
-turn to verify_turn only when the certificate's precondition fails or the
-closed form disagrees.
+difference and translation are never finer than the predicates'.  Along c
+a key's cell is constant between the tmu2 bounds of the summands that hold
+it, and those summands must be disjoint: the cell tables check this once
+per key, when they are built (_cell_tables).  A turn sends each source key
+to an image key, raises c by a constant and translates the guarded balls
+by a constant, so its sources go one to one onto their images, and when
+the images are page classes that are not sources themselves, the homology
+is the page without sources and images (algebraic discrete Morse theory on
+summands: Skoldberg, Trans. AMS 358, 2006).  So a key is checked only at
+its own cuts: its bounds on the page and in the closed form, and its
+preimage's page bounds raised by the turn's increment.  A RuleRow's
+matching flips its exterior slot.  The suspension d = x delta reduces to
+the module by Leibniz: its values lie on the module generators, so
+d(a m) = +-a x delta(m) for a passive monomial a (u, lambda2, t, mu2), and
+delta(eps0 mu0^(i-1)) = mu0^i matches module keys, with x = t moving c and
+the free exponent.  run_instance sends a turn to verify_turn only when the
+certificate's precondition fails or the closed form disagrees.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple
 
@@ -91,7 +91,7 @@ BOTH = (0, 1)
 PLAIN = ((0, 0, 0),)
 PLAIN_E = ((0, 0, 0), (0, 0, 1))
 
-# free-exponent predicates, named for determinism in dumps
+# free-exponent predicates: a kind and its valuation, if it takes one (_balls)
 Pred = tuple
 
 
@@ -125,34 +125,15 @@ def _pred_ok(pred: Pred, p: int, x: int) -> bool:
     return x == 0 if balls is None else x % balls[0] in balls[1]
 
 
-@lru_cache(maxsize=None)
-def _step_classes(p: int, pred: Pred) -> tuple[int, tuple[int, ...]] | None:
-    """The predicate's modulus M and the residues of its balls, ascending
-    and listed over two periods [0, 2M); None for a zero predicate."""
-    balls = _balls(pred, p)
-    if balls is None:
-        return None
-    M, ks = balls
-    return M, ks + tuple(k + M for k in ks)
-
-
-def _allowed_steps(classes: tuple[int, tuple[int, ...]] | None, lo: int,
+def _allowed_steps(balls: tuple[int, tuple[int, ...]] | None, lo: int,
                    hi: int) -> Iterable[int]:
-    """The free exponents lo <= x < hi, ascending, that lie in a ball of
-    _step_classes; a zero predicate allows 0 alone."""
-    if classes is None:
+    """The free exponents lo <= x < hi, ascending, in a predicate's balls
+    (_balls), one progression per ball; a zero predicate allows 0 alone.
+    Balls of two summands are checked for overlap by _cell_tables."""
+    if balls is None:
         return range(0, 1) if lo <= 0 < hi else range(0)
-    M, ks = classes
-    if len(ks) == 2:
-        return range(lo + (ks[0] - lo) % M, hi, M)
-    # most windows are shorter than a period, and then one slice of the two
-    # periods lists them
-    q = lo - lo % M
-    if hi - q <= 2 * M:
-        return [q + k for k in ks[bisect_left(ks, lo - q):
-                                  bisect_left(ks, hi - q)]]
-    return (q0 + k for q0 in range(q, hi, M)
-            for k in ks[:len(ks) // 2] if lo <= q0 + k < hi)
+    M, ks = balls
+    return sorted(x for k in ks for x in range(lo + (k - lo) % M, hi, M))
 
 
 class Summand(NamedTuple):
@@ -198,7 +179,6 @@ class TateForm(NamedTuple):
     """Closed-form page: disjoint summands over the ambient algebra."""
 
     label: str
-    r: int
     algebra: Algebra
     conv: str                    # a key of TOWERS
     summands: tuple[Summand, ...]
@@ -284,7 +264,7 @@ class TateForm(NamedTuple):
         g = 2 + k * step            # s - k * total falls by g with c
         lo, hi, s_lo, s_hi = region
         for sm in self.summands:
-            classes = _step_classes(p, sm.pred)
+            balls = _balls(sm.pred, p)
             for a in sm.u:
                 for b in sm.lam:
                     for d0, i0, e in sm.module:
@@ -302,7 +282,7 @@ class TateForm(NamedTuple):
                         n_hi = hi - base - step * c_lo
                         if f_tot < 0:
                             n_lo, n_hi = n_hi, n_lo
-                        for x in _allowed_steps(classes, -(-n_lo // f_tot),
+                        for x in _allowed_steps(balls, -(-n_lo // f_tot),
                                                 n_hi // f_tot + 1):
                             rest, s0 = base + f_tot * x, -a + f_s * x
                             # c in the total window, the column window and
@@ -340,7 +320,6 @@ def tower_form(p: int, n: int, conv: str, stage: str, k: int = 0) -> TateForm:
     tw = TOWERS[conv]
     if stage == "E2":
         sums = [Summand(BOTH, BOTH, module_triples(p), None, ("any",))]
-        r = 2
     elif stage in ("E3", "odd", "even", "Einf"):
         # differentials run so far: none (E3), 2k-1 (odd k), 2k (even k)
         i = {"E3": 0, "odd": 2 * k - 1, "even": 2 * k, "Einf": 2 * n}[stage]
@@ -349,15 +328,13 @@ def tower_form(p: int, n: int, conv: str, stage: str, k: int = 0) -> TateForm:
         if stage == "Einf":
             sums.append(Summand((0,), BOTH, PLAIN_E,
                                 tw.bound(p, 2 * n - 1) + 1, ("vp_ge", 2 * n)))
-            r = 2 * rho(p, 2 * n) + 2
         else:
             sums.append(Summand(BOTH, BOTH, PLAIN_E, None, ("vp_ge", i)))
-            r = 2 * rho(p, i) + 1 if i else 3
     else:
         raise ValueError(stage)
     label = f"{conv}:cp:{n}:{stage}" + (
         f":{k}" if stage in ("odd", "even") else "")
-    return TateForm(label, r, tate_ambient(p, n), conv, tuple(sums))
+    return TateForm(label, tate_ambient(p, n), conv, tuple(sums))
 
 
 # -- differential rules ---------------------------------------------------
@@ -435,7 +412,6 @@ def family_rule(p: int, conv: str, row: RuleRow) -> FamilyRule:
 
 
 class Stage(NamedTuple):
-    r: int
     rule: DiffRule
     before: TateForm
     after: TateForm
@@ -456,7 +432,7 @@ class SSInstance(NamedTuple):
             raise ValueError(f"no page {r} for {self.id}")
         current = self.stages[0].before
         for st in self.stages:
-            if r >= st.r + 1:
+            if r >= st.rule.r + 1:
                 current = st.after
             else:
                 break
@@ -466,12 +442,12 @@ class SSInstance(NamedTuple):
 @lru_cache(maxsize=None)
 def tower_instance(p: int, n: int, conv: str) -> SSInstance:
     """The height n tower of one convention, stage by stage."""
-    stages = [Stage(2, d2_rule(p, n), tower_form(p, n, conv, "E2"),
+    stages = [Stage(d2_rule(p, n), tower_form(p, n, conv, "E2"),
                     tower_form(p, n, conv, "E3"), None)]
     for row in rule_rows(p, n, conv):
         rule = family_rule(p, conv, row)
         stage = "Einf" if row.family == "final" else row.family
-        stages.append(Stage(rule.r, rule, stages[-1].after,
+        stages.append(Stage(rule, stages[-1].after,
                             tower_form(p, n, conv, stage, row.k), row))
     return SSInstance(f"{conv}:cp:{n}", p, n, tate_ambient(p, n),
                       tuple(stages))
@@ -546,11 +522,14 @@ def _moved(A: list[Ball], shift: int) -> list[Ball]:
 
 def _cell_tables(before: TateForm, after: TateForm) -> list[Cells] | None:
     """The cells of the page and of the closed form; None when a predicate
-    is zero.
+    is zero or two summands that hold one key overlap.
 
     A page's cells map each key (u, lambda2, eps0, mu0, eps1b) to the tmu2
     bound and free-exponent balls of every summand that holds it, so a
-    key's cell is constant between 0 and the bounds listed for it."""
+    key's cell is constant between 0 and the bounds listed for it.  This is
+    the one overlap check, once per key: every summand that holds a class
+    starts at c = 0, so two summands overlap at some c exactly when they
+    overlap at c = 0; a summand with c_hi <= 0 holds no class."""
     p = before.p
     tables = []
     for form in (before, after):
@@ -564,20 +543,23 @@ def _cell_tables(before: TateForm, after: TateForm) -> list[Cells] | None:
                     for trip in sm.module:
                         cells.setdefault((a, b) + trip, []).append(
                             (sm.c_hi, balls))
+        for held in cells.values():
+            out: list[Ball] = []
+            for c_hi, balls in held:
+                if c_hi is None or c_hi > 0:
+                    if out and _meet(out, balls):
+                        return None
+                    out += balls
         tables.append(cells)
     return tables
 
 
-def _cell(cells: Cells, key: tuple[int, ...], c: int) -> list[Ball] | None:
-    """The free-exponent balls of one key at tmu2 power c; None where two
-    summands overlap."""
+def _cell(cells: Cells, key: tuple[int, ...], c: int) -> list[Ball]:
+    """The free-exponent balls of one key at tmu2 power c, disjoint since
+    _cell_tables checked the key's summands for overlap."""
     out: list[Ball] = []
-    if c < 0:
-        return out
-    for c_hi, balls in cells.get(key, ()):
+    for c_hi, balls in cells.get(key, ()) if c >= 0 else ():
         if c_hi is None or c < c_hi:
-            if out and _meet(out, balls):
-                return None
             out += balls
     return out
 
@@ -648,7 +630,8 @@ def _row_matching(st: Stage, page: Cells) -> Matching | None:
 
 def _matching_certifies(st: Stage) -> PageComparison | None:
     """A passing comparison for the stage's turn, certified on the summands
-    in every degree; None when a precondition fails or a cell disagrees.
+    in every degree; None when a precondition fails, two summands of a page
+    overlap (checked once per key, by _cell_tables) or a cell disagrees.
 
     The turn is a matching (_d2_matching for d2, _row_matching for a row):
     a page class with a source key K, tmu2 power c and a free exponent x in
@@ -693,8 +676,6 @@ def _matching_certifies(st: Stage) -> PageComparison | None:
         for c in cuts:
             here, want = _cell(page, key, c), _cell(closed, key, c)
             hit = [] if pre is None else _cell(page, pre, c - inc)
-            if here is None or want is None or hit is None:
-                return None
             if here or want or hit:
                 distinct.add((tuple(here), tuple(want), tuple(hit),
                               key in image))

@@ -112,7 +112,7 @@ def test_criterion_06_tower_runs():
                     (cmp_.label, [str(m) for m in cmp_.mismatches[:4]])
             runs[n] = results
         # the height 1 run is the criterion 05 run: same stages, same rules
-        rs = [st.r for st in tower_instance(P, 1, "tate").stages]
+        rs = [st.rule.r for st in tower_instance(P, 1, "tate").stages]
         assert rs == [2, 2 * rho(P, 1), 2 * rho(P, 2), 2 * rho(P, 2) + 1]
         assert rs == [2, 42, 50, 51]
         # pages before the final differential agree across heights

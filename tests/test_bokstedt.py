@@ -201,8 +201,8 @@ def shared_partner_args(hi):
 
     rule = DerivationRule(P - 1, "shared", {},
                           {"sbtau0": power("sbtau0"), "sbtau9": power("sbtau9")})
-    return (BokstedtPage("shared:start", 2, alg, RingId.HZP_MOD, hi + 1), rule,
-            BokstedtPage("shared:final", P, alg, RingId.HZP_MOD, hi + 1, True))
+    return (BokstedtPage("shared:start", alg, RingId.HZP_MOD, hi + 1), rule,
+            BokstedtPage("shared:final", alg, RingId.HZP_MOD, hi + 1, True))
 
 
 def mutants():
@@ -220,9 +220,9 @@ def mutants():
     zero_once = rule_with("sbtau0", lambda j: {} if j == P + 2 else power0(j))
     shared_x = rule_with(
         "sbtau1", lambda j: alg.elem(sbtau1=j - P, sbxi1=1) if j >= P else {})
-    zlocal_filter = BokstedtPage("zlocal-filter", P, alg, RingId.HZ_LOCAL,
-                                 61, True)
-    ell_filter = BokstedtPage("ell-filter", P, alg, RingId.ELL, 61, True)
+    zlocal_filter = BokstedtPage("zlocal-filter", alg, RingId.HZ_LOCAL, 61,
+                                 True)
+    ell_filter = BokstedtPage("ell-filter", alg, RingId.ELL, 61, True)
     return [
         ("zero unit", e2, rule.scaled(0), einf, 60),
         ("zero on one power from p on", e2, zero_once, einf, 60),

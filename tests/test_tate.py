@@ -14,7 +14,7 @@ from fpss.thh.tate import (BOTH, IE0, IE1, IL, IM, IT, IU, PLAIN, PLAIN_E,
                            TOWERS, RuleRow, SSInstance, Stage, Summand,
                            TateForm, _allowed_steps, _ball_list, _balls,
                            _matching_certifies, _meet, _minus, _moved,
-                           _pred_ok, _same, _step_classes, family_rule,
+                           _pred_ok, _same, family_rule,
                            instance_region, module_triples, run_instance,
                            tate_ambient, tower_form, tower_instance)
 
@@ -28,11 +28,17 @@ def instance_forms(inst):
 
 def relabeling_agreement(p, n, lo, hi):
     """Pages before the final odd differential agree for Tate towers of
-    heights n and n+1, up to renaming the column class."""
+    heights n and n+1, up to renaming the column class.  A stage's closed
+    form is the page E_(r+1), r its rule's length."""
     bound = 2 * rho(p, 2 * n) + 1
     region = instance_region(p, n, lo, hi, "tate")
-    forms_a, forms_b = ([f for f in instance_forms(tower_instance(p, h, "tate"))
-                         if f.r <= bound] for h in (n, n + 1))
+
+    def pages(h):
+        inst = tower_instance(p, h, "tate")
+        rs = [2] + [st.rule.r + 1 for st in inst.stages]
+        return [f for f, r in zip(instance_forms(inst), rs) if r <= bound]
+
+    forms_a, forms_b = pages(n), pages(n + 1)
     if len(forms_a) != len(forms_b):
         return False, [f"page counts differ: {len(forms_a)} vs {len(forms_b)}"]
     problems = []
@@ -201,7 +207,7 @@ def test_verifier_catches_corrupted_form():
     from fpss.thh.tate import PLAIN, PLAIN_E, Summand, TateForm, tate_ambient
 
     alg = tate_ambient(P, 1)
-    wrong = TateForm("wrong", 52, alg, "tate", (
+    wrong = TateForm("wrong", alg, "tate", (
         Summand((0, 1), (0, 1), PLAIN, 1, ("res",)),
         Summand((0,), (0, 1), PLAIN_E, rho(P, 0) + 2, ("vp_ge", 2)),
     ))
@@ -635,6 +641,25 @@ def test_tower_certificate_work_gate(conv, monkeypatch):
         assert calls["_cell"] <= 1300, calls
 
 
+def test_tower_certificate_depth_work_gate(monkeypatch):
+    # p = 5, n = 8 on the default window, both conventions: two summands
+    # that hold one key are checked for overlap once, when the cell tables
+    # are built, not again at each cut (12,250 _meet calls when every cell
+    # read re-ran the check)
+    calls = [0]
+    honest = tate._meet
+
+    def counted(*args):
+        calls[0] += 1
+        return honest(*args)
+
+    monkeypatch.setattr(tate, "_meet", counted)
+    for conv in ("tate", "hofix"):
+        results = run_instance(tower_instance(P, 8, conv), -50, 125)
+        assert all(c.passed for c in results), conv
+    assert calls[0] <= 4000, calls
+
+
 def _c_hi_mutants(st):
     """The stage with one finite c_hi of its page or of its closed form moved
     by -1 or +1, where it stays at least 1."""
@@ -679,8 +704,6 @@ def _all_cuts_certifies(st):
             here, want = tate._cell(page, key, c), tate._cell(closed, key, c)
             pre = image_of.get(key)
             hit = [] if pre is None else tate._cell(page, pre, c - inc)
-            if here is None or want is None or hit is None:
-                return None
             hit = _moved(_meet(hit, guard), shift)
             src = _meet(here, guard) if key in image else []
             if _minus(hit, here, p) or \
@@ -869,6 +892,28 @@ def test_row_closed_form_in_the_other_convention_takes_verify_turn(conv):
     _takes_verify_turn(_other_convention(inst.stages[1], inst.algebra))
 
 
+@pytest.mark.parametrize("conv", ["tate", "hofix"])
+def test_page_listing_a_summand_twice_takes_verify_turn(conv):
+    # every turn at p = 5, n = 1 on a page whose last summand comes twice:
+    # its classes overlap from c = 0, so the cell tables refuse the page
+    for st in tower_instance(P, 1, conv).stages:
+        before = st.before
+        _takes_verify_turn(st._replace(before=before._replace(
+            summands=before.summands + before.summands[-1:])))
+
+
+@pytest.mark.parametrize("conv", ["tate", "hofix"])
+def test_empty_summand_copy_still_certifies(conv):
+    # a copy of the closed form's last summand with c_hi = 0 holds no
+    # class, so it overlaps nothing and every turn still certifies
+    for st in tower_instance(P, 1, conv).stages:
+        after = st.after
+        empty = after.summands[-1]._replace(c_hi=0)
+        got = _matching_certifies(st._replace(after=after._replace(
+            summands=after.summands + (empty,))))
+        assert got is not None and got.passed, st.rule.name
+
+
 # -- the summand certificate ----------------------------------------------
 
 
@@ -936,8 +981,7 @@ def test_summand_row_mutants_take_verify_turn(field, conv):
     for st in tower_instance(P, 2, conv).stages[1:]:
         row = ROW_MUTANTS[field](st.row)
         rule = family_rule(P, conv, row)
-        _declines_then_fails(st._replace(r=rule.r, rule=rule, row=row),
-                             region)
+        _declines_then_fails(st._replace(rule=rule, row=row), region)
 
 
 @pytest.mark.parametrize("conv", ["tate", "hofix"])
@@ -981,12 +1025,12 @@ def test_summand_certificate_translates_the_hit_balls(monkeypatch):
     alg = tate_ambient(P, 1)
     row = RuleRow("odd", 1, IE1, 1, ("vp_eq", 1), 1, P * P - P,
                   2 * (P * P - P + 1))
-    before = TateForm("page", row.r, alg, "tate",
+    before = TateForm("page", alg, "tate",
                       (Summand((0,), (0,), PLAIN_E, None, ("vp_eq", 1)),))
-    after = TateForm("closed", row.r + 1, alg, "tate",
+    after = TateForm("closed", alg, "tate",
                      (Summand((0,), (0,), PLAIN, 1, ("vp_eq", 1)),))
     rule = family_rule(P, "tate", row)
-    st = Stage(row.r, rule, before, after, row)
+    st = Stage(rule, before, after, row)
     assert _matching_certifies(st) is None
     cmp_ = verify_turn(before, rule, after,
                        instance_region(P, 1, -20, 60, "tate"))
@@ -1005,12 +1049,12 @@ def test_summand_certificate_cuts_where_the_arrivals_end():
     alg = tate_ambient(P, 1)
     row = RuleRow("odd", 1, IE1, 1, ("vp_eq", 0), 1, P * P - P,
                   2 * (P * P - P + 1))
-    before = TateForm("page", row.r, alg, "tate", (
+    before = TateForm("page", alg, "tate", (
         Summand((0,), (0,), ((0, 0, 1),), 3, ("vp_eq", 0)),
         Summand((0,), (0,), PLAIN, None, ("vp_eq", 0))))
-    after = TateForm("closed", row.r + 1, alg, "tate",
+    after = TateForm("closed", alg, "tate",
                      (Summand((0,), (0,), PLAIN, 1, ("vp_eq", 0)),))
-    st = Stage(row.r, family_rule(P, "tate", row), before, after, row)
+    st = Stage(family_rule(P, "tate", row), before, after, row)
     _declines_then_fails(st, instance_region(P, 1, -20, 60, "tate"))
     assert _all_cuts_certifies(st) is None
 
@@ -1114,12 +1158,12 @@ def test_residue_steps_match_pred_ok(p):
     # the free exponents iter_region takes are exactly those the valuation
     # scan accepts, ascending
     for pred in PREDS:
-        classes = _step_classes(p, pred)
+        balls = _balls(pred, p)
         for free0 in (-2 * p ** 3 - 1, -p * p, -1, 0, 1, p, 7 * p ** 3):
             # windows longer than two periods, and shorter ones
             for k_lo, k_hi in ((-p ** 3, 2 * p ** 3), (-1, p),
                                (p - 1, p * p + 2), (2, 3), (5, 5)):
-                got = list(_allowed_steps(classes, free0 + k_lo,
+                got = list(_allowed_steps(balls, free0 + k_lo,
                                           free0 + k_hi))
                 want = [free0 + k for k in range(k_lo, k_hi)
                         if _scan_ok(pred, p, free0 + k)]

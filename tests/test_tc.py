@@ -54,12 +54,12 @@ def block_monomials_at(p, total, kmax):
             base = total - L * b - E * e
             # the A block: j = 0
             if base % step == 0 and base // step >= 0:
-                out.append(_pack(p, e, b, 0, base // step))
+                out.append(_pack(e, b, 0, base // step))
             # residue classes: c = 0, p does not divide j
             if e == 0 and base % 2 == 0:
                 j = -base // 2
                 if j % p and 0 < (-j) % (p * p) < p:
-                    out.append(_pack(p, e, b, j, 0))
+                    out.append(_pack(e, b, j, 0))
             # tower blocks
             for v in range(2, 2 * kmax):
                 if v % 2 == 0 and e != 0:
@@ -79,7 +79,7 @@ def block_monomials_at(p, total, kmax):
                         continue
                     c = num // step
                     if 0 <= c < trunc:
-                        out.append(_pack(p, e, b, d * pv, c))
+                        out.append(_pack(e, b, d * pv, c))
     return out
 
 
@@ -323,8 +323,8 @@ def _oracle_step(p, kind, k, classes):
     on_page = lambda m: page_member(p, m)  # noqa: E731
     for e, b, d, c in classes:
         j = d * p ** v
-        m = _pack(p, e, b, j, c)
-        pre = _pack(p, e, b, j * p * p, c + j)
+        m = _pack(e, b, j, c)
+        pre = _pack(e, b, j * p * p, c + j)
         if not page_member(p, pre) or tc.r_endo(p, pre, on_page) != m:
             return m
     return None
@@ -361,7 +361,7 @@ def test_clipped_block_walks_match_full_walk(p, kind, k, monkeypatch):
         got, clipped = tc._block_classes(p, kind, k, lo, hi)
         walks[lo, hi] = got
         assert clipped == _clipped(p, kind, k, lo, hi), (lo, hi)
-        assert [m for _, m in got] == [_pack(p, e, b, d * p ** v, c)
+        assert [m for _, m in got] == [_pack(e, b, d * p ** v, c)
                                        for e, b, d, c in classes], (lo, hi)
         degrees = [-2 * d * p ** v + L * b + E * e + step * c
                    for e, b, d, c in classes]
@@ -370,7 +370,7 @@ def test_clipped_block_walks_match_full_walk(p, kind, k, monkeypatch):
         # every preimage is on the page, so r_endo sees each one
         checked.clear()
         assert tc._not_onto(p, kind, k, got) is None, (lo, hi)
-        assert checked == [_pack(p, e, b, d * p ** v * p * p,
+        assert checked == [_pack(e, b, d * p ** v * p * p,
                                  c + d * p ** v)
                            for e, b, d, c in classes], (lo, hi)
     # a failing step reports the first failing class of the full walk
