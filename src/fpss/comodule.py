@@ -6,6 +6,10 @@ The dual Steenrod algebra is presented on the conjugated generators bxi_k
     psi(bxi_k)  = sum_{i+j=k} bxi_i (x) bxi_j^(p^i)
     psi(btau_k) = 1 (x) btau_k + sum_{i+j=k} btau_i (x) bxi_j^(p^i).
 
+The homology of each coefficient ring is the sub-algebra of A_* on all
+the bxi_k and the btau_k that TAU_SETS keeps (ring_generators); the
+Bokstedt pages and the smash homology below both take it from there.
+
 The coaction on H_*(V(1) smash THH(ring)) = E(tau0, tau1) (x) H_*(THH(ring))
 is one per-generator table over that target, extended multiplicatively.
 The ring generators coact by the coproduct; the values of tau0, tau1 and
@@ -17,7 +21,7 @@ from __future__ import annotations
 from enum import Enum
 from functools import lru_cache
 
-from .graded import Algebra, Element, Generator, Kind, Monomial, inject_elem, tensor
+from .graded import Algebra, Element, Generator, Kind, Monomial
 
 
 class RingId(Enum):
@@ -45,33 +49,36 @@ TAU_SETS = {
 }
 
 
-def _xi_deg(p: int, k: int) -> int:
-    return 2 * (p ** k - 1)
-
-
-def _tau_deg(p: int, k: int) -> int:
-    return 2 * p ** k - 1
+def _astar_generators(p: int, top_degree: int) -> tuple[Generator, ...]:
+    """Dual Steenrod algebra generators up to the given total degree: bxi_k
+    (k >= 1) in degree 2p^k - 2, then btau_k (k >= 0) in 2p^k - 1."""
+    gens: list[Generator] = []
+    for head, k, drop, kind in (("bxi", 1, 2, Kind.POLYNOMIAL),
+                                ("btau", 0, 1, Kind.EXTERIOR)):
+        while 2 * p ** k - drop <= top_degree:
+            gens.append(Generator(f"{head}{k}", 0, 2 * p ** k - drop, kind))
+            k += 1
+    return tuple(gens)
 
 
 @lru_cache(maxsize=None)
 def astar_algebra(p: int, top_degree: int) -> Algebra:
-    """Dual Steenrod algebra generators up to the given total degree."""
-    gens: list[Generator] = []
-    k = 1
-    while _xi_deg(p, k) <= top_degree:
-        gens.append(Generator(f"bxi{k}", 0, _xi_deg(p, k), Kind.POLYNOMIAL))
-        k += 1
-    k = 0
-    while _tau_deg(p, k) <= top_degree:
-        gens.append(Generator(f"btau{k}", 0, _tau_deg(p, k), Kind.EXTERIOR))
-        k += 1
-    return Algebra(p, tuple(gens))
+    """The dual Steenrod algebra up to the given total degree."""
+    return Algebra(p, _astar_generators(p, top_degree))
+
+
+def ring_generators(p: int, ring: RingId, top: int) -> tuple[Generator, ...]:
+    """H_*(ring) in A_*: the generators of A_* up to degree top that
+    TAU_SETS[ring] keeps, in their order."""
+    keep = TAU_SETS[ring]
+    return tuple(g for g in _astar_generators(p, top)
+                 if g.name.startswith("bxi") or keep(int(g.name[4:])))
 
 
 def coproduct_values(astar: Algebra) -> dict[str, Element]:
-    """Coproduct of each generator, as an element of A (x) A."""
+    """Coproduct of each generator, as an element of A (x) A: the term
+    a (x) b is the monomial a + b, with coefficient 1."""
     p = astar.p
-    tens, (inl, inr) = tensor(p, astar, astar, tags=("L.", "R."))
 
     def power(name: str, e: int) -> Monomial:    # bxi0 is the unit
         return astar.unit_mono if name == "bxi0" else astar.mono(**{name: e})
@@ -80,12 +87,10 @@ def coproduct_values(astar: Algebra) -> dict[str, Element]:
     for g in astar.gens:
         head = g.name.rstrip("0123456789")
         k = int(g.name[len(head):])
-        terms: Element = {} if head == "bxi" else {inr(power(g.name, 1)): 1}
-        for i in range(k + 1):
-            m, c = tens.mono_mul(inl(power(f"{head}{i}", 1)),
-                                 inr(power(f"bxi{k - i}", p ** i)))
-            terms = tens.add(terms, {m: c})
-        out[g.name] = terms
+        terms = [] if head == "bxi" else [astar.unit_mono + power(g.name, 1)]
+        terms += [power(f"{head}{i}", 1) + power(f"bxi{k - i}", p ** i)
+                  for i in range(k + 1)]
+        out[g.name] = dict.fromkeys(terms, 1)
     return out
 
 
@@ -93,16 +98,18 @@ class CoactionTable:
     """Comodule coaction data: target algebra, A (x) target container, and
     the coaction value of every target generator.
 
-    The coaction extends multiplicatively; counitality of the table entries
-    is checked on construction.
+    A (x) target has A's generators first, then the target's, so a (x) t
+    is the concatenated monomial a + t, with no Koszul sign.  The coaction
+    extends multiplicatively; counitality of the table entries is checked
+    on construction.
     """
 
-    __slots__ = ("astar", "target", "tens", "inj_a", "inj_t", "values")
+    __slots__ = ("astar", "target", "tens", "values")
 
     def __init__(self, astar: Algebra, target: Algebra, tens: Algebra,
-                 inj_a, inj_t, values: dict[str, Element]) -> None:
+                 values: dict[str, Element]) -> None:
         self.astar, self.target, self.tens = astar, target, tens
-        self.inj_a, self.inj_t, self.values = inj_a, inj_t, values
+        self.values = values
         for g in target.gens:
             if g.name not in values:
                 raise ValueError(f"coaction table missing generator {g.name}")
@@ -112,7 +119,8 @@ class CoactionTable:
                 raise ValueError(f"coaction of {g.name} is not counital")
 
     def include(self, x: Element) -> Element:
-        return inject_elem(self.inj_t, x)
+        """1 (x) x."""
+        return {self.astar.unit_mono + m: c for m, c in x.items()}
 
 
 def coaction(table: CoactionTable, x: Element) -> Element:
@@ -159,11 +167,8 @@ def smash_generators(p: int, ring: RingId) -> tuple[Generator, ...]:
     gens: list[Generator] = [
         Generator("tau0", 0, 1, Kind.EXTERIOR),
         Generator("tau1", 0, 2 * p - 1, Kind.EXTERIOR),
-        Generator("bxi1", 0, _xi_deg(p, 1), Kind.POLYNOMIAL),
-        Generator("bxi2", 0, _xi_deg(p, 2), Kind.POLYNOMIAL),
+        *ring_generators(p, ring, 4 * p * p),
     ]
-    for k in filter(TAU_SETS[ring], range(3)):
-        gens.append(Generator(f"btau{k}", 0, _tau_deg(p, k), Kind.EXTERIOR))
     if ring is RingId.HZP_MOD:
         gens.append(Generator("sbtau0", 0, 2, Kind.POLYNOMIAL))
     elif ring is RingId.HZ_LOCAL:
@@ -193,7 +198,9 @@ def v1_smash_thh_table(p: int, ring: RingId) -> CoactionTable:
     """
     astar = astar_algebra(p, 4 * p * p)
     target = Algebra(p, smash_generators(p, ring))
-    tens, (inj_a, inj_t) = tensor(p, astar, target, tags=("A.", ""))
+    tens = Algebra(p, tuple(
+        Generator("A." + g.name, g.s, g.t, g.kind, g.height)
+        for g in astar.gens) + target.gens)
     fixed = {
         "tau0": [(-1, {"btau0": 1}, {})],
         "tau1": [(-1, {"bxi1": 1}, {"tau0": 1}),
@@ -217,11 +224,9 @@ def v1_smash_thh_table(p: int, ring: RingId) -> CoactionTable:
                 for c, a, t in fixed.get(g.name, ())]
         value: Element = {}
         for c, ma, mt in terms:
-            # A (x) target puts A first, so a * t is the concatenated
-            # monomial with no Koszul sign
             value = tens.add(value, {ma + mt: c})
         values[g.name] = value
-    return CoactionTable(astar, target, tens, inj_a, inj_t, values)
+    return CoactionTable(astar, target, tens, values)
 
 
 def smash_class(table: CoactionTable, terms: list[tuple[int, dict, dict]]) -> Element:

@@ -181,9 +181,6 @@ class Algebra:
 
     # -- elements -------------------------------------------------------
 
-    def unit(self) -> Element:
-        return {self.unit_mono: 1}
-
     def elem(self, coeff: int = 1, **exps: int) -> Element:
         c = coeff % self.p
         return {self.mono(**exps): c} if c else {}
@@ -299,38 +296,6 @@ class Algebra:
         for d in out:
             out[d].sort(key=self.key)
         return out
-
-
-def tensor(p: int, *factors: Algebra, tags: tuple[str, ...] | None = None
-           ) -> tuple[Algebra, list]:
-    """Tensor product of algebras with injective monomial maps.
-
-    Generator names are prefixed with tags when collisions would occur.
-    Returns (combined algebra, [monomial injections]).
-    """
-    if tags is None:
-        tags = tuple("" for _ in factors)
-    gens: list[Generator] = []
-    offsets: list[int] = []
-    for tag, alg in zip(tags, factors):
-        offsets.append(len(gens))
-        for g in alg.gens:
-            gens.append(Generator(tag + g.name, g.s, g.t, g.kind, g.height))
-    combined = Algebra(p, tuple(gens))
-    n = len(gens)
-
-    def make_inj(off: int, width: int):
-        def inj(m: Monomial) -> Monomial:
-            return (0,) * off + m + (0,) * (n - off - width)
-        return inj
-
-    injections = [make_inj(off, len(alg.gens))
-                  for off, alg in zip(offsets, factors)]
-    return combined, injections
-
-
-def inject_elem(inj, a: Element) -> Element:
-    return {inj(m): c for m, c in a.items()}
 
 
 # -- Poincare series ----------------------------------------------------

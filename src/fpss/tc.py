@@ -89,7 +89,7 @@ def _onto(p: int, m: Monomial, on_page: OnPage) -> bool:
     return on_page(pre) and r_endo(p, pre, on_page) == m
 
 
-def tf_decompose(p: int, lo: int, hi: int, kmax: int = 5
+def tf_decompose(p: int, lo: int, hi: int, kmax: int
                  ) -> dict[Monomial, tuple[str, int]]:
     """The in-window monomials of the circle page with tower blocks up to
     kmax, each with its block; no monomial may come twice."""
@@ -105,24 +105,27 @@ def tf_decompose(p: int, lo: int, hi: int, kmax: int = 5
     return blocks
 
 
-def rh_map_check(p: int, lo: int, hi: int, kmax: int = 5
-                 ) -> tuple[bool, list[str]]:
+# the tower heights whose blocks rh_map_check follows
+_RH_KMAX = 5
+
+
+def rh_map_check(p: int, lo: int, hi: int) -> tuple[bool, list[str]]:
     """Behavior of the restriction endomorphism, clause by clause: A,
     where r_endo is the identity, has the in-window classes of the closed
     form E(eps1b, lambda2) (x) P(tmu2); the height k+1 tower blocks map
-    onto the height k blocks with the same leading exponent; everything
-    else dies."""
+    onto the height k blocks with the same leading exponent, for k up to
+    _RH_KMAX; everything else dies."""
     if lo <= 2 * p - 2:
         raise ValueError("restriction map bookkeeping needs degrees > 2p-2")
     alg = tate_ambient(p, 0)
     problems: list[str] = []
     stats = {"onto": 0, "zero": 0}
     a_degrees = []
-    # the preimages of the height kmax classes are in the next blocks
-    blocks = tf_decompose(p, lo, hi, kmax + 1)
+    # the preimages of the height _RH_KMAX classes are in the next blocks
+    blocks = tf_decompose(p, lo, hi, _RH_KMAX + 1)
     on_page = blocks.__contains__
     for m, (kind, k) in blocks.items():
-        if k > kmax:
+        if k > _RH_KMAX:
             continue
         if kind == "A":
             a_degrees.append(alg.total(m))
@@ -152,7 +155,7 @@ def rh_map_check(p: int, lo: int, hi: int, kmax: int = 5
                  for d, n in ps_from_degree_list(a_degrees, lo, hi).items()
                  if n != want.get(d)]
     detail = [f"A fixed: {len(a_degrees)}, killed: {stats['zero']}, "
-              f"onto targets: {stats['onto']}, blocks up to {kmax}"]
+              f"onto targets: {stats['onto']}, blocks up to {_RH_KMAX}"]
     return not problems, problems or detail
 
 

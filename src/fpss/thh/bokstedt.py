@@ -1,11 +1,12 @@
 """Homology-of-THH spectral sequences for the four coefficient rings.
 
-The starting page is Hochschild homology of the homology of the ring:
-the homology algebra tensor an exterior algebra on suspensions of the
-even generators tensor a divided power algebra on suspensions of the odd
-ones.  One differential family of length p-1 sends gamma_j classes to the
-next exterior suspension times gamma_(j-p), leaving truncated polynomial
-algebras of height p.  The turn is certified by factors in every degree
+The starting page is Hochschild homology of the homology of the ring,
+whose generators comodule.ring_generators lists: the homology algebra
+tensor an exterior algebra on suspensions of the even generators tensor a
+divided power algebra on suspensions of the odd ones.  One differential
+family of length p-1 sends gamma_j classes to the next exterior
+suspension times gamma_(j-p), leaving truncated polynomial algebras of
+height p.  The turn is certified by factors in every degree
 (_kunneth_certifies), with verify_turn as the fallback.
 """
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable
 
-from ..comodule import TAU_SETS, RingId
+from ..comodule import RingId, ring_generators
 from ..graded import Algebra, Generator, Kind, Monomial
 from ..specseq import (Bidegree, DerivationRule, PageComparison, Region,
                        verify_turn)
@@ -29,27 +30,14 @@ _SURVIVING_SXI = {
 
 @lru_cache(maxsize=None)
 def bokstedt_algebra(p: int, ring: RingId, top: int) -> Algebra:
-    """Ambient algebra for the starting page, windowed by total degree."""
-    gens: list[Generator] = []
-    k = 1
-    while 2 * (p ** k - 1) <= top:
-        gens.append(Generator(f"bxi{k}", 0, 2 * (p ** k - 1), Kind.POLYNOMIAL))
-        k += 1
-    k = 0
-    while 2 * p ** k - 1 <= top:
-        if TAU_SETS[ring](k):
-            gens.append(Generator(f"btau{k}", 0, 2 * p ** k - 1, Kind.EXTERIOR))
-        k += 1
-    k = 1
-    while 2 * p ** k - 1 <= top:
-        gens.append(Generator(f"sbxi{k}", 1, 2 * (p ** k - 1), Kind.EXTERIOR))
-        k += 1
-    k = 0
-    while 2 * p ** k <= top:
-        if TAU_SETS[ring](k):
-            gens.append(Generator(f"sbtau{k}", 1, 2 * p ** k - 1, Kind.DIVIDED))
-        k += 1
-    return Algebra(p, tuple(gens))
+    """Ambient algebra for the starting page, windowed by total degree: the
+    ring generators, then the suspension sg, in bidegree (1, |g|), of each
+    one of degree < top."""
+    ring_gens = ring_generators(p, ring, top)
+    return Algebra(p, ring_gens + tuple(
+        Generator("s" + g.name, 1, g.t,
+                  Kind.DIVIDED if g.odd else Kind.EXTERIOR)
+        for g in ring_gens if g.total < top))
 
 
 class BokstedtPage:

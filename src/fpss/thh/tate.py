@@ -33,8 +33,8 @@ disjoint p-adic balls {x : x = r mod p^j} of free exponents, the
 predicates' balls (_balls).  Balls are nested or disjoint, so their meet,
 difference and translation are never finer than the predicates'.  Along c
 a key's cell is constant between the tmu2 bounds of the summands that hold
-it, and those summands must be disjoint: the cell tables check this once
-per key, when they are built (_cell_tables).  A turn sends each source key
+it, and those summands must be disjoint: each form's cell table checks
+this once per key, when it is built (_cells).  A turn sends each source key
 to an image key, raises c by a constant and translates the guarded balls
 by a constant, so its sources go one to one onto their images, and when
 the images are page classes that are not sources themselves, the homology
@@ -129,7 +129,7 @@ def _allowed_steps(balls: tuple[int, tuple[int, ...]] | None, lo: int,
                    hi: int) -> Iterable[int]:
     """The free exponents lo <= x < hi, ascending, in a predicate's balls
     (_balls), one progression per ball; a zero predicate allows 0 alone.
-    Balls of two summands are checked for overlap by _cell_tables."""
+    Balls of two summands are checked for overlap by _cells."""
     if balls is None:
         return range(0, 1) if lo <= 0 < hi else range(0)
     M, ks = balls
@@ -520,43 +520,39 @@ def _moved(A: list[Ball], shift: int) -> list[Ball]:
     return [(q, (r + shift) % q) for q, r in A]
 
 
-def _cell_tables(before: TateForm, after: TateForm) -> list[Cells] | None:
-    """The cells of the page and of the closed form; None when a predicate
-    is zero or two summands that hold one key overlap.
+def _cells(form: TateForm) -> Cells | None:
+    """The cells of a page or closed form; None when a predicate is zero or
+    two summands that hold one key overlap.
 
-    A page's cells map each key (u, lambda2, eps0, mu0, eps1b) to the tmu2
+    The cells map each key (u, lambda2, eps0, mu0, eps1b) to the tmu2
     bound and free-exponent balls of every summand that holds it, so a
     key's cell is constant between 0 and the bounds listed for it.  This is
     the one overlap check, once per key: every summand that holds a class
     starts at c = 0, so two summands overlap at some c exactly when they
     overlap at c = 0; a summand with c_hi <= 0 holds no class."""
-    p = before.p
-    tables = []
-    for form in (before, after):
-        cells: Cells = {}
-        for sm in form.summands:
-            balls = _ball_list(sm.pred, p)
-            if balls is None:
-                return None
-            for a in sm.u:
-                for b in sm.lam:
-                    for trip in sm.module:
-                        cells.setdefault((a, b) + trip, []).append(
-                            (sm.c_hi, balls))
-        for held in cells.values():
-            out: list[Ball] = []
-            for c_hi, balls in held:
-                if c_hi is None or c_hi > 0:
-                    if out and _meet(out, balls):
-                        return None
-                    out += balls
-        tables.append(cells)
-    return tables
+    cells: Cells = {}
+    for sm in form.summands:
+        balls = _ball_list(sm.pred, form.p)
+        if balls is None:
+            return None
+        for a in sm.u:
+            for b in sm.lam:
+                for trip in sm.module:
+                    cells.setdefault((a, b) + trip, []).append(
+                        (sm.c_hi, balls))
+    for held in cells.values():
+        out: list[Ball] = []
+        for c_hi, balls in held:
+            if c_hi is None or c_hi > 0:
+                if out and _meet(out, balls):
+                    return None
+                out += balls
+    return cells
 
 
 def _cell(cells: Cells, key: tuple[int, ...], c: int) -> list[Ball]:
     """The free-exponent balls of one key at tmu2 power c, disjoint since
-    _cell_tables checked the key's summands for overlap."""
+    _cells checked the key's summands for overlap."""
     out: list[Ball] = []
     for c_hi, balls in cells.get(key, ()) if c >= 0 else ():
         if c_hi is None or c < c_hi:
@@ -631,7 +627,7 @@ def _row_matching(st: Stage, page: Cells) -> Matching | None:
 def _matching_certifies(st: Stage) -> PageComparison | None:
     """A passing comparison for the stage's turn, certified on the summands
     in every degree; None when a precondition fails, two summands of a page
-    overlap (checked once per key, by _cell_tables) or a cell disagrees.
+    overlap (checked once per key, by _cells) or a cell disagrees.
 
     The turn is a matching (_d2_matching for d2, _row_matching for a row):
     a page class with a source key K, tmu2 power c and a free exponent x in
@@ -654,10 +650,9 @@ def _matching_certifies(st: Stage) -> PageComparison | None:
     p, conv, alg = before.p, before.conv, before.algebra
     if after.algebra != alg or after.conv != conv:
         return None
-    cells = _cell_tables(before, after)
-    if cells is None:
+    page, closed = _cells(before), _cells(after)
+    if page is None or closed is None:
         return None
-    page, closed = cells
     match = (_d2_matching if st.row is None else _row_matching)(st, page)
     if match is None:
         return None

@@ -8,8 +8,8 @@ Freeness of the smash homology over the dual Steenrod algebra forces
 coefficientwise.  The homology of THH is read from the final Bokstedt page
 that `verify bokstedt` certifies, the V(1) side from the closed-form
 presentations here, so the identity ties the two together.  A is
-`comodule.astar_algebra`, stated apart from the Bokstedt page's own
-generators, and the module of ell/p is the towers' E2 module.
+`comodule.astar_algebra`, the algebra the Bokstedt page takes its ring
+generators from, and the module of ell/p is the towers' E2 module.
 """
 from __future__ import annotations
 

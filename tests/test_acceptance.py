@@ -4,10 +4,13 @@ Every comparison is exact (register-level integer arithmetic over F_p); the
 only tolerances are the stated runtime ceilings.  Each test prints a single
 pass/fail line for the run log.
 """
+import os
+import pathlib
 import subprocess
 import sys
 import time
 
+import fpss
 from fpss.comodule import (RingId, eq_classes, is_primitive,
                            primitive_lift_coefficients, v1_smash_thh_table)
 from fpss.graded import Algebra, Generator, Kind, poincare_series
@@ -22,6 +25,15 @@ from fpss.thh.v1 import poincare_identity_check
 from test_tate import relabeling_agreement
 
 P = 5
+
+
+def child_env():
+    """The environment for a child `python -m fpss.cli`: PYTHONPATH leads
+    with the directory this process imports fpss from."""
+    src = str(pathlib.Path(fpss.__file__).resolve().parent.parent)
+    rest = os.environ.get("PYTHONPATH")
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join([src, rest] if rest else [src])}
 
 
 class Budget:
@@ -196,7 +208,8 @@ def test_criterion_11_property_suite():
         # byte-identical reruns of the driver
         cmd = [sys.executable, "-m", "fpss.cli", "poincare", "k",
                "--window", "-1:120", "--format", "structured"]
-        first = subprocess.run(cmd, capture_output=True, text=True)
-        second = subprocess.run(cmd, capture_output=True, text=True)
+        env = child_env()
+        first = subprocess.run(cmd, capture_output=True, text=True, env=env)
+        second = subprocess.run(cmd, capture_output=True, text=True, env=env)
         assert first.returncode == 0
         assert first.stdout == second.stdout and first.stdout

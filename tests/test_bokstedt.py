@@ -3,13 +3,14 @@ import time
 import pytest
 
 from fpss.cli import main
-from fpss.comodule import RingId
+from fpss.comodule import RingId, smash_generators
 from fpss.graded import Algebra, Generator, Kind, PoincareSeries
 from fpss.specseq import DerivationRule, Region, bidegree_table, verify_turn
 from fpss.thh import bokstedt
 from fpss.thh.bokstedt import (BokstedtPage, _kunneth_certifies,
-                               bokstedt_e2_page, bokstedt_einf_page,
-                               bokstedt_rule, bokstedt_run)
+                               bokstedt_algebra, bokstedt_e2_page,
+                               bokstedt_einf_page, bokstedt_rule,
+                               bokstedt_run)
 from fpss.thh.hochschild import hh_bruteforce
 from test_acceptance import Budget
 
@@ -24,6 +25,55 @@ def ps_from_monomials(alg, monomials, lo, hi):
         if lo <= d <= hi:
             counts[d] = counts.get(d, 0) + 1
     return PoincareSeries.from_counts(lo, hi, counts)
+
+
+# k -> whether H_*(ring) carries btau_k, as the literature states it
+TAUS = {
+    RingId.HZP_MOD: lambda k: True,
+    RingId.HZ_LOCAL: lambda k: k >= 1,
+    RingId.ELL: lambda k: k >= 2,
+    RingId.ELL_MOD_P: lambda k: k == 0 or k >= 2,
+}
+
+
+def transcribed_algebra(p, ring, top):
+    """The starting page's algebra written out degree by degree: bxi_k,
+    btau_k, their suspensions sbxi_k (exterior) and sbtau_k (divided)."""
+    gens = []
+    k = 1
+    while 2 * (p ** k - 1) <= top:
+        gens.append(Generator(f"bxi{k}", 0, 2 * (p ** k - 1), Kind.POLYNOMIAL))
+        k += 1
+    k = 0
+    while 2 * p ** k - 1 <= top:
+        if TAUS[ring](k):
+            gens.append(Generator(f"btau{k}", 0, 2 * p ** k - 1,
+                                  Kind.EXTERIOR))
+        k += 1
+    k = 1
+    while 2 * p ** k - 1 <= top:
+        gens.append(Generator(f"sbxi{k}", 1, 2 * (p ** k - 1), Kind.EXTERIOR))
+        k += 1
+    k = 0
+    while 2 * p ** k <= top:
+        if TAUS[ring](k):
+            gens.append(Generator(f"sbtau{k}", 1, 2 * p ** k - 1,
+                                  Kind.DIVIDED))
+        k += 1
+    return Algebra(p, tuple(gens))
+
+
+@pytest.mark.parametrize("ring", list(RingId), ids=lambda r: r.value)
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_algebra_is_the_ring_homology_and_its_suspensions(p, ring):
+    for top in range(201):
+        want = transcribed_algebra(p, ring, top)
+        got = bokstedt_algebra(p, ring, top)
+        assert got == want, top
+    # the smash homology's ring part is the same H_*(ring), at 4p^2
+    ring_part = tuple(g for g in transcribed_algebra(p, ring, 4 * p * p).gens
+                      if not g.s)
+    assert smash_generators(p, ring)[2:2 + len(ring_part)] == ring_part
 
 
 def test_e2_row_zero_is_ring_homology():

@@ -12,6 +12,7 @@ import fpss.cli
 import fpss.tc as tc
 from fpss.comodule import RingId
 from fpss.cli import main
+from test_acceptance import child_env
 
 README = (pathlib.Path(__file__).resolve().parent.parent
           / "README.md").read_text()
@@ -632,7 +633,8 @@ def test_byte_identical_reruns(capsys):
 def test_subprocess_determinism():
     cmd = [sys.executable, "-m", "fpss.cli", "tables", "tate:cp:1",
            "--page", "3", "--window", "0:10"]
-    runs = [subprocess.run(cmd, capture_output=True, text=True)
+    runs = [subprocess.run(cmd, capture_output=True, text=True,
+                           env=child_env())
             for _ in range(2)]
     assert runs[0].returncode == 0
     assert runs[0].stdout == runs[1].stdout

@@ -5,18 +5,26 @@ from fpss.comodule import (CoactionTable, RingId, astar_algebra, coaction,
                            coproduct_values, counit_left, eq_classes,
                            is_primitive, primitive_lift_coefficients,
                            smash_class, v1_smash_thh_table)
-from fpss.graded import tensor
+from fpss.graded import Algebra, Generator
 from fpss.thh.tate import tate_ambient
 from fpss.thh.v1 import v1_thh_presentation
 
 P = 5
 
 
+def a_tensor_a(astar):
+    """A (x) A with the left factor's generators first: a (x) b is the
+    concatenated monomial a + b."""
+    return Algebra(astar.p, tuple(
+        Generator(tag + g.name, g.s, g.t, g.kind, g.height)
+        for tag in ("L.", "R.") for g in astar.gens))
+
+
 def coproduct(astar, x):
     """Coproduct of an element, as an element of A (x) A (multiplicative
     extension of the generator formulas)."""
     values = coproduct_values(astar)
-    tens2, _ = tensor(astar.p, astar, astar, tags=("L.", "R."))
+    tens2 = a_tensor_a(astar)
     out = {}
     for mono, c in x.items():
         term = {tens2.unit_mono: 1}
@@ -43,7 +51,7 @@ def test_coproduct_of_product_matches_product_of_coproducts():
     m = astar.mono(btau0=1, btau1=1)
     lhs = coproduct(astar, {m: 1})
     # independent expansion: multiply the generator coproducts directly
-    tens2, _ = tensor(P, astar, astar, tags=("L.", "R."))
+    tens2 = a_tensor_a(astar)
     vals = coproduct_values(astar)
     rhs = tens2.mul(vals["btau0"], vals["btau1"])
     assert lhs == rhs
@@ -102,14 +110,15 @@ def test_coaction_examples():
     x = t.elem(sbtau0=P - 1)
     assert coaction(table, x) == table.include(x)
     # unit is primitive
-    assert coaction(table, t.unit()) == table.include(t.unit())
+    one = {t.unit_mono: 1}
+    assert coaction(table, one) == table.include(one)
     # btau0 * sbtau0 coacts with one correction term
     x2 = t.elem(btau0=1, sbtau0=1)
     got = coaction(table, x2)
     expect = table.tens.add(
         table.include(x2),
         table.tens.mul(
-            {table.inj_a(table.astar.mono(btau0=1)): 1},
+            {table.astar.mono(btau0=1) + t.unit_mono: 1},
             table.include(t.elem(sbtau0=1))))
     assert got == expect
 
@@ -192,7 +201,7 @@ def test_primitive_lift_coefficient_is_forced():
 def test_coaction_table_needs_every_generator_counital():
     table = v1_smash_thh_table(P, RingId.HZP_MOD)
     name = table.target.gens[0].name
-    fields = (table.astar, table.target, table.tens, table.inj_a, table.inj_t)
+    fields = (table.astar, table.target, table.tens)
     missing = {k: v for k, v in table.values.items() if k != name}
     with pytest.raises(ValueError, match=f"missing generator {name}"):
         CoactionTable(*fields, missing)

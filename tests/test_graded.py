@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpss.graded import (Algebra, Generator, Kind, PoincareSeries,
-                         inject_elem, poincare_series, tensor)
+                         poincare_series)
 from fpss.numerics import binom_mod_p
 
 P = 5
@@ -39,7 +39,7 @@ def test_laurent_inverse():
     alg = Algebra(P, (laurent("t", -2, 0),))
     t = alg.elem(t=1)
     tinv = alg.elem(t=-1)
-    assert alg.mul(t, tinv) == alg.unit()
+    assert alg.mul(t, tinv) == {alg.unit_mono: 1}
 
 
 def test_divided_power_binomial_vanishing():
@@ -212,16 +212,6 @@ def test_divided_power_truncated_factorization():
         trunc(f"q{e}", 0, 2 * P ** e, P) for e in range(3)))
     rhs = poincare_series(factors, 0, hi)
     assert lhs == rhs
-
-
-def test_tensor_injections():
-    a = Algebra(P, (ext("x", 0, 1),))
-    b = Algebra(P, (poly("y", 0, 2),))
-    comb, (ia, ib) = tensor(P, a, b)
-    xa = inject_elem(ia, a.elem(x=1))
-    yb = inject_elem(ib, b.elem(y=2))
-    prod = comb.mul(xa, yb)
-    assert prod == {comb.mono(x=1, y=2): 1}
 
 
 def test_mono_str():

@@ -682,10 +682,9 @@ def _all_cuts_certifies(st):
     alg, conv = before.algebra, before.conv
     if after.algebra != alg or after.conv != conv:
         return None
-    cells = tate._cell_tables(before, after)
-    if cells is None:
+    page, closed = tate._cells(before), tate._cells(after)
+    if page is None or closed is None:
         return None
-    page, closed = cells
     match = (tate._d2_matching if st.row is None else tate._row_matching)(
         st, page)
     if match is None:

@@ -161,7 +161,7 @@ def test_rh_map_window_guard():
 
 
 def test_decomposition_counts():
-    blocks = tf_decompose(P, 2 * P - 1, 200)
+    blocks = tf_decompose(P, 2 * P - 1, 200, 5)
     # no residue or u classes carry the module generators on the circle page
     assert set(kind for kind, _ in blocks.values()) == {"A", "B", "C", "D"}
     assert ("A", 0) in blocks.values() and ("B", 2) in blocks.values()
