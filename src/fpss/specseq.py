@@ -5,7 +5,9 @@ differential of length r maps bidegree (s, t) to (s - r, t + r - 1), so it
 drops total degree by one.  A page is read one way: its iter_region yields
 each class of a region with its bidegree.  verify_turn certifies that a
 closed-form page is the homology of the page before it, bidegree by
-bidegree, with exact sparse linear algebra.
+bidegree, with exact sparse linear algebra; bidegree_table buckets a
+page's classes by bidegree for it.  dump_page needs no buckets: it sorts
+the classes of its one walk once.
 
 verify_turn is the elimination reference: in every bidegree it takes
 kernel and image by Echelon and certifies the closed form's span.  No
@@ -350,10 +352,13 @@ def _echelon_mismatches(alg: Algebra, rule: _TurnValues,
 
 
 def dump_page(page: Page, region: Region) -> str:
-    """Text dump: one line per bidegree, ordered by total degree then s; the
-    text of each power in it is made once, by mono_str on that power alone."""
+    """Text dump: one line per bidegree, ordered by total degree then s, each
+    basis in canonical order.  One iter_region pass and one sort of (s + t,
+    s, monomial) give that whole order, since within one total degree the
+    exponent tuples alone order the monomials; each bidegree's line is
+    written once, when its run of classes ends.  The text of each power is
+    made once, by mono_str on that power alone."""
     alg = page.algebra
-    bases = bidegree_table(page, region)
     texts: list[dict[int, str]] = [{} for _ in alg.gens]  # [slot][exponent]
 
     def power(slot: int, e: int) -> str:
@@ -361,11 +366,19 @@ def dump_page(page: Page, region: Region) -> str:
         text = texts[slot][e] = alg.mono_str(m)
         return text
 
-    lines = []
-    for (s, t) in sorted(bases, key=lambda bd: (bd[0] + bd[1], bd[0])):
-        monos = bases[(s, t)]
-        words = ["*".join([texts[i].get(e) or power(i, e)
-                           for i, e in enumerate(m) if e]) or "1"
-                 for m in monos]
-        lines.append(f"s={s} t={t} dim={len(monos)} basis={','.join(words)}")
+    lines: list[str] = []
+    words: list[str] = []
+    d0 = s0 = 0
+    for d, s, m in sorted([(s + t, s, m)
+                           for (s, t), m in page.iter_region(region)]):
+        if words and (s != s0 or d != d0):
+            lines.append(f"s={s0} t={d0 - s0} dim={len(words)} "
+                         f"basis={','.join(words)}")
+            words = []
+        d0, s0 = d, s
+        words.append("*".join([texts[i].get(e) or power(i, e)
+                               for i, e in enumerate(m) if e]) or "1")
+    if words:
+        lines.append(f"s={s0} t={d0 - s0} dim={len(words)} "
+                     f"basis={','.join(words)}")
     return "\n".join(lines)

@@ -34,12 +34,13 @@ predicates' balls (_balls).  Balls are nested or disjoint, so their meet,
 difference and translation are never finer than the predicates'.  Along c
 a key's cell is constant between the tmu2 bounds of the summands that hold
 it, and those summands must be disjoint: each form's cell table checks
-this once per key, when it is built (_cells).  A turn sends each source key
-to an image key, raises c by a constant and translates the guarded balls
-by a constant, so its sources go one to one onto their images, and when
-the images are page classes that are not sources themselves, the homology
-is the page without sources and images (algebraic discrete Morse theory on
-summands: Skoldberg, Trans. AMS 358, 2006).  So a key is checked only at
+this once per key, when it is built (_cells, once per form in a
+run_instance call).  A turn sends each source key to an image key, raises
+c by a constant and translates the guarded balls by a constant, so its
+sources go one to one onto their images, and when the images are page
+classes that are not sources themselves, the homology is the page without
+sources and images (algebraic discrete Morse theory on summands:
+Skoldberg, Trans. AMS 358, 2006).  So a key is checked only at
 its own cuts: its bounds on the page and in the closed form, and its
 preimage's page bounds raised by the turn's increment.  A RuleRow's
 matching flips its exterior slot.  The suspension d = x delta reduces to
@@ -624,10 +625,14 @@ def _row_matching(st: Stage, page: Cells) -> Matching | None:
             row.inc, row.shift, guard)
 
 
-def _matching_certifies(st: Stage) -> PageComparison | None:
+def _matching_certifies(st: Stage,
+                        tables: dict[int, Cells | None] | None = None
+                        ) -> PageComparison | None:
     """A passing comparison for the stage's turn, certified on the summands
     in every degree; None when a precondition fails, two summands of a page
-    overlap (checked once per key, by _cells) or a cell disagrees.
+    overlap (checked once per key, by _cells) or a cell disagrees.  tables
+    holds the cells already built, by the id of their form, and takes the
+    ones built here; its forms must outlive it.
 
     The turn is a matching (_d2_matching for d2, _row_matching for a row):
     a page class with a source key K, tmu2 power c and a free exponent x in
@@ -650,7 +655,11 @@ def _matching_certifies(st: Stage) -> PageComparison | None:
     p, conv, alg = before.p, before.conv, before.algebra
     if after.algebra != alg or after.conv != conv:
         return None
-    page, closed = _cells(before), _cells(after)
+    tables = {} if tables is None else tables
+    for form in (before, after):
+        if id(form) not in tables:
+            tables[id(form)] = _cells(form)
+    page, closed = tables[id(before)], tables[id(after)]
     if page is None or closed is None:
         return None
     match = (_d2_matching if st.row is None else _row_matching)(st, page)
@@ -689,11 +698,14 @@ def run_instance(inst: SSInstance, lo: int, hi: int,
                  region: Region | None = None) -> list[PageComparison]:
     """Re-seed every stage from its closed form, turn the page, and certify
     the homology against the next closed form: every turn as a matching on
-    summand cells, and by verify_turn where that declines.  The region,
-    instance_region's by default, serves verify_turn only."""
+    summand cells, and by verify_turn where that declines.  Each form's
+    cells are built once: a middle page is one object, one stage's after
+    and the next one's before.  The region, instance_region's by default,
+    serves verify_turn only."""
     conv = inst.stages[0].before.conv
     if region is None:
         region = instance_region(inst.p, inst.n, lo, hi, conv)
-    return [_matching_certifies(st)
+    tables: dict[int, Cells | None] = {}
+    return [_matching_certifies(st, tables)
             or verify_turn(st.before, st.rule, st.after, region)
             for st in inst.stages]

@@ -1,7 +1,9 @@
+from collections import Counter
 from dataclasses import dataclass
 
 import pytest
 
+from fpss import specseq
 from fpss.graded import Algebra, Generator, Kind, Monomial
 from fpss.report import Check, Report
 from fpss.specseq import (DerivationRule, FamilyRule, Region,
@@ -378,6 +380,14 @@ def _dump_by_mono_str(page, region):
         for ms in [bases[(s, t)]])
 
 
+def _bench_page():
+    # the page and region of `fpss tables tate:cp:1 --page 3` at its
+    # default window: dense, 11,312 classes
+    from fpss.thh.tate import instance_region, tower_instance
+    return (tower_instance(P, 1, "tate").form_at(3),
+            instance_region(P, 1, -50, 125, "tate"))
+
+
 def _dump_pages():
     from fpss.comodule import RingId
     from fpss.thh.bokstedt import bokstedt_e2_page
@@ -389,15 +399,51 @@ def _dump_pages():
         yield (tower_instance(P, n, conv).form_at(r),
                instance_region(P, n, -20, 60, conv))
     yield bokstedt_e2_page(3, RingId.ELL_MOD_P, 41), Region(0, 40, 0, 41)
+    # long runs of classes in one bidegree, up to dim 21
+    yield bokstedt_e2_page(P, RingId.HZP_MOD, 61), Region(0, 60, 0, 61)
+    yield _bench_page()
 
 
 def test_dump_text_is_mono_str_of_each_class():
     # dump_page makes each power's text once; every class must still read
     # as mono_str writes it (unit, exponents, divided powers, Laurent t,
-    # several classes in one bidegree)
+    # several classes in one bidegree), in bidegree_table's grouping
     for page, region in _dump_pages():
         text = dump_page(page, region)
         assert text and text == _dump_by_mono_str(page, region), page
+
+
+def test_dump_sorts_one_walk(monkeypatch):
+    # on the bench page the dump reads the page once, builds no bidegree
+    # table and makes each power's text once
+    page, region = _bench_page()
+    walks, tables, texts = [], [], Counter()
+
+    class Counted:
+        label, algebra = page.label, page.algebra
+
+        def iter_region(self, region):
+            walks.append(region)
+            return page.iter_region(region)
+
+    def table(*args):
+        tables.append(args)
+        return bidegree_table(*args)
+
+    real_mono_str = Algebra.mono_str
+
+    def mono_str(alg, m):
+        texts[tuple((i, e) for i, e in enumerate(m) if e)] += 1
+        return real_mono_str(alg, m)
+
+    monkeypatch.setattr(specseq, "bidegree_table", table)
+    monkeypatch.setattr(Algebra, "mono_str", mono_str)
+    text = dump_page(Counted(), region)
+    assert walks == [region]
+    assert tables == []
+    assert texts and max(texts.values()) == 1
+    assert all(len(powers) == 1 for powers in texts)
+    assert text.count("\n") + 1 == 11312
 
 
 def test_divided_power_core_survivors():

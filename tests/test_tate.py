@@ -547,6 +547,37 @@ def test_default_tower_runs_enumerate_no_page(monkeypatch):
                 assert calls == [], (p, n, conv)
 
 
+def test_run_instance_builds_each_cell_table_once(monkeypatch):
+    # a middle page is one stage's closed form and the next stage's page:
+    # one run_instance call cuts each distinct form into cells once (35
+    # forms for 34 stages at p = 5, n = 16, not 68 tables), and keeps no
+    # table past the call, so a second run builds them again and a
+    # monkeypatched _moved is still reached
+    built, moved = [], []
+    real_cells, real_moved = tate._cells, tate._moved
+
+    def cells(form):
+        built.append(form)
+        return real_cells(form)
+
+    def moved_(A, shift):
+        moved.append(shift)
+        return real_moved(A, shift)
+
+    monkeypatch.setattr(tate, "_cells", cells)
+    monkeypatch.setattr(tate, "_moved", moved_)
+    for conv in ("tate", "hofix"):
+        inst = tower_instance(P, 16, conv)
+        forms = set(instance_forms(inst))
+        assert len(forms) == len(inst.stages) + 1 == 35
+        for _ in range(2):
+            built.clear()
+            moved.clear()
+            assert all(c.passed for c in run_instance(inst, -50, 125))
+            assert len(built) == 35 and set(built) == forms
+            assert moved
+
+
 def test_height_3_towers_are_fast():
     # Tate at p = 7 and homotopy fixed points at p = 5 on the default
     # window, from the closed forms
