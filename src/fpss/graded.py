@@ -37,7 +37,7 @@ class Generator:
     element gamma_j, which sits in bidegree (j*s, j*t).
     """
 
-    __slots__ = ("name", "s", "t", "kind", "height")
+    __slots__ = ("name", "s", "t", "kind", "height", "value")
 
     def __init__(self, name: str, s: int, t: int, kind: Kind,
                  height: int = 0) -> None:
@@ -45,18 +45,20 @@ class Generator:
             raise ValueError(f"truncated generator {name} needs height >= 2")
         self.name, self.s, self.t, self.kind, self.height = \
             name, s, t, kind, height
+        # what equality, hash and repr read, made once
+        self.value = self._value()
 
     def _value(self) -> tuple:
         return self.name, self.s, self.t, self.kind, self.height
 
     def __eq__(self, other) -> bool:
-        return type(other) is Generator and self._value() == other._value()
+        return type(other) is Generator and self.value == other.value
 
     def __hash__(self) -> int:
-        return hash(self._value())
+        return hash(self.value)
 
     def __repr__(self) -> str:
-        return f"Generator{self._value()!r}"
+        return f"Generator{self.value!r}"
 
     @property
     def total(self) -> int:

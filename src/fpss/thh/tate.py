@@ -42,7 +42,10 @@ classes that are not sources themselves, the homology is the page without
 sources and images (algebraic discrete Morse theory on summands:
 Skoldberg, Trans. AMS 358, 2006).  So a key is checked only at
 its own cuts: its bounds on the page and in the closed form, and its
-preimage's page bounds raised by the turn's increment.  A RuleRow's
+preimage's page bounds raised by the turn's increment.  Keys alike in
+their page and closed-form cells, their preimage's page cells and being a
+source are one class, checked once, and two cells are compared by their
+canonical form, the maximal balls of their union (_canon).  A RuleRow's
 matching flips its exterior slot.  The suspension d = x delta reduces to
 the module by Leibniz: its values lie on the module generators, so
 d(a m) = +-a x delta(m) for a passive monomial a (u, lambda2, t, mu2), and
@@ -464,7 +467,9 @@ def instance_region(p: int, n: int, lo: int, hi: int, conv: str) -> Region:
 
 # a p-adic ball {x : x = r mod q}, q a power of p and 0 <= r < q
 Ball = tuple[int, int]
-Cells = dict[tuple[int, ...], list[tuple[int | None, list[Ball]]]]
+# each key's held summands, (c_hi, balls) in summand order, by content
+Held = tuple[tuple[int | None, tuple[Ball, ...]], ...]
+Cells = dict[tuple[int, ...], Held]
 
 
 def _ball_list(pred: Pred, p: int) -> list[Ball] | None:
@@ -511,9 +516,37 @@ def _minus(A: list[Ball], B: list[Ball], p: int) -> list[Ball]:
     return out
 
 
+def _canon(balls: Iterable[Ball], p: int) -> list[Ball]:
+    """The maximal balls of a disjoint union, sorted: p sibling balls merge
+    into their parent, from the finest modulus up.  A finite union of balls
+    has exactly one such decomposition, so two unions hold the same points
+    exactly when their canonical lists are equal."""
+    by_q: dict[int, set[int]] = {}
+    for q, r in balls:
+        by_q.setdefault(q, set()).add(r)
+    out = []
+    while by_q:
+        q = max(by_q)
+        rs = by_q.pop(q)
+        if q == 1:
+            out.append((1, 0))
+            continue
+        kids: dict[int, list[int]] = {}
+        for r in rs:
+            kids.setdefault(r % (q // p), []).append(r)
+        for up, sibs in kids.items():
+            if len(sibs) == p:
+                by_q.setdefault(q // p, set()).add(up)
+            else:
+                out += [(q, r) for r in sibs]
+    out.sort()
+    return out
+
+
 def _same(A: list[Ball], B: list[Ball], p: int) -> bool:
-    """Whether two lists of disjoint balls hold the same points."""
-    return A == B or not _minus(A, B, p) and not _minus(B, A, p)
+    """Whether two lists of disjoint balls hold the same points: equal as
+    lists, as sorted lists, or in canonical form (_canon)."""
+    return A == B or sorted(A) == sorted(B) or _canon(A, p) == _canon(B, p)
 
 
 def _moved(A: list[Ball], shift: int) -> list[Ball]:
@@ -527,11 +560,12 @@ def _cells(form: TateForm) -> Cells | None:
 
     The cells map each key (u, lambda2, eps0, mu0, eps1b) to the tmu2
     bound and free-exponent balls of every summand that holds it, so a
-    key's cell is constant between 0 and the bounds listed for it.  This is
-    the one overlap check, once per key: every summand that holds a class
-    starts at c = 0, so two summands overlap at some c exactly when they
-    overlap at c = 0; a summand with c_hi <= 0 holds no class."""
-    cells: Cells = {}
+    key's cell is constant between 0 and the bounds listed for it.  Each
+    key's list is a tuple of (c_hi, balls) tuples, so keys held alike hash
+    alike.  This is the one overlap check, once per key: every summand that
+    holds a class starts at c = 0, so two summands overlap at some c exactly
+    when they overlap at c = 0; a summand with c_hi <= 0 holds no class."""
+    held: dict[tuple[int, ...], list[tuple[int | None, tuple[Ball, ...]]]] = {}
     for sm in form.summands:
         balls = _ball_list(sm.pred, form.p)
         if balls is None:
@@ -539,16 +573,16 @@ def _cells(form: TateForm) -> Cells | None:
         for a in sm.u:
             for b in sm.lam:
                 for trip in sm.module:
-                    cells.setdefault((a, b) + trip, []).append(
-                        (sm.c_hi, balls))
-    for held in cells.values():
+                    held.setdefault((a, b) + trip, []).append(
+                        (sm.c_hi, tuple(balls)))
+    for parts in held.values():
         out: list[Ball] = []
-        for c_hi, balls in held:
+        for c_hi, balls in parts:
             if c_hi is None or c_hi > 0:
                 if out and _meet(out, balls):
                     return None
                 out += balls
-    return cells
+    return {key: tuple(parts) for key, parts in held.items()}
 
 
 def _cell(cells: Cells, key: tuple[int, ...], c: int) -> list[Ball]:
@@ -647,10 +681,13 @@ def _matching_certifies(st: Stage,
     and closed-form summands that hold the key, and each page bound of its
     preimage plus inc.  Between two of them the key's page cell, its
     closed-form cell and the images arriving from c - inc are constant.
-    The guard and the shift are fixed for the turn, so each distinct
-    (page, closed form, arrivals, source or not) cell is checked once.  The
-    count is the keys and cuts where the page or the closed form holds a
-    class."""
+    Keys with the same page cells, closed-form cells, preimage page cells
+    (or no preimage) and source flag have the same cuts and cells, so each
+    such class is visited once, by one of its keys.  The guard and the
+    shift are fixed for the turn, so each distinct (page, closed form,
+    arrivals, source or not) cell is checked once, and the sources' moves
+    are checked once per distinct key move.  The count is the keys and
+    cuts where the page or the closed form holds a class."""
     before, after, r = st.before, st.after, st.rule.r
     p, conv, alg = before.p, before.conv, before.algebra
     if after.algebra != alg or after.conv != conv:
@@ -668,12 +705,19 @@ def _matching_certifies(st: Stage,
     image, inc, shift, guard = match
     image_of = {img: key for key, img in image.items()}
     if len(image_of) < len(image) or image_of.keys() & image.keys() or any(
-            alg.bidegree(_change(conv, (b - a for a, b in zip(key, img)),
-                                 inc, shift)) != (-r, r - 1)
-            for key, img in image.items()):
+            alg.bidegree(_change(conv, move, inc, shift)) != (-r, r - 1)
+            for move in {tuple(b - a for a, b in zip(key, img))
+                         for key, img in image.items()}):
         return None
-    compared, distinct = 0, set()
+    classes: dict[tuple, list[tuple[int, ...]]] = {}
     for key in page.keys() | closed.keys() | image_of.keys():
+        pre = image_of.get(key)
+        sig = (page.get(key), closed.get(key),
+               None if pre is None else page.get(pre), key in image)
+        classes.setdefault(sig, []).append(key)
+    compared, distinct = 0, set()
+    for (_, _, _, is_src), keys in classes.items():
+        key = keys[0]
         pre = image_of.get(key)
         cuts = {0, inc} | _bounds(page, key) | _bounds(closed, key) | {
             b + inc for b in _bounds(page, pre)}
@@ -681,9 +725,8 @@ def _matching_certifies(st: Stage,
             here, want = _cell(page, key, c), _cell(closed, key, c)
             hit = [] if pre is None else _cell(page, pre, c - inc)
             if here or want or hit:
-                distinct.add((tuple(here), tuple(want), tuple(hit),
-                              key in image))
-                compared += bool(here or want)
+                distinct.add((tuple(here), tuple(want), tuple(hit), is_src))
+                compared += len(keys) * bool(here or want)
     for here, want, hit, is_src in distinct:
         here, want = list(here), list(want)
         hit = _moved(_meet(list(hit), guard), shift)

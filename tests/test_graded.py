@@ -407,3 +407,23 @@ def test_algebra_equality_ignores_the_slot_tables():
     assert alg == same and hash(alg) == hash(same)
     assert alg != Algebra(7, alg.gens)
     assert alg != Algebra(P, alg.gens[::-1])
+
+
+def test_hashing_an_algebra_reads_each_generator_value_once_made(monkeypatch):
+    # a generator's value tuple is made when it is built: hashing and
+    # comparing algebras, as a dict or cache keyed by one does, recomputes
+    # none
+    alg = Algebra(P, (ext("x", 0, 3), poly("y", 0, 4), trunc("z", 0, 2, 3)))
+    same = Algebra(P, alg.gens)
+    calls = []
+    honest = Generator._value
+
+    def counted(self):
+        calls.append(self.name)
+        return honest(self)
+
+    monkeypatch.setattr(Generator, "_value", counted)
+    assert hash(alg) == hash(same) and alg == same
+    assert {alg: 1}[same] == 1 and repr(alg) == repr(same)
+    assert calls == []
+    assert ext("w", 0, 2) == ext("w", 0, 2) and calls == ["w", "w"]

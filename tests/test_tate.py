@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 from fpss import specseq
+from fpss.cli import main
 from fpss.numerics import rho, vp
 from fpss.specseq import (DerivationRule, FamilyRule, Region,
                           VerificationError, bidegree_table, verify_turn)
@@ -13,7 +14,7 @@ from fpss.thh.circle import comparison_region, s1_einf, s1_limits
 from fpss.thh.tate import (BOTH, IE0, IE1, IL, IM, IT, IU, PLAIN, PLAIN_E,
                            TOWERS, RuleRow, SSInstance, Stage, Summand,
                            TateForm, _allowed_steps, _ball_list, _balls,
-                           _matching_certifies, _meet, _minus, _moved,
+                           _canon, _matching_certifies, _meet, _minus, _moved,
                            _pred_ok, _same, family_rule,
                            instance_region, module_triples, run_instance,
                            tate_ambient, tower_form, tower_instance)
@@ -691,6 +692,64 @@ def test_tower_certificate_depth_work_gate(monkeypatch):
     assert calls[0] <= 4000, calls
 
 
+def _spy_calls(monkeypatch, *names):
+    """Count the calls of tate's helpers by name, and under "_same/_minus"
+    the _minus calls made inside a _same call."""
+    calls, inside = Counter(), []
+
+    def spy(name):
+        honest = getattr(tate, name)
+
+        def counted(*args):
+            calls[name] += 1
+            if name == "_minus" and "_same" in inside:
+                calls["_same/_minus"] += 1
+            inside.append(name)
+            try:
+                return honest(*args)
+            finally:
+                inside.pop()
+        monkeypatch.setattr(tate, name, counted)
+
+    for name in names:
+        spy(name)
+    return calls
+
+
+@pytest.mark.parametrize("conv, most", [("tate", 200), ("hofix", 300)])
+def test_tower_certificate_reads_each_key_class_once(conv, most, monkeypatch):
+    # the benchmark's tower run at p = 5, n = 2: keys with the same page,
+    # closed-form and preimage cells and source flag are one class, read
+    # at its cuts once (key by key took 378 and 1,024 _cell calls; by
+    # class 169 and 262)
+    calls = _spy_calls(monkeypatch, "_cell")
+    results = run_instance(tower_instance(P, 2, conv), -50, 125)
+    assert all(c.passed for c in results)
+    assert calls["_cell"] <= most, calls
+
+
+@pytest.mark.parametrize("conv, same", [("tate", 1455), ("hofix", 1572)])
+def test_same_compares_canonical_balls(conv, same, monkeypatch):
+    # p = 5, n = 16 on the default window: each distinct cell still gets
+    # one _same call, and _same compares canonical ball lists, with no
+    # _minus call (2,046 and 2,174 _minus calls under _same before)
+    calls = _spy_calls(monkeypatch, "_same", "_minus")
+    results = run_instance(tower_instance(P, 16, conv), -50, 125)
+    assert all(c.passed for c in results)
+    assert calls["_same"] == same and calls["_same/_minus"] == 0, calls
+
+
+@pytest.mark.parametrize("target", ["thm-7.1", "thm-7.4"])
+def test_height_32_towers_are_fast(target, capsys):
+    # in-process at p = 5 on the default window: 4.7-6.4 s with _same
+    # by two _minus calls, about 1.1 s by canonical balls
+    t0 = time.perf_counter()
+    code = main(["verify", target, "--n", "32"])
+    elapsed = time.perf_counter() - t0
+    assert code == 0 and "PASS" in capsys.readouterr().out
+    assert elapsed < 4.0, elapsed
+
+
 def _c_hi_mutants(st):
     """The stage with one finite c_hi of its page or of its closed form moved
     by -1 or +1, where it stays at least 1."""
@@ -1089,6 +1148,58 @@ def test_summand_certificate_cuts_where_the_arrivals_end():
     assert _all_cuts_certifies(st) is None
 
 
+def _signature_stage(part, wrong):
+    """The first odd Tate turn at p = 5, n = 1 on two keys that agree in
+    three parts of their class signature (page cells, closed-form cells,
+    the preimage's page cells, source or not) and differ in the fourth,
+    part.  The key wrong (0 or 1) has a wrong closed form; with wrong None
+    both are right."""
+    row = tower_instance(P, 1, "tate").stages[1].row
+    assert (row.slot, row.pred, row.inc) == (IE1, ("vp_eq", 0), 1)
+    ANY, V1 = ("any",), ("vp_ge", 1)
+    E1, MU0 = ((0, 0, 1),), ((0, 1, 0),)   # a source, and neither end
+
+    def sm(u, module, pred, c_hi=None):
+        return Summand((u,), (0,), module, c_hi, pred)
+
+    if part in ("page", "closed"):
+        # the mu0 keys with u = 0 and 1, each its own page
+        odd = [sm(u, MU0, V1 if u == wrong else ANY) for u in (0, 1)]
+        whole = [sm(u, MU0, ANY) for u in (0, 1)]
+        before, after = (odd, whole) if part == "page" else (whole, odd)
+    elif part == "preimage":
+        # the plain keys are hit by their eps1b preimages from c = 1 on,
+        # except where the preimage holds no ball of the guard
+        before = [sm(u, E1, V1 if u == wrong else ANY) for u in (0, 1)] + [
+            sm(u, PLAIN, ANY) for u in (0, 1)]
+        after = [sm(u, E1, V1) for u in (0, 1)] + [
+            sm(u, PLAIN, ("vp_eq", 0), 1) for u in (0, 1)] + [
+            sm(u, PLAIN, V1) for u in (0, 1)]
+    else:
+        # the eps1b key, a source, and the mu0 key, not one, on one summand
+        src, other = {None: (V1, ANY), 0: (ANY, ANY), 1: (V1, V1)}[wrong]
+        before = [sm(0, E1 + MU0, ANY), sm(0, PLAIN, ANY)]
+        after = [sm(0, E1, src), sm(0, MU0, other),
+                 sm(0, PLAIN, ("vp_eq", 0), 1), sm(0, PLAIN, V1)]
+    alg = tate_ambient(P, 1)
+    return Stage(family_rule(P, "tate", row),
+                 TateForm("page", alg, "tate", tuple(before)),
+                 TateForm("closed", alg, "tate", tuple(after)), row)
+
+
+@pytest.mark.parametrize("wrong", [0, 1])
+@pytest.mark.parametrize("part", ["page", "closed", "preimage", "source"])
+def test_summand_certificate_tells_keys_apart_by_each_signature_part(
+        part, wrong):
+    # keys are read by class, one key standing for all; two keys that
+    # differ in one part of the signature only must not be one class.  One
+    # key of the two is wrong, either one in turn, so the turn declines
+    # whichever key a class would read; with both right it certifies
+    region = instance_region(P, 1, -20, 60, "tate")
+    _agrees_with_verify_turn(_signature_stage(part, None), region)
+    _declines_then_fails(_signature_stage(part, wrong), region)
+
+
 def test_summand_certificate_declines_a_zero_unit():
     for conv in ("tate", "hofix"):
         region = instance_region(P, 2, -2 * P * P, 5 * P * P, conv)
@@ -1292,3 +1403,39 @@ def test_ball_algebra_matches_residue_sets(p):
             assert _points(rest, N) == pa - pb, (A, B)
             assert _disjoint(meet, N) and _disjoint(rest, N), (A, B)
             assert _same(A, B, p) == (pa == pb), (A, B)
+
+
+def _ball_sets(p):
+    """The ball lists of test_ball_algebra_matches_residue_sets: every
+    predicate's balls, shifted, two unions as cells hold them, and single
+    balls nested either way."""
+    sets = []
+    for pred in BALL_PREDS:
+        balls = _ball_list(pred, p)
+        if balls is not None:
+            sets += [_moved(balls, shift) for shift in (0, 1, p + 2, -p * p)]
+    sets += [_ball_list(("vp_eq", 1), p) + _ball_list(("vp_ge", 2), p),
+             _ball_list(("res",), p) + _moved(_ball_list(("vp_ge", 3), p), 1)]
+    return sets + [[(q, r)] for q in (1, p, p ** 3) for r in (0, 1, p + 1)
+                   if r < q]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_canonical_balls_match_residue_sets(p):
+    # on those lists and on every difference between two of them (split,
+    # not maximal): the canonical form holds the same points, is sorted,
+    # has no p sibling balls left to merge and is its own canonical form,
+    # and two lists have one canonical form exactly when they hold the
+    # same points mod p^4
+    N = p ** 4
+    sets = _ball_sets(p)
+    sets += [_minus(A, B, p) for A in sets for B in sets]
+    by_points = {}
+    for A in sets:
+        canon = _canon(A, p)
+        assert _points(canon, N) == _points(A, N), A
+        assert canon == sorted(canon) and _canon(canon, p) == canon, A
+        parents = Counter((q // p, r % (q // p)) for q, r in canon if q > 1)
+        assert p not in parents.values(), A
+        assert by_points.setdefault(_points(A, N), canon) == canon, A
+    assert len({tuple(c) for c in by_points.values()}) == len(by_points)
